@@ -2,122 +2,32 @@
 statistics: exact Bell-value evaluation, analytic distance bounds, an
 ancilla-doubling embedding with exact distance readout, and a finite-shot
 Monte Carlo estimator with Hoeffding planning.
+
+The package namespace holds the names the README's Library section uses;
+everything else is imported from its submodule.
 """
 
-from .bell import (
-    AlphaTable,
-    NumericalInconsistency,
-    alpha_table,
-    bell_value_gamma,
-    bell_value_operator,
-    chsh_saturation_residual,
-    chsh_value,
-    collect_distributions,
-    lemma1_envelope,
-    lemma2_bound,
-    lemma2_exceedance,
-    normalized_bell_from_probabilities,
-    required_setting_pairs,
-)
-from .circuit import (
-    Circuit,
-    CircuitParseError,
-    CircuitWidthError,
-    Gate,
-    circuit_unitary,
-    cz_layer,
-    embed_double,
-    parse_circuit,
-)
-from .distance import (
-    DistanceBounds,
-    circuit_distance,
-    distance_bounds_from_v,
-    distance_from_embedded_v,
-    normalized_to_distance,
-)
-from .measurement import (
-    ALICE,
-    BOB,
-    MeasurementBasis,
-    OutcomeDistribution,
-    basis,
-    chsh_observables,
-    observable_power,
-    outcome_distribution,
-    product_factors,
-    sequential_distribution,
-)
-from .sampling import (
-    EstimationReport,
-    RoundSampler,
-    ShotPlan,
-    draw_table,
-    estimate_distance,
-    estimate_normalized_bell,
-    plan_shots,
-    sample_round,
-)
-from .tensor import (
-    RngStream,
-    apply_bilocal,
-    inner,
-    max_entangled,
-    random_real_orthogonal,
-    random_real_unit_vector,
-)
+from .bell import bell_value_gamma, bell_value_operator, normalized_bell_from_probabilities
+from .circuit import circuit_unitary, embed_double, parse_circuit
+from .distance import circuit_distance, distance_from_embedded_v
+from .measurement import sequential_distribution
+from .sampling import estimate_distance, plan_shots
+from .tensor import apply_bilocal, max_entangled
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALICE",
-    "BOB",
-    "AlphaTable",
-    "Circuit",
-    "CircuitParseError",
-    "CircuitWidthError",
-    "DistanceBounds",
-    "EstimationReport",
-    "Gate",
-    "MeasurementBasis",
-    "NumericalInconsistency",
-    "OutcomeDistribution",
-    "RngStream",
-    "RoundSampler",
-    "ShotPlan",
-    "alpha_table",
     "apply_bilocal",
-    "basis",
     "bell_value_gamma",
     "bell_value_operator",
-    "chsh_observables",
-    "chsh_saturation_residual",
-    "chsh_value",
     "circuit_distance",
     "circuit_unitary",
-    "collect_distributions",
-    "cz_layer",
-    "distance_bounds_from_v",
     "distance_from_embedded_v",
-    "draw_table",
     "embed_double",
     "estimate_distance",
-    "estimate_normalized_bell",
-    "inner",
-    "lemma1_envelope",
-    "lemma2_bound",
-    "lemma2_exceedance",
     "max_entangled",
     "normalized_bell_from_probabilities",
-    "normalized_to_distance",
-    "observable_power",
-    "outcome_distribution",
     "parse_circuit",
     "plan_shots",
-    "product_factors",
-    "random_real_orthogonal",
-    "random_real_unit_vector",
-    "required_setting_pairs",
-    "sample_round",
     "sequential_distribution",
 ]

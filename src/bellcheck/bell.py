@@ -24,22 +24,11 @@ from .measurement import (
     observable_power,
     outcome_distribution,
 )
-from .tensor import TOL, RngStream, random_real_unit_vector
+from .tensor import TOL, RngStream, check_params, check_state, random_real_unit_vector
 
 
 class NumericalInconsistency(ArithmeticError):
     """An exact evaluation left a non-negligible imaginary residue."""
-
-
-def _check_state(psi: np.ndarray, d: int, m: int) -> np.ndarray:
-    if d < 2 or m < 2:
-        raise ValueError(f"need d >= 2 and m >= 2, got d={d}, m={m}")
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (d * d,):
-        raise ValueError(f"state must have {d * d} amplitudes, got shape {psi.shape}")
-    if abs(np.linalg.norm(psi) - 1.0) > TOL:
-        raise ValueError("state is not normalized")
-    return psi
 
 
 def bell_value_operator(psi: np.ndarray, d: int, m: int) -> float:
@@ -48,7 +37,8 @@ def bell_value_operator(psi: np.ndarray, d: int, m: int) -> float:
     Each term is evaluated through two local d x d applications on the
     coefficient grid; the d^2 x d^2 operator is never materialized.
     """
-    psi = _check_state(psi, d, m)
+    check_params(d, m)
+    psi = check_state(psi, d)
     grid = psi.reshape(d, d)
     total = 0j
     for i in range(1, m + 1):
@@ -67,7 +57,8 @@ def bell_value_gamma(psi: np.ndarray, d: int, m: int) -> float:
     V = m * sum_r (|sum of the r-th upper diagonal|^2
                    + |sum of the (r-d)-th wrapped diagonal|^2) - m.
     """
-    psi = _check_state(psi, d, m)
+    check_params(d, m)
+    psi = check_state(psi, d)
     grid = psi.reshape(d, d)
     total = 0.0
     for r in range(d):
@@ -90,8 +81,7 @@ class AlphaTable:
 
 def alpha_table(d: int, m: int) -> AlphaTable:
     """alpha_k = tan(pi/(2m)) * cot(pi*(k + 1/(2m))/d) / (2d), k = 0..d-1."""
-    if d < 2 or m < 2:
-        raise ValueError(f"need d >= 2 and m >= 2, got d={d}, m={m}")
+    check_params(d, m)
     k = np.arange(d)
     theta = np.pi * (k + 1.0 / (2 * m)) / d
     values = np.tan(np.pi / (2 * m)) / (2 * d) * (np.cos(theta) / np.sin(theta))
@@ -99,22 +89,43 @@ def alpha_table(d: int, m: int) -> AlphaTable:
     return AlphaTable(d=d, m=m, values=values)
 
 
-def required_setting_pairs(m: int) -> tuple[tuple[int, int], ...]:
-    """Setting pairs (x, y) the normalized Bell form consumes.
+@dataclass(frozen=True)
+class Branch:
+    """One (r, i) round branch of the protocol."""
 
-    (i, i) for every i, (i+1, i) for i < m, and (1, m) standing in for the
-    wrapped pair: the (m+1)-th Alice setting is setting 1 with +1 added to
-    its outcome mod d.
+    label: str  # "A{i+r}B{i}"
+    pair: tuple[int, int]  # settings (x, y) Alice and Bob measure
+    scores: np.ndarray  # (d, d) round value per outcome pair (a, b), in [-2, 2]
+
+
+def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
+    """The 2m round branches (r, i), r in {0, 1}, i in 1..m, in (i, r) order.
+
+    Branch (0, i) measures settings (i, i) and scores 2*alpha[(a - b) mod d].
+    Branch (1, i) measures (i+1, i) and scores 2*alpha[(b - a) mod d], where
+    the (m+1)-th Alice setting is setting 1 with +1 added to its outcome mod
+    d: branch (1, m) measures (1, m) and scores 2*alpha[(b - a - 1) mod d].
     """
-    pairs = [(i, i) for i in range(1, m + 1)]
-    pairs += [(i + 1, i) for i in range(1, m)]
-    pairs.append((1, m))
-    return tuple(pairs)
+    alpha = alpha_table(d, m).values
+    a_idx = np.arange(d)[:, None]
+    b_idx = np.arange(d)[None, :]
+    branches = []
+    for i in range(1, m + 1):
+        branches.append(Branch(f"A{i}B{i}", (i, i), 2.0 * alpha[(a_idx - b_idx) % d]))
+        x, relabel = (i + 1, 0) if i < m else (1, 1)
+        branches.append(Branch(f"A{i + 1}B{i}", (x, i), 2.0 * alpha[(b_idx - a_idx - relabel) % d]))
+    return tuple(branches)
+
+
+def required_setting_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """Setting pairs (x, y) of the r = 0 branches, then of the r = 1 branches."""
+    branches = protocol_branches(2, m)  # the pairs do not depend on d
+    return tuple(b.pair for b in branches[0::2] + branches[1::2])
 
 
 def collect_distributions(psi: np.ndarray, d: int, m: int) -> dict[tuple[int, int], OutcomeDistribution]:
     """Exact outcome distributions for every setting pair the protocol needs."""
-    return {pair: outcome_distribution(psi, pair[0], pair[1], d, m) for pair in required_setting_pairs(m)}
+    return {b.pair: outcome_distribution(psi, *b.pair, d, m) for b in protocol_branches(d, m)}
 
 
 def normalized_bell_from_probabilities(
@@ -122,16 +133,10 @@ def normalized_bell_from_probabilities(
 ) -> float:
     """Normalized Bell value I' from outcome statistics.
 
-    I' = (1/m) sum_k sum_i alpha_k [P(a - b = k | i, i) + P(b - a' = k | pair)]
-    with differences mod d, where the second pair is (i+1, i) and, for
-    i = m, settings (1, m) with a' = a + 1 mod d.  Satisfies
-    d*m*I' - m = V and equals 1 exactly on the maximally entangled state.
+    I' = (1/m) sum over the 2m protocol branches of the expected half-score,
+    sum_{a,b} (scores[a, b] / 2) * P(a, b | pair).  Satisfies d*m*I' - m = V
+    and equals 1 exactly on the maximally entangled state.
     """
-    if d < 2 or m < 2:
-        raise ValueError(f"need d >= 2 and m >= 2, got d={d}, m={m}")
-    alpha = alpha_table(d, m).values
-    a_idx = np.arange(d)[:, None]
-    b_idx = np.arange(d)[None, :]
 
     def grid_for(pair: tuple[int, int]) -> np.ndarray:
         if pair not in dists:
@@ -144,13 +149,8 @@ def normalized_bell_from_probabilities(
         return dist.probs
 
     acc = 0.0
-    for i in range(1, m + 1):
-        acc += float(np.sum(alpha[(a_idx - b_idx) % d] * grid_for((i, i))))
-        if i < m:
-            pair, relabel = (i + 1, i), 0
-        else:
-            pair, relabel = (1, m), 1
-        acc += float(np.sum(alpha[(b_idx - a_idx - relabel) % d] * grid_for(pair)))
+    for branch in protocol_branches(d, m):
+        acc += float(np.sum(0.5 * branch.scores * grid_for(branch.pair)))
     return acc / m
 
 
@@ -189,15 +189,13 @@ def chsh_saturation_residual(psi: np.ndarray) -> tuple[float, float]:
 
 def lemma1_envelope(d: int, m: int) -> tuple[float, float]:
     """Bell-value range [-m, m(d-2)] for states orthogonal to the entangled one."""
-    if d < 2 or m < 2:
-        raise ValueError(f"need d >= 2 and m >= 2, got d={d}, m={m}")
+    check_params(d, m)
     return -float(m), float(m * (d - 2))
 
 
 def lemma2_bound(d: int, m: int, delta: float) -> float:
     """High-probability ceiling m*sqrt(4/(3*d*delta)) for uniformly random real states."""
-    if d < 2 or m < 2:
-        raise ValueError(f"need d >= 2 and m >= 2, got d={d}, m={m}")
+    check_params(d, m)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     return float(m * np.sqrt(4.0 / (3.0 * d * delta)))

@@ -3,9 +3,9 @@ generate the bound-scatter and estimator-convergence datasets, run the
 random-state concentration experiment, and render CSV files to SVG.
 
 Exit codes: 0 success (or verdict EQUIVALENT), 1 verdict INEQUIVALENT,
-2 usage or input error.  Every randomized command echoes its seed, so any
-output can be replayed; the BELLCHECK_SEED environment variable supplies a
-default seed when --seed is omitted.
+2 usage, input or any other error.  Every randomized command echoes its
+seed, so any output can be replayed; the BELLCHECK_SEED environment
+variable supplies a default seed when --seed is omitted.
 """
 
 from __future__ import annotations
@@ -326,8 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

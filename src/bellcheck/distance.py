@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import check_params
+
 _RANGE_PAD = 1e-9
 
 
@@ -38,11 +40,6 @@ def circuit_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     return float(np.sqrt(np.clip(1.0 - abs(overlap) ** 2, 0.0, 1.0)))
 
 
-def _check_params(d: int, m: int) -> None:
-    if d < 2 or m < 2:
-        raise ValueError(f"need d >= 2 and m >= 2, got d={d}, m={m}")
-
-
 def _check_v_range(v: float, d: int, m: int) -> None:
     if not (-m - _RANGE_PAD <= v <= m * (d - 1) + _RANGE_PAD):
         raise ValueError(
@@ -61,7 +58,7 @@ def distance_bounds_from_v(v: float, d: int, m: int) -> DistanceBounds:
     radicands clamped to [0, 1] so statistical estimates of V stay legal.
     Both collapse to 0 exactly at the maximal value V = m(d-1).
     """
-    _check_params(d, m)
+    check_params(d, m)
     v = float(v)
     _check_v_range(v, d, m)
     lower = _clamped_sqrt(1.0 - (v + m) / (m * d))
@@ -74,7 +71,7 @@ def distance_from_embedded_v(v: float, d: int, m: int) -> float:
 
     Valid only for embedded comparisons, where d = 4^n.
     """
-    _check_params(d, m)
+    check_params(d, m)
     n2 = d.bit_length() - 1
     if (1 << n2) != d or n2 % 2 != 0:
         raise ValueError(f"embedded protocol dimension must be a power of 4, got {d}")

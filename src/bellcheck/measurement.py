@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import TOL
+from .tensor import check_state
 
 ALICE = "alice"
 BOB = "bob"
@@ -102,18 +102,9 @@ class OutcomeDistribution:
     probs: np.ndarray  # (d, d) grid p[a, b]
 
 
-def _check_state(psi: np.ndarray, d: int) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (d * d,):
-        raise ValueError(f"state must have {d * d} amplitudes, got shape {psi.shape}")
-    if abs(np.linalg.norm(psi) - 1.0) > TOL:
-        raise ValueError("state is not normalized")
-    return psi
-
-
 def outcome_distribution(psi: np.ndarray, x: int, y: int, d: int, m: int) -> OutcomeDistribution:
     """Joint outcome probabilities p(a, b | settings x, y) on a d x d state."""
-    psi = _check_state(psi, d)
+    psi = check_state(psi, d)
     va = _basis_matrix(d, m, x, ALICE)
     vb = _basis_matrix(d, m, y, BOB)
     amp = va.conj().T @ psi.reshape(d, d) @ vb.conj()
@@ -122,19 +113,16 @@ def outcome_distribution(psi: np.ndarray, x: int, y: int, d: int, m: int) -> Out
     return OutcomeDistribution(x=x, y=y, probs=probs)
 
 
-def joint_distribution(psi: np.ndarray, alice_vectors: np.ndarray, bob_vectors: np.ndarray) -> np.ndarray:
-    """Outcome grid for arbitrary local bases given as column-vector matrices."""
-    d = alice_vectors.shape[0]
-    psi = _check_state(psi, d)
-    amp = alice_vectors.conj().T @ psi.reshape(d, d) @ bob_vectors.conj()
-    return np.abs(amp) ** 2
+def _qubit_factor(j: int, value: int, shift: float, sign: float, d: int) -> np.ndarray:
+    """(|0> + exp(sign * 2*pi*i * 2^(j-1) * (value - shift)/d) |1>)/sqrt(2)."""
+    phase = np.exp(sign * 2j * np.pi * (1 << (j - 1)) * (value - shift) / d)
+    return np.array([1.0, phase], dtype=complex) / np.sqrt(2.0)
 
 
 def product_factors(n: int, m: int, setting: int, outcome: int, party: str) -> list[np.ndarray]:
     """Single-qubit factors whose tensor product is one basis eigenvector.
 
-    Factor j (1-based, list index j-1) is
-    (|0> + exp(sign * 2*pi*i * 2^(j-1) * (outcome - shift)/d) |1>)/sqrt(2);
+    Factor j (1-based, list index j-1) is ``_qubit_factor(j, outcome, ...)``;
     it carries the bit of weight 2^(j-1) of the outcome index and lives on
     qubit n-j under the most-significant-first convention, so assembling
     kron(factor_n, ..., factor_1) reproduces the eigenvector.  The
@@ -147,11 +135,7 @@ def product_factors(n: int, m: int, setting: int, outcome: int, party: str) -> l
     if not 0 <= outcome < d:
         raise ValueError(f"outcome must be in 0..{d - 1}, got {outcome}")
     shift, sign = _phase_params(party, m, setting)
-    factors = []
-    for j in range(1, n + 1):
-        phase = np.exp(sign * 2j * np.pi * (1 << (j - 1)) * (outcome - shift) / d)
-        factors.append(np.array([1.0, phase], dtype=complex) / np.sqrt(2.0))
-    return factors
+    return [_qubit_factor(j, outcome, shift, sign, d) for j in range(1, n + 1)]
 
 
 def sequential_distribution(psi: np.ndarray, x: int, y: int, n: int, m: int) -> np.ndarray:
@@ -163,16 +147,12 @@ def sequential_distribution(psi: np.ndarray, x: int, y: int, n: int, m: int) -> 
     agree with ``outcome_distribution`` on every state.
     """
     d = 1 << n
-    psi = _check_state(psi, d)
+    psi = check_state(psi, d)
     _check_setting(m, x)
     _check_setting(m, y)
     a_shift, a_sign = _phase_params(ALICE, m, x)
     b_shift, b_sign = _phase_params(BOB, m, y)
     probs = np.zeros((d, d))
-
-    def factor_vec(j: int, value: int, shift: float, sign: float) -> np.ndarray:
-        phase = np.exp(sign * 2j * np.pi * (1 << (j - 1)) * (value - shift) / d)
-        return np.array([1.0, phase], dtype=complex) / np.sqrt(2.0)
 
     def descend(state: np.ndarray, step: int, a_val: int, b_val: int, prob: float) -> None:
         if step == 2 * n:
@@ -184,7 +164,7 @@ def sequential_distribution(psi: np.ndarray, x: int, y: int, n: int, m: int) -> 
         known = a_val if on_alice else b_val
         for bit in (0, 1):
             value = known + (bit << (n - j))
-            v = factor_vec(j, value, shift, sign)
+            v = _qubit_factor(j, value, shift, sign, d)
             child = np.tensordot(v.conj(), state, axes=(0, 0))
             p_branch = float(np.real(np.sum(child * child.conj())))
             if p_branch <= 0.0:

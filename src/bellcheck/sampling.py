@@ -1,12 +1,11 @@
 """Finite-shot Monte Carlo estimation of the normalized Bell value and of
 the circuit distance, with Hoeffding shot planning.
 
-One round draws (r, i) uniformly from {0,1} x {1..m}.  With r = 0 the
-parties measure settings (A_i, B_i) and score 2*alpha[(a - b) mod d]; with
-r = 1 they measure (A_{i+1}, B_i) and score 2*alpha[(b - a) mod d], where
-the (m+1)-th Alice setting is setting 1 with +1 added to its outcome mod d.
-The round mean X is an unbiased estimate of I' and every round value lies
-in [-2, 2], which yields the s > 8*ln(1/delta)/epsilon^2 shot budget.
+One round draws a branch (r, i) uniformly from {0,1} x {1..m}; the parties
+measure that branch's setting pair and its score grid values the outcome
+pair (a, b), both as ``bell.protocol_branches`` defines them.  The round
+mean X is an unbiased estimate of I' and every round value lies in
+[-2, 2], which yields the s > 8*ln(1/delta)/epsilon^2 shot budget.
 
 Outcomes are drawn from the exact joint distribution of each setting pair
 by inverse CDF over the d^2 cells.  Round j of an estimation run consumes
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import alpha_table
+from .bell import protocol_branches
 from .circuit import embed_double
 from .distance import normalized_to_distance
 from .measurement import outcome_distribution
@@ -42,10 +41,13 @@ class ShotPlan:
 
 
 def plan_shots(epsilon: float, delta: float) -> ShotPlan:
-    """Smallest integer s with s > 8*ln(1/delta)/epsilon^2.
+    """Smallest integer s with s > 8*ln(1/delta)/epsilon^2 (natural logarithm).
 
-    Guarantees P(|X - I'| >= epsilon) <= delta.  Natural logarithm: the
-    tail bound is of the exp(-s*epsilon^2/8) kind.
+    Round values lie in [-2, 2], so Hoeffding's inequality bounds each
+    one-sided tail by exp(-s*epsilon^2/8) < delta: P(X - I' >= epsilon) and
+    P(I' - X >= epsilon) are each at most delta, and together
+    P(|X - I'| >= epsilon) <= 2*delta.  This is the paper's budget; a
+    two-sided guarantee at level delta would need 8*ln(2/delta)/epsilon^2.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -73,36 +75,20 @@ class EstimationReport:
 class RoundSampler:
     """Per-state tables for single protocol rounds.
 
-    Precomputes, for each of the 2m (r, i) branches, the flattened inverse
-    CDF of the exact joint outcome distribution and the per-cell scores.
+    Precomputes, for each of the 2m branches of ``protocol_branches``, the
+    flattened inverse CDF of the exact joint outcome distribution and the
+    per-cell scores.
     """
 
     def __init__(self, psi: np.ndarray, d: int, m: int):
-        if m < 2:
-            raise ValueError(f"need m >= 2, got {m}")
-        alpha = alpha_table(d, m).values
-        a_idx = np.arange(d)[:, None]
-        b_idx = np.arange(d)[None, :]
+        branches = protocol_branches(d, m)
         self.d = d
         self.m = m
-        self.labels: list[str] = []
-        self._cdfs: list[np.ndarray] = []
-        self._scores: list[np.ndarray] = []
-        for i in range(1, m + 1):
-            for r in (0, 1):
-                if r == 0:
-                    x, y = i, i
-                    score = 2.0 * alpha[(a_idx - b_idx) % d]
-                elif i < m:
-                    x, y = i + 1, i
-                    score = 2.0 * alpha[(b_idx - a_idx) % d]
-                else:
-                    x, y = 1, m
-                    score = 2.0 * alpha[(b_idx - a_idx - 1) % d]
-                dist = outcome_distribution(psi, x, y, d, m)
-                self._cdfs.append(np.cumsum(dist.probs.reshape(-1)))
-                self._scores.append(score.reshape(-1))
-                self.labels.append(f"A{i + r}B{i}")
+        self.labels = [b.label for b in branches]
+        self._cdfs = [
+            np.cumsum(outcome_distribution(psi, *b.pair, d, m).probs.reshape(-1)) for b in branches
+        ]
+        self._scores = [b.scores.reshape(-1) for b in branches]
 
     def evaluate(self, r: np.ndarray, i: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Round scores for draw arrays r in {0,1}, i in 1..m, u in [0,1)."""
@@ -125,18 +111,6 @@ class RoundSampler:
         branch = (np.asarray(i) - 1) * 2 + np.asarray(r)
         counts = np.bincount(branch, minlength=2 * self.m)
         return {label: int(count) for label, count in zip(self.labels, counts)}
-
-    def sample(self, rng: RngStream) -> float:
-        """One round, drawing r, i, and the outcome cell from a live stream."""
-        r = int(rng.gen.integers(2))
-        i = int(rng.gen.integers(1, self.m + 1))
-        u = float(rng.gen.random())
-        return float(self.evaluate(np.array([r]), np.array([i]), np.array([u]))[0])
-
-
-def sample_round(psi: np.ndarray, d: int, m: int, rng: RngStream) -> float:
-    """Single protocol round on a fresh state; see RoundSampler for the rules."""
-    return RoundSampler(psi, d, m).sample(rng)
 
 
 def draw_table(seed: int, s: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

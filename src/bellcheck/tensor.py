@@ -15,6 +15,22 @@ import numpy as np
 TOL = 1e-9
 
 
+def check_params(d: int, m: int) -> None:
+    """Reject a protocol size below the paper's d >= 2, m >= 2."""
+    if d < 2 or m < 2:
+        raise ValueError(f"need d >= 2 and m >= 2, got d={d}, m={m}")
+
+
+def check_state(psi: np.ndarray, d: int) -> np.ndarray:
+    """A normalized d x d bipartite state as a complex array, or ValueError."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (d * d,):
+        raise ValueError(f"state must have {d * d} amplitudes, got shape {psi.shape}")
+    if abs(np.linalg.norm(psi) - 1.0) > TOL:
+        raise ValueError("state is not normalized")
+    return psi
+
+
 class RngStream:
     """Replayable random stream keyed by ``(seed, stream_id)``.
 

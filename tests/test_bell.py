@@ -13,6 +13,7 @@ from bellcheck.bell import (
     lemma2_bound,
     lemma2_exceedance,
     normalized_bell_from_probabilities,
+    protocol_branches,
     required_setting_pairs,
 )
 from bellcheck.measurement import ALICE, BOB, observable_power
@@ -99,6 +100,25 @@ class TestBellValueGamma:
             psi = random_real_unit_vector(d * d, rng).astype(complex)
             v = bell_value_gamma(psi, d, m)
             assert -m - ATOL <= v <= m * (d - 1) + ATOL
+
+
+class TestProtocolBranches:
+    def test_layout_in_i_r_order(self):
+        branches = protocol_branches(4, 3)
+        assert [b.label for b in branches] == ["A1B1", "A2B1", "A2B2", "A3B2", "A3B3", "A4B3"]
+        assert [b.pair for b in branches] == [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)]
+
+    def test_scores_and_wrapped_relabel(self):
+        d, m = 4, 3
+        alpha = alpha_table(d, m).values
+        branches = protocol_branches(d, m)
+        for a in range(d):
+            for b in range(d):
+                assert branches[0].scores[a, b] == 2.0 * alpha[(a - b) % d]
+                assert branches[1].scores[a, b] == 2.0 * alpha[(b - a) % d]
+                # Alice's (m+1)-th setting is setting 1 with outcome a + 1
+                assert branches[-1].scores[a, b] == 2.0 * alpha[(b - (a + 1)) % d]
+        assert all(np.all(np.abs(br.scores) <= 2.0) for br in branches)
 
 
 class TestNormalizedBell:

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellcheck
 from bellcheck.cli import _fig3_pair, main
 from bellcheck.distance import circuit_distance
 
@@ -251,10 +254,24 @@ class TestEntryPoints:
         assert main(["no-such-command"]) == 2
         assert main([]) == 2
 
+    def test_unexpected_error_is_not_a_verdict(self, circuits, capsys, monkeypatch):
+        # exit code 1 means INEQUIVALENT, so an out-of-memory failure must exit 2
+        def out_of_memory(circuit):
+            raise MemoryError()
+
+        monkeypatch.setattr("bellcheck.cli.circuit_unitary", out_of_memory)
+        rc = main(["compare-exact", circuits["h"], circuits["z"], "--m", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: MemoryError\n"
+
     def test_module_invocation(self):
+        # the child imports the same bellcheck as this process, installed or not
+        src = str(Path(bellcheck.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "bellcheck", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "compare-exact" in proc.stdout

@@ -7,7 +7,6 @@ from bellcheck.measurement import (
     BOB,
     basis,
     chsh_observables,
-    joint_distribution,
     observable_power,
     outcome_distribution,
     product_factors,
@@ -154,7 +153,7 @@ class TestOutcomeDistribution:
         def correlator(obs_a, obs_b):
             va, ua = eigenbasis(obs_a)
             vb, ub = eigenbasis(obs_b)
-            probs = joint_distribution(phi, ua, ub)
+            probs = np.abs(ua.conj().T @ phi.reshape(2, 2) @ ub.conj()) ** 2
             return float(np.sum(np.outer(va, vb) * probs))
 
         chsh = (

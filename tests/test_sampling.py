@@ -9,7 +9,6 @@ from bellcheck.sampling import (
     estimate_distance,
     estimate_normalized_bell,
     plan_shots,
-    sample_round,
 )
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
 
@@ -51,13 +50,12 @@ class TestPlanShots:
 class TestSampleRound:
     def test_values_bounded_by_two(self):
         rng_state = RngStream(131)
-        rng = RngStream(132)
         for d in (2, 4):
             z = rng_state.gen.standard_normal(d * d) + 1j * rng_state.gen.standard_normal(d * d)
             psi = z / np.linalg.norm(z)
             sampler = RoundSampler(psi, d, 2)
-            for _ in range(500):
-                assert abs(sampler.sample(rng)) <= 2.0
+            values = sampler.evaluate(*draw_table(132, 500, 2))
+            assert np.all(np.abs(values) <= 2.0)
 
     def test_unbiased_on_entangled_state(self):
         d, m = 4, 2
@@ -73,10 +71,6 @@ class TestSampleRound:
         r, i, u = draw_table(134, 100_000, 2)
         mean = float(sampler.evaluate(r, i, u).mean())
         assert abs(mean) <= 0.01
-
-    def test_single_round_api(self):
-        value = sample_round(max_entangled(2), 2, 2, RngStream(135))
-        assert abs(value) <= 2.0
 
     def test_mean_matches_probability_form(self):
         # grand mean over seeds approaches the exact normalized value
