@@ -8,7 +8,7 @@ everything else is imported from its submodule.
 """
 
 from .bell import bell_value_gamma, bell_value_operator, normalized_bell_from_probabilities
-from .circuit import circuit_unitary, embed_double, parse_circuit
+from .circuit import circuit_unitary, embed_double, embedded_pair_state, parse_circuit
 from .distance import circuit_distance, distance_from_embedded_v
 from .measurement import sequential_distribution
 from .sampling import estimate_distance, plan_shots
@@ -24,6 +24,7 @@ __all__ = [
     "circuit_unitary",
     "distance_from_embedded_v",
     "embed_double",
+    "embedded_pair_state",
     "estimate_distance",
     "max_entangled",
     "normalized_bell_from_probabilities",

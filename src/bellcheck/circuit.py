@@ -168,6 +168,17 @@ def cz_layer(n: int) -> np.ndarray:
     return np.diag(_cz_signs(n))
 
 
+def _qubit_count(u: np.ndarray) -> int:
+    """n for a square 2^n x 2^n matrix with n >= 1, or ValueError."""
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {u.shape}")
+    dim = u.shape[0]
+    n = dim.bit_length() - 1
+    if dim < 2 or (1 << n) != dim:
+        raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
+    return n
+
+
 def embed_double(u: np.ndarray) -> np.ndarray:
     """Embed an n-qubit unitary into 2n qubits as (CZ layer) @ (U (x) I).
 
@@ -176,10 +187,26 @@ def embed_double(u: np.ndarray) -> np.ndarray:
     distance and pins the Bell value to an exact function of it.
     """
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {u.shape}")
-    dim = u.shape[0]
-    n = dim.bit_length() - 1
-    if dim < 2 or (1 << n) != dim:
-        raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
-    return _cz_signs(n)[:, None] * np.kron(u, np.eye(dim))
+    n = _qubit_count(u)
+    return _cz_signs(n)[:, None] * np.kron(u, np.eye(1 << n))
+
+
+def embedded_pair_state(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """The embedded pair applied to the maximally entangled state, in O(16^n).
+
+    Equals ``apply_bilocal(embed_double(u1), embed_double(u2), max_entangled(d))``
+    with d = 4^n.  Since embed_double(U) = diag(c) (U (x) I), with c the CZ
+    signs, the coefficient grid is diag(c) (U1 U2^T (x) I) diag(c) / sqrt(d):
+    only the 2^n x 2^n product U1 U2^T is multiplied.  Exact for complex U.
+    """
+    u1 = np.asarray(u1)
+    u2 = np.asarray(u2)
+    n = _qubit_count(u1)
+    if u2.shape != u1.shape:
+        raise ValueError(f"dimension mismatch: {u1.shape} vs {u2.shape}")
+    dim = 1 << n
+    signs = _cz_signs(n)
+    grid = np.kron(u1 @ u2.T / dim, np.eye(dim))  # sqrt(d) = dim
+    grid *= signs[:, None]
+    grid *= signs
+    return grid.reshape(-1)

@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bell import bell_value_gamma, bell_value_operator, lemma2_exceedance
-from .circuit import Circuit, CircuitParseError, circuit_unitary, embed_double, parse_circuit
+# bell_value_operator stays importable from here: bench/tests/test_bench.py reads it.
+from .bell import bell_value_gamma, bell_value_operator, lemma2_exceedance  # noqa: F401
+from .circuit import Circuit, CircuitParseError, circuit_unitary, embedded_pair_state, parse_circuit
 from .distance import (
     circuit_distance,
     distance_bounds_from_v,
@@ -89,24 +90,45 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return int.from_bytes(os.urandom(4), "big")
 
 
+def _refuse_oversized(n: int, mode: str, m: int) -> None:
+    """Refuse a width whose dense arrays cannot fit in physical memory.
+
+    The estimate counts only the largest arrays of each mode: raw holds two
+    2^n x 2^n unitaries and a 4^n-amplitude state, embedded a
+    16^n-amplitude state, and sampled adds 2m CDF tables of 16^n cells.
+    """
+    complex_bytes, float_bytes = 16, 8
+    if mode == "raw":
+        need = complex_bytes * 3 * 4**n
+    else:
+        need = complex_bytes * 16**n
+        if mode == "sampled":
+            need += float_bytes * 2 * m * 16**n
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical:
+        raise ValueError(
+            f"{n}-qubit {mode} comparison needs about {need / 2**30:.3g} GiB, "
+            f"more than the {physical / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def cmd_compare_exact(args: argparse.Namespace) -> int:
     c1, c2 = _load_pair(args.circuit_a, args.circuit_b)
-    u1 = circuit_unitary(c1)
-    u2 = circuit_unitary(c2)
     m = args.m
     mode = "embedded" if args.embedded else "raw"
+    _refuse_oversized(c1.n_qubits, mode, m)
+    u1 = circuit_unitary(c1)
+    u2 = circuit_unitary(c2)
     print(f"circuits: {args.circuit_a} vs {args.circuit_b} ({c1.n_qubits} qubit(s))")
     if args.embedded:
-        e1, e2 = embed_double(u1), embed_double(u2)
-        d = e1.shape[0]
-        psi = apply_bilocal(e1, e2, max_entangled(d))
-        v = bell_value_operator(psi, d, m)
+        d = 4**c1.n_qubits
+        v = bell_value_gamma(embedded_pair_state(u1, u2), d, m)
         dist = distance_from_embedded_v(v, d, m)
         lower = upper = ""
     else:
         d = u1.shape[0]
         psi = apply_bilocal(u1, u2, max_entangled(d))
-        v = bell_value_operator(psi, d, m)
+        v = bell_value_gamma(psi, d, m)
         dist = circuit_distance(u1, u2)
         bounds = distance_bounds_from_v(v, d, m)
         lower, upper = bounds.lower, bounds.upper
@@ -140,6 +162,7 @@ def cmd_compare_sampled(args: argparse.Namespace) -> int:
         plan = plan_shots(args.epsilon, args.delta)
         print(f"planned shots: s = {plan.s} (epsilon={_fmt(plan.epsilon)}, delta={_fmt(plan.delta)})")
     seed = _resolve_seed(args)
+    _refuse_oversized(c1.n_qubits, "sampled", args.m)
     u1 = circuit_unitary(c1)
     u2 = circuit_unitary(c2)
     report = estimate_distance(u1, u2, args.m, plan, seed)

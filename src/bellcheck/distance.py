@@ -69,7 +69,8 @@ def distance_bounds_from_v(v: float, d: int, m: int) -> DistanceBounds:
 def distance_from_embedded_v(v: float, d: int, m: int) -> float:
     """Exact distance sqrt(1 - (V + m)/(m d)) after the doubling embedding.
 
-    Valid only for embedded comparisons, where d = 4^n.
+    Valid only for embedded comparisons, where d = 4^n.  A radicand below
+    d * eps is rounding residue of V, not a distance, and reads as 0.
     """
     check_params(d, m)
     n2 = d.bit_length() - 1
@@ -77,7 +78,10 @@ def distance_from_embedded_v(v: float, d: int, m: int) -> float:
         raise ValueError(f"embedded protocol dimension must be a power of 4, got {d}")
     v = float(v)
     _check_v_range(v, d, m)
-    return _clamped_sqrt(1.0 - (v + m) / (m * d))
+    radicand = 1.0 - (v + m) / (m * d)
+    if radicand < d * np.finfo(float).eps:
+        return 0.0
+    return _clamped_sqrt(radicand)
 
 
 def normalized_to_distance(i_prime: float) -> float:

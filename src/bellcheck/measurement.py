@@ -37,7 +37,7 @@ def _check_setting(m: int, setting: int) -> None:
         raise ValueError(f"setting must be in 1..{m}, got {setting}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _basis_matrix(d: int, m: int, setting: int, party: str) -> np.ndarray:
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
@@ -70,29 +70,20 @@ def basis(d: int, m: int, setting: int, party: str) -> MeasurementBasis:
     )
 
 
-@lru_cache(maxsize=None)
-def _observable_cached(d: int, m: int, setting: int, power: int) -> np.ndarray:
-    if not 1 <= power <= d - 1:
-        raise ValueError(f"power must be in 1..{d - 1}, got {power}")
-    v = _basis_matrix(d, m, setting, ALICE)
-    omega = np.exp(2j * np.pi * np.arange(d) * power / d)
-    mat = (v * omega) @ v.conj().T
-    mat.setflags(write=False)
-    return mat
-
-
 def observable_power(d: int, m: int, setting: int, power: int, party: str) -> np.ndarray:
     """Unitary power of the setting's observable.
 
     Alice's is sum_a omega^(a*power) |a><a| in her setting basis; Bob's is
     its entrywise complex conjugate.
     """
-    a = _observable_cached(int(d), int(m), int(setting), int(power))
-    if party == ALICE:
-        return a
-    if party == BOB:
-        return a.conj()
-    raise ValueError(f"party must be {ALICE!r} or {BOB!r}, got {party!r}")
+    if party not in (ALICE, BOB):
+        raise ValueError(f"party must be {ALICE!r} or {BOB!r}, got {party!r}")
+    if not 1 <= power <= d - 1:
+        raise ValueError(f"power must be in 1..{d - 1}, got {power}")
+    v = _basis_matrix(int(d), int(m), int(setting), ALICE)
+    omega = np.exp(2j * np.pi * np.arange(d) * power / d)
+    mat = (v * omega) @ v.conj().T
+    return mat if party == ALICE else mat.conj()
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import protocol_branches
-from .circuit import embed_double
+from .circuit import embedded_pair_state
 from .distance import normalized_to_distance
 from .measurement import outcome_distribution
-from .tensor import RngStream, apply_bilocal, max_entangled
+from .tensor import RngStream
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,6 @@ def estimate_distance(
     exactly (up to shot noise) because the embedding pins the Bell value
     to a function of the distance alone.
     """
-    u1 = np.asarray(u1)
-    u2 = np.asarray(u2)
-    if u1.shape != u2.shape:
-        raise ValueError(f"dimension mismatch: {u1.shape} vs {u2.shape}")
-    e1 = embed_double(u1)
-    e2 = embed_double(u2)
-    d = e1.shape[0]
-    psi = apply_bilocal(e1, e2, max_entangled(d))
+    psi = embedded_pair_state(u1, u2)
+    d = np.asarray(u1).shape[0] ** 2
     return estimate_normalized_bell(psi, d, m, plan, seed)

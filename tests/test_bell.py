@@ -14,9 +14,9 @@ from bellcheck.bell import (
     lemma2_exceedance,
     normalized_bell_from_probabilities,
     protocol_branches,
-    required_setting_pairs,
 )
 from bellcheck.measurement import ALICE, BOB, observable_power
+from bellcheck.circuit import embedded_pair_state
 from bellcheck.tensor import (
     RngStream,
     apply_bilocal,
@@ -44,7 +44,36 @@ def oracle_wrap_sum_value(psi, d, m):
     return m * total - m
 
 
+def oracle_operator_sum(psi, d, m):
+    """Independent oracle: the literal O(m d^4) sum of <A_i^l (x) conj(A_i^l)>."""
+    grid = np.asarray(psi).reshape(d, d)
+    total = 0j
+    for i in range(1, m + 1):
+        for power in range(1, d):
+            a = observable_power(d, m, i, power, ALICE)
+            b_bar = observable_power(d, m, i, power, BOB)
+            total += np.vdot(grid, a @ grid @ b_bar.T)
+    assert abs(total.imag) < 1e-12
+    return total.real
+
+
 class TestBellValueOperator:
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_agrees_with_literal_sum(self, d, m):
+        rng = RngStream(106, d * 10 + m)
+        for _ in range(3):
+            psi = random_state(d * d, rng)
+            assert abs(bell_value_operator(psi, d, m) - oracle_operator_sum(psi, d, m)) < 1e-12
+
+    def test_agrees_with_gamma_on_embedded_n4_pair(self):
+        rng = RngStream(107)
+        d, m = 256, 2
+        u1 = random_real_orthogonal(16, rng)
+        u2 = random_real_orthogonal(16, rng)
+        psi = embedded_pair_state(u1, u2)
+        assert abs(bell_value_operator(psi, d, m) - bell_value_gamma(psi, d, m)) < ATOL
+
     @pytest.mark.parametrize("d,m", [(2, 2), (4, 2), (4, 3), (8, 2)])
     def test_entangled_state_reaches_ceiling(self, d, m):
         assert abs(bell_value_operator(max_entangled(d), d, m) - m * (d - 1)) < ATOL
@@ -122,10 +151,6 @@ class TestProtocolBranches:
 
 
 class TestNormalizedBell:
-    def test_required_pairs_layout(self):
-        assert required_setting_pairs(2) == ((1, 1), (2, 2), (2, 1), (1, 2))
-        assert required_setting_pairs(3) == ((1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (1, 3))
-
     @pytest.mark.parametrize("d,m", [(2, 2), (2, 3), (4, 2), (4, 3)])
     def test_entangled_state_normalizes_to_one(self, d, m):
         phi = max_entangled(d)

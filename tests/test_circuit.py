@@ -12,6 +12,7 @@ from bellcheck.circuit import (
     circuit_unitary,
     cz_layer,
     embed_double,
+    embedded_pair_state,
     parse_circuit,
 )
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
@@ -205,6 +206,36 @@ class TestEmbedDouble:
             embed_double(np.eye(1))
         with pytest.raises(ValueError):
             embed_double(np.zeros((2, 3)))
+
+
+def random_unitary(dim, rng):
+    """Haar complex unitary: QR of a complex Gaussian with R's diagonal phases absorbed."""
+    g = rng.gen.standard_normal((dim, dim)) + 1j * rng.gen.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestEmbeddedPairState:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("draw", [random_real_orthogonal, random_unitary])
+    def test_matches_embed_then_apply(self, n, draw):
+        rng = RngStream(64, n)
+        dim = 2**n
+        for _ in range(3):
+            u1 = draw(dim, rng)
+            u2 = draw(dim, rng)
+            want = apply_bilocal(embed_double(u1), embed_double(u2), max_entangled(dim * dim))
+            assert_allclose(embedded_pair_state(u1, u2), want, rtol=0, atol=1e-12)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            embedded_pair_state(np.eye(3), np.eye(3))
+        with pytest.raises(ValueError):
+            embedded_pair_state(np.eye(1), np.eye(1))
+        with pytest.raises(ValueError):
+            embedded_pair_state(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            embedded_pair_state(np.eye(2), np.eye(4))
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -54,6 +54,36 @@ class TestCompareExact:
         assert rc == 1
         assert "lower = " in out and "upper = " in out
 
+    def test_embedded_n4_skips_operator_route(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("observable_power called")
+
+        for module in [mod for name, mod in sys.modules.items() if name.startswith("bellcheck")]:
+            if hasattr(module, "observable_power"):
+                monkeypatch.setattr(module, "observable_power", refuse)
+        a = tmp_path / "a.qc"
+        b = tmp_path / "b.qc"
+        a.write_text("qubits 4\nH 0\nCX 0 1\nCX 1 2\nTOFFOLI 0 2 3\n")
+        b.write_text("qubits 4\nH 0\nCX 0 1\nCX 1 2\nSWAP 2 3\n")
+        rc = main(["compare-exact", str(a), str(b), "--embedded", "--m", "2"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "mode = embedded, d = 256, m = 2" in out
+
+    def test_embedded_n5_matches_trace(self, tmp_path, capsys):
+        # b = TOFFOLI after a, so Tr(U1^T U2)/32 = Tr(TOFFOLI (x) I_4)/32 = 3/4
+        a = tmp_path / "a.qc"
+        b = tmp_path / "b.qc"
+        body = "qubits 5\nH 0\nCX 0 1\nCX 1 2\nH 3\nSWAP 2 4\n"
+        a.write_text(body)
+        b.write_text(body + "TOFFOLI 0 1 2\n")
+        rc = main(["compare-exact", str(a), str(b), "--embedded", "--m", "2"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "mode = embedded, d = 1024, m = 2" in out
+        d_line = next(line for line in out.splitlines() if line.startswith("D = "))
+        assert float(d_line.split("=")[1]) == pytest.approx(np.sqrt(1 - 0.75**2), abs=1e-9)
+
     def test_width_mismatch_usage_error(self, circuits, tmp_path, capsys):
         wide = tmp_path / "wide.qc"
         wide.write_text("qubits 2\nH 0\n")
@@ -264,6 +294,23 @@ class TestEntryPoints:
         err = capsys.readouterr().err
         assert rc == 2
         assert err == "error: MemoryError\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["compare-exact", "--raw"],
+        ["compare-exact", "--embedded"],
+        ["compare-sampled", "--shots", "10", "--seed", "1"],
+    ])
+    def test_oversized_width_refused_before_allocation(self, argv, tmp_path, capsys, monkeypatch):
+        def must_not_run(circuit):
+            pytest.fail("circuit_unitary ran for a width that cannot fit")
+
+        monkeypatch.setattr("bellcheck.cli.circuit_unitary", must_not_run)
+        wide = tmp_path / "wide.qc"
+        wide.write_text("qubits 24\nH 0\n")
+        rc = main([argv[0], str(wide), str(wide), *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: 24-qubit ") and err.count("\n") == 1
 
     def test_module_invocation(self):
         # the child imports the same bellcheck as this process, installed or not

@@ -102,6 +102,15 @@ class TestEmbeddedDistance:
     def test_equal_circuits_give_zero(self):
         assert distance_from_embedded_v(2 * (4 - 1), 4, 2) == 0.0
 
+    def test_rounding_residue_reads_as_zero(self):
+        # V one ulp-scale step below the ceiling m(d-1): a radicand of about 1e-16
+        d, m = 16, 2
+        v = m * (d - 1) - 4e-15
+        assert distance_from_embedded_v(v, d, m) == 0.0
+        # a radicand well above d * eps is a distance, reported unchanged
+        v = m * (d - 1) - m * d * 1e-12
+        assert distance_from_embedded_v(v, d, m) == pytest.approx(1e-6, rel=1e-3)
+
     def test_planted_sigma_z_case(self):
         # exact pipeline: V = -m and D = 1 for (I, Z) after embedding
         e1 = embed_double(np.eye(2))

@@ -1,7 +1,11 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bellcheck
 from bellcheck.measurement import (
     ALICE,
     BOB,
@@ -249,3 +253,16 @@ class TestSequentialDistribution:
         seq = sequential_distribution(psi, 2, 1, n, m)
         full = outcome_distribution(psi, 2, 1, d, m).probs
         assert np.max(np.abs(seq - full)) < ATOL
+
+
+def test_every_cache_is_bounded():
+    cached = []
+    for info in pkgutil.iter_modules(bellcheck.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"bellcheck.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                cached.append(name)
+                assert value.cache_info().maxsize is not None, f"{info.name}.{name} is unbounded"
+    assert "_basis_matrix" in cached
