@@ -86,11 +86,34 @@ def alpha_table(d: int, m: int) -> AlphaTable:
 
 @dataclass(frozen=True)
 class Branch:
-    """One (r, i) round branch of the protocol."""
+    """One (r, i) round branch of the protocol.
+
+    The round value of outcome pair (a, b) is ``class_scores[k]`` for its
+    score class k = (sign * (a - b) + shift) mod d, so it depends on (a, b)
+    only through (a - b) mod d.
+    """
 
     label: str  # "A{i+r}B{i}"
     pair: tuple[int, int]  # settings (x, y) Alice and Bob measure
-    scores: np.ndarray  # (d, d) round value per outcome pair (a, b), in [-2, 2]
+    sign: int  # +1 or -1
+    shift: int
+    class_scores: np.ndarray  # length d: round value of class k, in [-2, 2]
+
+    def score_class(self, a, b):
+        """Score class of outcome pair (a, b); broadcasts over arrays."""
+        return (self.sign * (np.asarray(a) - b) + self.shift) % self.class_scores.size
+
+    def class_distribution(self, diff_probs: np.ndarray) -> np.ndarray:
+        """Class probabilities from P((a - b) mod d = c), a permutation of them."""
+        probs = np.empty_like(diff_probs)
+        probs[self.score_class(np.arange(diff_probs.size), 0)] = diff_probs
+        return probs
+
+    @property
+    def scores(self) -> np.ndarray:
+        """(d, d) round value per outcome pair (a, b)."""
+        outcomes = np.arange(self.class_scores.size)
+        return self.class_scores[self.score_class(outcomes[:, None], outcomes)]
 
 
 def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
@@ -101,14 +124,13 @@ def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
     the (m+1)-th Alice setting is setting 1 with +1 added to its outcome mod
     d: branch (1, m) measures (1, m) and scores 2*alpha[(b - a - 1) mod d].
     """
-    alpha = alpha_table(d, m).values
-    a_idx = np.arange(d)[:, None]
-    b_idx = np.arange(d)[None, :]
+    class_scores = 2.0 * alpha_table(d, m).values
+    class_scores.setflags(write=False)
     branches = []
     for i in range(1, m + 1):
-        branches.append(Branch(f"A{i}B{i}", (i, i), 2.0 * alpha[(a_idx - b_idx) % d]))
+        branches.append(Branch(f"A{i}B{i}", (i, i), 1, 0, class_scores))
         x, relabel = (i + 1, 0) if i < m else (1, 1)
-        branches.append(Branch(f"A{i + 1}B{i}", (x, i), 2.0 * alpha[(b_idx - a_idx - relabel) % d]))
+        branches.append(Branch(f"A{i + 1}B{i}", (x, i), -1, -relabel, class_scores))
     return tuple(branches)
 
 

@@ -90,24 +90,28 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return int.from_bytes(os.urandom(4), "big")
 
 
-def _refuse_oversized(n: int, mode: str, m: int) -> None:
-    """Refuse a width whose dense arrays cannot fit in physical memory.
+def _refuse_oversized(n: int, mode: str, s: int = 0) -> None:
+    """Refuse a comparison whose dense arrays cannot fit in physical memory.
 
     The estimate counts only the largest arrays of each mode: raw holds two
     2^n x 2^n unitaries and a 4^n-amplitude state, embedded a
-    16^n-amplitude state, and sampled adds 2m CDF tables of 16^n cells.
+    16^n-amplitude state.  Sampled adds the FFT work arrays of the
+    difference distributions (a doubled coefficient grid, its transform and
+    the squared moduli: 4 complex values per amplitude) and, per round, the
+    draws (two uniforms, r and i) and the evaluation temporaries: 80 bytes.
     """
-    complex_bytes, float_bytes = 16, 8
+    complex_bytes, round_bytes = 16, 80
     if mode == "raw":
         need = complex_bytes * 3 * 4**n
     else:
         need = complex_bytes * 16**n
         if mode == "sampled":
-            need += float_bytes * 2 * m * 16**n
+            need += complex_bytes * 4 * 16**n + round_bytes * s
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
+        rounds = f" of {s} rounds" if mode == "sampled" else ""
         raise ValueError(
-            f"{n}-qubit {mode} comparison needs about {need / 2**30:.3g} GiB, "
+            f"{n}-qubit {mode} comparison{rounds} needs about {need / 2**30:.3g} GiB, "
             f"more than the {physical / 2**30:.3g} GiB of physical memory"
         )
 
@@ -116,7 +120,7 @@ def cmd_compare_exact(args: argparse.Namespace) -> int:
     c1, c2 = _load_pair(args.circuit_a, args.circuit_b)
     m = args.m
     mode = "embedded" if args.embedded else "raw"
-    _refuse_oversized(c1.n_qubits, mode, m)
+    _refuse_oversized(c1.n_qubits, mode)
     u1 = circuit_unitary(c1)
     u2 = circuit_unitary(c2)
     print(f"circuits: {args.circuit_a} vs {args.circuit_b} ({c1.n_qubits} qubit(s))")
@@ -162,7 +166,7 @@ def cmd_compare_sampled(args: argparse.Namespace) -> int:
         plan = plan_shots(args.epsilon, args.delta)
         print(f"planned shots: s = {plan.s} (epsilon={_fmt(plan.epsilon)}, delta={_fmt(plan.delta)})")
     seed = _resolve_seed(args)
-    _refuse_oversized(c1.n_qubits, "sampled", args.m)
+    _refuse_oversized(c1.n_qubits, "sampled", plan.s)
     u1 = circuit_unitary(c1)
     u2 = circuit_unitary(c2)
     report = estimate_distance(u1, u2, args.m, plan, seed)
@@ -204,15 +208,19 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fig3_pair(seed: int, n: int, pair_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic pair of Haar orthogonal matrices for one scatter point."""
+def _fig3_point(seed: int, n: int, pair_id: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One scatter point's Haar orthogonal pair, then its estimation seed, from one stream."""
     rng = RngStream(seed, stream_id=pair_id + 1)
     dim = 2**n
-    return random_real_orthogonal(dim, rng), random_real_orthogonal(dim, rng)
+    u1 = random_real_orthogonal(dim, rng)
+    u2 = random_real_orthogonal(dim, rng)
+    return u1, u2, int(rng.gen.integers(1 << 63))
 
 
-def _fig3_pair_seed(seed: int, pair_id: int) -> int:
-    return (seed * 1_000_003 + pair_id) % (1 << 63)
+def _fig3_pair(seed: int, n: int, pair_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic pair of Haar orthogonal matrices for one scatter point."""
+    u1, u2, _ = _fig3_point(seed, n, pair_id)
+    return u1, u2
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
@@ -223,9 +231,9 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     rows = []
     errors = []
     for pair_id in range(args.samples):
-        u1, u2 = _fig3_pair(seed, args.n, pair_id)
+        u1, u2, pair_seed = _fig3_point(seed, args.n, pair_id)
         d_true = circuit_distance(u1, u2)
-        report = estimate_distance(u1, u2, m, plan, _fig3_pair_seed(seed, pair_id))
+        report = estimate_distance(u1, u2, m, plan, pair_seed)
         v_hat = d * m * report.x - m
         rows.append([pair_id, args.n, args.shots, v_hat, d_true, report.distance_estimate])
         errors.append(report.distance_estimate - d_true)

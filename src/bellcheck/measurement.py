@@ -1,7 +1,7 @@
 """Measurement bases that witness maximal Bell violation on the maximally
-entangled state, their observable powers, outcome distributions, CHSH
-observables, and the single-qubit product decomposition with its
-sequential qubit-by-qubit readout.
+entangled state, their observable powers, outcome distributions and their
+outcome-difference marginals, CHSH observables, and the single-qubit
+product decomposition with its sequential qubit-by-qubit readout.
 
 Alice's setting-x basis vector for outcome a has amplitude
 exp(+2*pi*i*k*(a - alpha_x)/d)/sqrt(d) at k with alpha_x = (x - 1/2)/m;
@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import check_state
 
@@ -102,6 +104,38 @@ def outcome_distribution(psi: np.ndarray, x: int, y: int, d: int, m: int) -> Out
     probs = np.abs(amp) ** 2
     probs.setflags(write=False)
     return OutcomeDistribution(x=x, y=y, probs=probs)
+
+
+def difference_distributions(
+    psi: np.ndarray, pairs: Sequence[tuple[int, int]], d: int, m: int
+) -> np.ndarray:
+    """P((a - b) mod d = c | x, y) for each setting pair, in O(d^2 log d) per pair.
+
+    Row p is the distribution over c for ``pairs[p]``; the d x d outcome grid
+    is never formed.  With j = (k + r) mod d, the amplitude of (a, b) is
+    sum_r exp(2*pi*i*r*(b - beta)/d) F[r, (a - b) mod d] / d, where F is the
+    DFT along k of the wrap-diagonal layout grid[k, (k + r) mod d], times
+    the ramp exp(2*pi*i*k*(alpha - beta)/d) and, on wrapped entries,
+    exp(2*pi*i*beta).  Parseval over b then gives q[c] = sum_r |F[r, c]|^2 / d.
+    """
+    psi = check_state(psi, d)
+    grid = psi.reshape(d, d)
+    k = np.arange(d)[:, None]
+    # ext[k, k + r] is grid[k, (k + r) mod d], from the second copy when wrapped
+    ext = np.empty((d, 2 * d), dtype=complex)
+    row_step, col_step = ext.strides
+    wrap_diagonals = as_strided(ext, shape=(d, d), strides=(col_step, row_step + col_step))
+    out = np.empty((len(pairs), d))
+    for p, (x, y) in enumerate(pairs):
+        _check_setting(m, x)
+        _check_setting(m, y)
+        alpha, _ = _phase_params(ALICE, m, x)
+        beta, _ = _phase_params(BOB, m, y)
+        np.multiply(grid, np.exp(2j * np.pi * k * (alpha - beta) / d), out=ext[:, :d])
+        np.multiply(ext[:, :d], np.exp(2j * np.pi * beta), out=ext[:, d:])
+        f = np.fft.fft(wrap_diagonals, axis=1)
+        out[p] = (f.real**2 + f.imag**2).sum(axis=0) / d
+    return out
 
 
 def _qubit_factor(j: int, value: int, shift: float, sign: float, d: int) -> np.ndarray:

@@ -7,10 +7,13 @@ pair (a, b), both as ``bell.protocol_branches`` defines them.  The round
 mean X is an unbiased estimate of I' and every round value lies in
 [-2, 2], which yields the s > 8*ln(1/delta)/epsilon^2 shot budget.
 
-Outcomes are drawn from the exact joint distribution of each setting pair
-by inverse CDF over the d^2 cells.  Round j of an estimation run consumes
-row j of a draw table that is a pure function of (seed, j), so partitioning
-rounds across workers cannot change the reported estimate.
+A round's value depends on (a, b) only through the branch's score class,
+a function of (a - b) mod d, so outcomes are not drawn as cells of the d^2
+grid: each branch holds a Walker/Vose alias table over its d classes, built
+from the exact difference distribution of its setting pair, and a round
+draws its class in O(1).  Round j of an estimation run consumes row j of a
+draw table that is a pure function of (seed, j), so partitioning rounds
+across workers, or extending s, cannot change earlier rounds.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .bell import protocol_branches
 from .circuit import embedded_pair_state
 from .distance import normalized_to_distance
-from .measurement import outcome_distribution
+from .measurement import difference_distributions
 from .tensor import RngStream
 
 
@@ -75,9 +78,9 @@ class EstimationReport:
 class RoundSampler:
     """Per-state tables for single protocol rounds.
 
-    Precomputes, for each of the 2m branches of ``protocol_branches``, the
-    flattened inverse CDF of the exact joint outcome distribution and the
-    per-cell scores.
+    For each of the 2m branches of ``protocol_branches``, an alias table over
+    its d score classes, built from the exact class distribution: 2m x d
+    entries, whatever the number of rounds.
     """
 
     def __init__(self, psi: np.ndarray, d: int, m: int):
@@ -85,27 +88,25 @@ class RoundSampler:
         self.d = d
         self.m = m
         self.labels = [b.label for b in branches]
-        self._cdfs = [
-            np.cumsum(outcome_distribution(psi, *b.pair, d, m).probs.reshape(-1)) for b in branches
-        ]
-        self._scores = [b.scores.reshape(-1) for b in branches]
+        diffs = difference_distributions(psi, [b.pair for b in branches], d, m)
+        tables = [_alias_table(b.class_distribution(q)) for b, q in zip(branches, diffs)]
+        # Cell branch*d + c keeps class c with probability _prob[cell], else
+        # takes _alias[cell]; both index the branches' stacked class scores.
+        self._prob = np.concatenate([prob for prob, _ in tables])
+        self._alias = np.concatenate([alias + n * d for n, (_, alias) in enumerate(tables)])
+        self._scores = np.concatenate([b.class_scores for b in branches])
 
     def evaluate(self, r: np.ndarray, i: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Round scores for draw arrays r in {0,1}, i in 1..m, u in [0,1)."""
-        r = np.asarray(r)
-        i = np.asarray(i)
-        u = np.asarray(u, dtype=float)
-        branch = (i - 1) * 2 + r
-        out = np.empty(u.shape[0])
-        top = self.d * self.d - 1
-        for idx in range(2 * self.m):
-            mask = branch == idx
-            if not np.any(mask):
-                continue
-            cells = np.searchsorted(self._cdfs[idx], u[mask], side="right")
-            np.clip(cells, 0, top, out=cells)
-            out[mask] = self._scores[idx][cells]
-        return out
+        """Round scores for draw arrays r in {0,1}, i in 1..m, u in [0,1).
+
+        u * d splits into the column floor(u * d) and the coin frac(u * d);
+        u < 1 keeps u * d below d after rounding.
+        """
+        scaled = np.asarray(u, dtype=float) * self.d
+        col = scaled.astype(np.intp)
+        cell = ((np.asarray(i) - 1) * 2 + r) * self.d + col
+        keep = scaled - col < self._prob[cell]
+        return self._scores[np.where(keep, cell, self._alias[cell])]
 
     def tally(self, r: np.ndarray, i: np.ndarray) -> dict[str, int]:
         branch = (np.asarray(i) - 1) * 2 + np.asarray(r)
@@ -113,13 +114,44 @@ class RoundSampler:
         return {label: int(count) for label, count in zip(self.labels, counts)}
 
 
+def _alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker/Vose alias table: column c keeps c with prob[c], else alias[c].
+
+    Drawing the column uniformly gives class c with probability
+    (prob[c] + sum over alias[j] = c of (1 - prob[j])) / n = probs[c].
+    """
+    n = probs.size
+    scaled = (probs * n).tolist()
+    prob = [1.0] * n
+    alias = list(range(n))
+    small = [c for c in range(n) if scaled[c] < 1.0]
+    large = [c for c in range(n) if scaled[c] >= 1.0]
+    while small and large:
+        lo, hi = small.pop(), large[-1]
+        prob[lo] = scaled[lo]
+        alias[lo] = hi
+        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
+        if scaled[hi] < 1.0:
+            small.append(large.pop())
+    return np.array(prob), np.array(alias, dtype=np.intp)
+
+
+DRAW_BLOCK = 1 << 16
+
+
 def draw_table(seed: int, s: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-round draws (r, i, u) for rounds 0..s-1; row j depends only on (seed, j)."""
-    rng = RngStream(seed)
-    r = rng.gen.integers(2, size=s)
-    i = rng.gen.integers(1, m + 1, size=s)
-    u = rng.gen.random(s)
-    return r, i, u
+    """Per-round draws (r, i, u) for rounds 0..s-1; row j depends only on (seed, j).
+
+    Rows come in blocks of DRAW_BLOCK, block b from RngStream(seed,
+    stream_id=b), two uniforms per row in row order: the first picks the
+    branch (r, i), the second is u.  Only the rows asked for are drawn.
+    """
+    draws = np.empty((s, 2))
+    for block, lo in enumerate(range(0, s, DRAW_BLOCK)):
+        RngStream(seed, stream_id=block).gen.random(out=draws[lo:lo + DRAW_BLOCK])
+    # (1 - 2^-53) * 2m rounds below 2m, so the branch stays in range
+    branch = (draws[:, 0] * (2 * m)).astype(np.intp)
+    return branch & 1, (branch >> 1) + 1, draws[:, 1]
 
 
 def estimate_normalized_bell(

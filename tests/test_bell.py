@@ -15,7 +15,13 @@ from bellcheck.bell import (
     normalized_bell_from_probabilities,
     protocol_branches,
 )
-from bellcheck.measurement import ALICE, BOB, observable_power
+from bellcheck.measurement import (
+    ALICE,
+    BOB,
+    difference_distributions,
+    observable_power,
+    outcome_distribution,
+)
 from bellcheck.circuit import embedded_pair_state
 from bellcheck.tensor import (
     RngStream,
@@ -148,6 +154,19 @@ class TestProtocolBranches:
                 # Alice's (m+1)-th setting is setting 1 with outcome a + 1
                 assert branches[-1].scores[a, b] == 2.0 * alpha[(b - (a + 1)) % d]
         assert all(np.all(np.abs(br.scores) <= 2.0) for br in branches)
+
+    @pytest.mark.parametrize("d,m", [(2, 2), (4, 3), (16, 2)])
+    def test_class_distribution_is_the_class_histogram(self, d, m):
+        # the class map permutes the difference distribution into the law of the score class
+        psi = random_state(d * d, RngStream(121, d))
+        outcomes = np.arange(d)
+        for branch in protocol_branches(d, m):
+            classes = branch.score_class(outcomes[:, None], outcomes)
+            assert np.array_equal(branch.scores, branch.class_scores[classes])
+            probs = outcome_distribution(psi, *branch.pair, d, m).probs
+            want = np.bincount(classes.ravel(), weights=probs.ravel(), minlength=d)
+            diff = difference_distributions(psi, [branch.pair], d, m)[0]
+            assert np.max(np.abs(branch.class_distribution(diff) - want)) < 1e-12
 
 
 class TestNormalizedBell:

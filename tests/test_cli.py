@@ -312,6 +312,18 @@ class TestEntryPoints:
         assert rc == 2
         assert err.startswith("error: 24-qubit ") and err.count("\n") == 1
 
+    def test_huge_shot_count_refused_before_synthesis(self, circuits, capsys, monkeypatch):
+        # the s-sized draw and evaluation arrays count toward the size guard
+        def must_not_run(circuit):
+            pytest.fail("circuit_unitary ran for a shot count that cannot fit")
+
+        monkeypatch.setattr("bellcheck.cli.circuit_unitary", must_not_run)
+        rc = main(["compare-sampled", circuits["h"], circuits["z"], "--m", "2",
+                   "--shots", "10000000000000", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: 1-qubit sampled comparison") and err.count("\n") == 1
+
     def test_module_invocation(self):
         # the child imports the same bellcheck as this process, installed or not
         src = str(Path(bellcheck.__file__).parents[1])

@@ -11,11 +11,13 @@ from bellcheck.measurement import (
     BOB,
     basis,
     chsh_observables,
+    difference_distributions,
     observable_power,
     outcome_distribution,
     product_factors,
     sequential_distribution,
 )
+from bellcheck.bell import protocol_branches
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
 
 ATOL = 1e-9
@@ -167,6 +169,40 @@ class TestOutcomeDistribution:
             - correlator(a1, b1)
         )
         assert abs(chsh - 2 * np.sqrt(2)) < ATOL
+
+
+def wrap_diagonal_sums(probs):
+    """sum over a - b = c (mod d) of an outcome grid p[a, b]."""
+    d = probs.shape[0]
+    diff = (np.arange(d)[:, None] - np.arange(d)) % d
+    return np.bincount(diff.ravel(), weights=probs.ravel(), minlength=d)
+
+
+class TestDifferenceDistributions:
+    @pytest.mark.parametrize("d", [2, 4, 16, 64])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_equals_wrap_diagonal_sums_of_outcome_grid(self, d, m):
+        # every setting pair (x, y), which includes every pair of protocol_branches
+        rng = RngStream(151, d * m)
+        pairs = [(x, y) for x in range(1, m + 1) for y in range(1, m + 1)]
+        assert {b.pair for b in protocol_branches(d, m)} <= set(pairs)
+        for psi in (random_state(d * d, rng), random_state(d * d, rng), max_entangled(d)):
+            got = difference_distributions(psi, pairs, d, m)
+            assert got.shape == (len(pairs), d)
+            for row, (x, y) in zip(got, pairs):
+                want = wrap_diagonal_sums(outcome_distribution(psi, x, y, d, m).probs)
+                assert np.max(np.abs(row - want)) < 1e-12
+
+    def test_invalid_inputs(self):
+        psi = max_entangled(4)
+        with pytest.raises(ValueError):
+            difference_distributions(psi, [(0, 1)], 4, 2)
+        with pytest.raises(ValueError):
+            difference_distributions(psi, [(1, 3)], 4, 2)
+        with pytest.raises(ValueError):
+            difference_distributions(psi[:8], [(1, 1)], 4, 2)
+        with pytest.raises(ValueError):
+            difference_distributions(2 * psi, [(1, 1)], 4, 2)
 
 
 class TestChshObservables:

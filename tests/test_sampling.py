@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from bellcheck.bell import bell_value_gamma, collect_distributions, normalized_bell_from_probabilities
+from bellcheck.bell import (
+    bell_value_gamma,
+    collect_distributions,
+    normalized_bell_from_probabilities,
+    protocol_branches,
+)
+from bellcheck.circuit import embedded_pair_state
+from bellcheck.measurement import ALICE, BOB, basis, outcome_distribution
 from bellcheck.sampling import (
+    DRAW_BLOCK,
     RoundSampler,
     ShotPlan,
+    _alias_table,
     draw_table,
     estimate_distance,
     estimate_normalized_bell,
@@ -13,6 +22,11 @@ from bellcheck.sampling import (
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
 
 SIGMA_Z = np.diag([1.0, -1.0])
+
+
+def random_state(d, rng):
+    z = rng.gen.standard_normal(d * d) + 1j * rng.gen.standard_normal(d * d)
+    return z / np.linalg.norm(z)
 
 
 def exact_normalized_value(psi, d, m):
@@ -184,3 +198,98 @@ class TestCoverage:
             for s in range(60)
         )
         assert misses / 60 <= 0.06 + 0.05
+
+
+class TestDrawTable:
+    @pytest.mark.parametrize("k", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1])
+    def test_prefix_stable(self, k):
+        # row j depends only on (seed, j): a shorter table is a prefix of a longer one
+        m, s, seed = 3, 200_000, 29
+        full = draw_table(seed, s, m)
+        short = draw_table(seed, k, m)
+        for col in range(3):
+            assert np.array_equal(full[col][:k], short[col])
+
+    def test_ranges_and_branch_balance(self):
+        m, s = 3, 120_000
+        r, i, u = draw_table(31, s, m)
+        assert set(np.unique(r)) == {0, 1}
+        assert set(np.unique(i)) == set(range(1, m + 1))
+        assert np.all((u >= 0.0) & (u < 1.0))
+        counts = np.bincount((i - 1) * 2 + r, minlength=2 * m)
+        expected = s / (2 * m)
+        assert np.all(np.abs(counts - expected) < 5 * np.sqrt(expected))
+
+
+def alias_class_probs(prob, alias, d):
+    """Class law of one alias table: (prob[c] + sum over alias[j] = c of (1 - prob[j])) / d."""
+    return (prob + np.bincount(alias, weights=1.0 - prob, minlength=d)) / d
+
+
+def class_law(psi, branch, d, m):
+    """Exact class law from the d x d outcome grid, independently of the sampler."""
+    outcomes = np.arange(d)
+    classes = branch.score_class(outcomes[:, None], outcomes).ravel()
+    probs = outcome_distribution(psi, *branch.pair, d, m).probs.ravel()
+    return np.bincount(classes, weights=probs, minlength=d)
+
+
+class TestAliasTables:
+    def test_point_mass_and_zero_classes(self):
+        for probs in (np.eye(8)[3], np.array([0.5, 0.0, 0.25, 0.0, 0.25, 0.0]), np.full(5, 0.2)):
+            prob, alias = _alias_table(probs)
+            assert np.all((prob >= 0.0) & (prob <= 1.0))
+            assert np.max(np.abs(alias_class_probs(prob, alias, probs.size) - probs)) < 1e-12
+            # a class of probability zero is never kept and never an alias
+            zero = probs == 0.0
+            assert np.all(prob[zero] == 0.0)
+            assert not np.any(zero[alias[prob < 1.0]])
+
+    @pytest.mark.parametrize("d", [2, 4, 16, 64])
+    def test_each_branch_reproduces_its_class_law(self, d):
+        m = 3
+        rng = RngStream(153, d)
+        # an outcome eigenstate of the wrapped pair (1, m): its class law is a point mass
+        eigen = np.kron(basis(d, m, 1, ALICE).vector(1), basis(d, m, m, BOB).vector(0))
+        branches = protocol_branches(d, m)
+        for psi in (random_state(d, rng), max_entangled(d), eigen):
+            sampler = RoundSampler(psi, d, m)
+            for n, branch in enumerate(branches):
+                cells = slice(n * d, (n + 1) * d)
+                got = alias_class_probs(sampler._prob[cells], sampler._alias[cells] - n * d, d)
+                assert np.max(np.abs(got - class_law(psi, branch, d, m))) < 1e-12
+        wrapped_law = class_law(eigen, branches[-1], d, m)
+        assert np.isclose(wrapped_law.max(), 1.0) and np.sum(wrapped_law < 1e-20) == d - 1
+
+    def test_evaluate_reads_column_then_coin(self):
+        # u = (c + coin) / d keeps class c exactly when coin < prob[c]
+        d, m = 4, 2
+        psi = random_state(d, RngStream(154))
+        sampler = RoundSampler(psi, d, m)
+        for n in range(2 * m):
+            r, i = n % 2, n // 2 + 1
+            for c in range(d):
+                cell = n * d + c
+                for coin in (0.0, 0.999999):
+                    u = np.array([(c + coin) / d])
+                    want_cell = cell if coin < sampler._prob[cell] else sampler._alias[cell]
+                    got = sampler.evaluate(np.array([r]), np.array([i]), u)
+                    assert got[0] == sampler._scores[want_cell]
+
+
+class TestInequivalentCoverage:
+    def test_embedded_pair_at_d16(self):
+        # criterion 8's check on an inequivalent embedded pair: the planned budget
+        # misses by epsilon or more in at most delta of the runs
+        rng = RngStream(155)
+        u1 = random_real_orthogonal(4, rng)
+        u2 = random_real_orthogonal(4, rng)
+        psi = embedded_pair_state(u1, u2)
+        d, m = 16, 2
+        exact = exact_normalized_value(psi, d, m)
+        assert 0.05 < exact < 0.95
+        plan = plan_shots(0.1, 0.05)
+        xs = np.array([estimate_normalized_bell(psi, d, m, plan, seed=s).x for s in range(500)])
+        assert float(np.mean(np.abs(xs - exact) >= 0.1)) <= 0.06
+        se = float(xs.std(ddof=1) / np.sqrt(xs.size))
+        assert abs(float(xs.mean()) - exact) <= 4 * se
