@@ -7,7 +7,9 @@ The package namespace holds the names the README's Library section uses;
 everything else is imported from its submodule.
 """
 
-from .bell import bell_value_gamma, bell_value_operator, normalized_bell_from_probabilities
+from .bell import (
+    bell_value_gamma, bell_value_operator, branch_laws, normalized_bell_from_probabilities,
+)
 from .circuit import circuit_unitary, embed_double, embedded_pair_state, parse_circuit
 from .distance import circuit_distance, distance_from_embedded_v
 from .measurement import sequential_distribution
@@ -20,6 +22,7 @@ __all__ = [
     "apply_bilocal",
     "bell_value_gamma",
     "bell_value_operator",
+    "branch_laws",
     "circuit_distance",
     "circuit_unitary",
     "distance_from_embedded_v",

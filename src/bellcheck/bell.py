@@ -1,29 +1,27 @@
 """Bell-expression evaluation by three independent routes, the weight table
-for the randomized protocol, CHSH quantities, and the analytic envelope and
-concentration bounds.
+and the round branches of the randomized protocol with their score-class
+laws, CHSH quantities, and the analytic envelope and concentration bounds.
 
 All three routes agree on any normalized state: the operator form sums
 <A_i^l (x) conj(A_i^l)> over settings i and powers l, which collapses to
 one basis change per setting, O(m d^3); the diagonal-sum form evaluates
 the same quantity in O(d^2) from the coefficient grid; the probability form
-rescales outcome-difference statistics.  They are tied together by
-V = d*m*I' - m, where I' in [0, 1] is the normalized value.
+averages the expected round value over the class-law table of
+``branch_laws``.  They are tied together by V = d*m*I' - m, where I' in
+[0, 1] is the normalized value.
+
+A protocol round picks one branch index n in 0..2m-1, in
+``protocol_branches`` order: n = 2(i - 1) + r for setting i in 1..m and
+r in {0, 1}.  Row n of the class-law table is that branch's law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .measurement import (
-    ALICE,
-    OutcomeDistribution,
-    basis,
-    chsh_observables,
-    outcome_distribution,
-)
+from .measurement import ALICE, basis, chsh_observables, difference_distributions
 from .tensor import RngStream, check_params, check_state, random_real_unit_vector
 
 
@@ -40,7 +38,7 @@ def bell_value_operator(psi: np.ndarray, d: int, m: int) -> float:
     grid = psi.reshape(d, d)
     total = 0.0
     for i in range(1, m + 1):
-        v = basis(d, m, i, ALICE).vectors
+        v = basis(d, m, i, ALICE)
         diag = np.einsum("ka,ka->a", v.conj(), grid @ v)
         total += d * float(np.sum(np.abs(diag) ** 2)) - 1.0
     return total
@@ -65,23 +63,18 @@ def bell_value_gamma(psi: np.ndarray, d: int, m: int) -> float:
     return float(m * total - m)
 
 
-@dataclass(frozen=True)
-class AlphaTable:
-    """Outcome-difference weights for the normalized Bell form."""
+def alpha_table(d: int, m: int) -> np.ndarray:
+    """Read-only outcome-difference weights of the normalized Bell form,
+    alpha_k = tan(pi/(2m)) * cot(pi*(k + 1/(2m))/d) / (2d), k = 0..d-1.
 
-    d: int
-    m: int
-    values: np.ndarray  # length d; |values| <= 1, strictly decreasing in k
-
-
-def alpha_table(d: int, m: int) -> AlphaTable:
-    """alpha_k = tan(pi/(2m)) * cot(pi*(k + 1/(2m))/d) / (2d), k = 0..d-1."""
+    |alpha_k| <= 1, strictly decreasing in k.
+    """
     check_params(d, m)
     k = np.arange(d)
     theta = np.pi * (k + 1.0 / (2 * m)) / d
     values = np.tan(np.pi / (2 * m)) / (2 * d) * (np.cos(theta) / np.sin(theta))
     values.setflags(write=False)
-    return AlphaTable(d=d, m=m, values=values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -109,22 +102,16 @@ class Branch:
         probs[self.score_class(np.arange(diff_probs.size), 0)] = diff_probs
         return probs
 
-    @property
-    def scores(self) -> np.ndarray:
-        """(d, d) round value per outcome pair (a, b)."""
-        outcomes = np.arange(self.class_scores.size)
-        return self.class_scores[self.score_class(outcomes[:, None], outcomes)]
-
 
 def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
-    """The 2m round branches (r, i), r in {0, 1}, i in 1..m, in (i, r) order.
+    """The 2m round branches (r, i), r in {0, 1}, i in 1..m, at index 2(i - 1) + r.
 
     Branch (0, i) measures settings (i, i) and scores 2*alpha[(a - b) mod d].
     Branch (1, i) measures (i+1, i) and scores 2*alpha[(b - a) mod d], where
     the (m+1)-th Alice setting is setting 1 with +1 added to its outcome mod
     d: branch (1, m) measures (1, m) and scores 2*alpha[(b - a - 1) mod d].
     """
-    class_scores = 2.0 * alpha_table(d, m).values
+    class_scores = 2.0 * alpha_table(d, m)
     class_scores.setflags(write=False)
     branches = []
     for i in range(1, m + 1):
@@ -134,35 +121,29 @@ def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
     return tuple(branches)
 
 
-def collect_distributions(psi: np.ndarray, d: int, m: int) -> dict[tuple[int, int], OutcomeDistribution]:
-    """Exact outcome distributions for every setting pair the protocol needs."""
-    return {b.pair: outcome_distribution(psi, *b.pair, d, m) for b in protocol_branches(d, m)}
+def branch_laws(psi: np.ndarray, d: int, m: int) -> np.ndarray:
+    """(2m, d) table: row n is the law of ``protocol_branches(d, m)[n]``'s score class.
 
-
-def normalized_bell_from_probabilities(
-    dists: Mapping[tuple[int, int], OutcomeDistribution], d: int, m: int
-) -> float:
-    """Normalized Bell value I' from outcome statistics.
-
-    I' = (1/m) sum over the 2m protocol branches of the expected half-score,
-    sum_{a,b} (scores[a, b] / 2) * P(a, b | pair).  Satisfies d*m*I' - m = V
-    and equals 1 exactly on the maximally entangled state.
+    Each row permutes the branch's difference distribution
+    P((a - b) mod d | x, y), so no d x d outcome grid is formed.
     """
+    branches = protocol_branches(d, m)
+    diffs = difference_distributions(psi, [b.pair for b in branches], d, m)
+    return np.array([b.class_distribution(q) for b, q in zip(branches, diffs)])
 
-    def grid_for(pair: tuple[int, int]) -> np.ndarray:
-        if pair not in dists:
-            raise ValueError(f"missing outcome distribution for setting pair {pair}")
-        dist = dists[pair]
-        if (dist.x, dist.y) != pair:
-            raise ValueError(f"distribution labeled {(dist.x, dist.y)} supplied for pair {pair}")
-        if dist.probs.shape != (d, d):
-            raise ValueError(f"distribution for {pair} has shape {dist.probs.shape}, want {(d, d)}")
-        return dist.probs
 
-    acc = 0.0
-    for branch in protocol_branches(d, m):
-        acc += float(np.sum(0.5 * branch.scores * grid_for(branch.pair)))
-    return acc / m
+def normalized_bell_from_probabilities(laws: np.ndarray, d: int, m: int) -> float:
+    """Normalized Bell value I' from the class-law table of ``branch_laws``.
+
+    I' is the expected round value, the mean over the 2m branches of
+    sum_k laws[n, k] * class_scores[k].  Satisfies d*m*I' - m = V and equals
+    1 exactly on the maximally entangled state.
+    """
+    class_scores = protocol_branches(d, m)[0].class_scores
+    laws = np.asarray(laws, dtype=float)
+    if laws.shape != (2 * m, d):
+        raise ValueError(f"class-law table has shape {laws.shape}, want {(2 * m, d)}")
+    return float(np.sum(laws @ class_scores)) / (2 * m)
 
 
 def chsh_value(psi: np.ndarray) -> float:

@@ -11,6 +11,7 @@ variable supplies a default seed when --seed is omitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -98,7 +99,8 @@ def _refuse_oversized(n: int, mode: str, s: int = 0) -> None:
     16^n-amplitude state.  Sampled adds the FFT work arrays of the
     difference distributions (a doubled coefficient grid, its transform and
     the squared moduli: 4 complex values per amplitude) and, per round, the
-    draws (two uniforms, r and i) and the evaluation temporaries: 80 bytes.
+    draws (two uniforms and the branch index) and the evaluation
+    temporaries: at most 80 bytes.
     """
     complex_bytes, round_bytes = 16, 80
     if mode == "raw":
@@ -217,12 +219,6 @@ def _fig3_point(seed: int, n: int, pair_id: int) -> tuple[np.ndarray, np.ndarray
     return u1, u2, int(rng.gen.integers(1 << 63))
 
 
-def _fig3_pair(seed: int, n: int, pair_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic pair of Haar orthogonal matrices for one scatter point."""
-    u1, u2, _ = _fig3_point(seed, n, pair_id)
-    return u1, u2
-
-
 def cmd_fig3(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     m = 2
@@ -269,9 +265,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
         d, m = args.d, args.m
         vs = np.linspace(-m, m * (d - 1), 200)
         if args.overlay == "bounds":
-            lows = [distance_bounds_from_v(v, d, m).lower for v in vs]
-            highs = [distance_bounds_from_v(v, d, m).upper for v in vs]
-            overlays = [("lower bound", vs, lows), ("upper bound", vs, highs)]
+            bounds = [distance_bounds_from_v(v, d, m) for v in vs]
+            overlays = [("lower bound", vs, [b.lower for b in bounds]),
+                        ("upper bound", vs, [b.upper for b in bounds])]
         else:
             ds = [distance_from_embedded_v(v, d, m) for v in vs]
             overlays = [("exact distance", vs, ds)]
@@ -280,7 +276,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bellcheck",
         description="Black-box comparison of quantum circuits through Bell-test statistics.",

@@ -20,11 +20,8 @@ _RANGE_PAD = 1e-9
 
 @dataclass(frozen=True)
 class DistanceBounds:
-    v: float
     lower: float
     upper: float
-    d: int
-    m: int
 
 
 def circuit_distance(u1: np.ndarray, u2: np.ndarray) -> float:
@@ -63,7 +60,7 @@ def distance_bounds_from_v(v: float, d: int, m: int) -> DistanceBounds:
     _check_v_range(v, d, m)
     lower = _clamped_sqrt(1.0 - (v + m) / (m * d))
     upper = _clamped_sqrt(1.0 - (v - m * (d - 2)) / m)
-    return DistanceBounds(v=v, lower=lower, upper=upper, d=d, m=m)
+    return DistanceBounds(lower=lower, upper=upper)
 
 
 def distance_from_embedded_v(v: float, d: int, m: int) -> float:

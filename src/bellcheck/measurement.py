@@ -10,7 +10,6 @@ Bob's uses the opposite phase sign with beta_y = y/m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -40,7 +39,9 @@ def _check_setting(m: int, setting: int) -> None:
 
 
 @lru_cache(maxsize=32)
-def _basis_matrix(d: int, m: int, setting: int, party: str) -> np.ndarray:
+def basis(d: int, m: int, setting: int, party: str) -> np.ndarray:
+    """Read-only (d, d) projective basis for one setting; column a is the
+    outcome-a eigenvector.  Cached per (d, m, setting, party)."""
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
     _check_setting(m, setting)
@@ -50,26 +51,6 @@ def _basis_matrix(d: int, m: int, setting: int, party: str) -> np.ndarray:
     mat = np.exp(sign * 2j * np.pi * k * (a - shift) / d) / np.sqrt(d)
     mat.setflags(write=False)
     return mat
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    d: int
-    m: int
-    setting: int
-    party: str
-    vectors: np.ndarray  # (d, d); column a is the outcome-a eigenvector
-
-    def vector(self, outcome: int) -> np.ndarray:
-        return self.vectors[:, outcome]
-
-
-def basis(d: int, m: int, setting: int, party: str) -> MeasurementBasis:
-    """Projective basis for one setting; cached per (d, m, setting, party)."""
-    return MeasurementBasis(
-        d=d, m=m, setting=setting, party=party,
-        vectors=_basis_matrix(int(d), int(m), int(setting), party),
-    )
 
 
 def observable_power(d: int, m: int, setting: int, power: int, party: str) -> np.ndarray:
@@ -82,28 +63,19 @@ def observable_power(d: int, m: int, setting: int, power: int, party: str) -> np
         raise ValueError(f"party must be {ALICE!r} or {BOB!r}, got {party!r}")
     if not 1 <= power <= d - 1:
         raise ValueError(f"power must be in 1..{d - 1}, got {power}")
-    v = _basis_matrix(int(d), int(m), int(setting), ALICE)
+    v = basis(d, m, setting, ALICE)
     omega = np.exp(2j * np.pi * np.arange(d) * power / d)
     mat = (v * omega) @ v.conj().T
     return mat if party == ALICE else mat.conj()
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    x: int
-    y: int
-    probs: np.ndarray  # (d, d) grid p[a, b]
-
-
-def outcome_distribution(psi: np.ndarray, x: int, y: int, d: int, m: int) -> OutcomeDistribution:
-    """Joint outcome probabilities p(a, b | settings x, y) on a d x d state."""
+def outcome_distribution(psi: np.ndarray, x: int, y: int, d: int, m: int) -> np.ndarray:
+    """Read-only (d, d) grid of joint outcome probabilities p(a, b | settings x, y)."""
     psi = check_state(psi, d)
-    va = _basis_matrix(d, m, x, ALICE)
-    vb = _basis_matrix(d, m, y, BOB)
-    amp = va.conj().T @ psi.reshape(d, d) @ vb.conj()
+    amp = basis(d, m, x, ALICE).conj().T @ psi.reshape(d, d) @ basis(d, m, y, BOB).conj()
     probs = np.abs(amp) ** 2
     probs.setflags(write=False)
-    return OutcomeDistribution(x=x, y=y, probs=probs)
+    return probs
 
 
 def difference_distributions(

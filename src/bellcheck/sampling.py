@@ -1,8 +1,8 @@
 """Finite-shot Monte Carlo estimation of the normalized Bell value and of
 the circuit distance, with Hoeffding shot planning.
 
-One round draws a branch (r, i) uniformly from {0,1} x {1..m}; the parties
-measure that branch's setting pair and its score grid values the outcome
+One round draws a branch index n uniformly from 0..2m-1; the parties
+measure branch n's setting pair and its class scores value the outcome
 pair (a, b), both as ``bell.protocol_branches`` defines them.  The round
 mean X is an unbiased estimate of I' and every round value lies in
 [-2, 2], which yields the s > 8*ln(1/delta)/epsilon^2 shot budget.
@@ -10,10 +10,10 @@ mean X is an unbiased estimate of I' and every round value lies in
 A round's value depends on (a, b) only through the branch's score class,
 a function of (a - b) mod d, so outcomes are not drawn as cells of the d^2
 grid: each branch holds a Walker/Vose alias table over its d classes, built
-from the exact difference distribution of its setting pair, and a round
-draws its class in O(1).  Round j of an estimation run consumes row j of a
-draw table that is a pure function of (seed, j), so partitioning rounds
-across workers, or extending s, cannot change earlier rounds.
+from its row of ``bell.branch_laws``, and a round draws its class in O(1).
+Round j of an estimation run consumes row j of a draw table that is a pure
+function of (seed, j), so partitioning rounds across workers, or extending
+s, cannot change earlier rounds.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import protocol_branches
+from .bell import branch_laws, protocol_branches
 from .circuit import embedded_pair_state
 from .distance import normalized_to_distance
-from .measurement import difference_distributions
 from .tensor import RngStream
 
 
@@ -79,38 +78,35 @@ class RoundSampler:
     """Per-state tables for single protocol rounds.
 
     For each of the 2m branches of ``protocol_branches``, an alias table over
-    its d score classes, built from the exact class distribution: 2m x d
+    its d score classes, built from its row of ``branch_laws``: 2m x d
     entries, whatever the number of rounds.
     """
 
     def __init__(self, psi: np.ndarray, d: int, m: int):
         branches = protocol_branches(d, m)
         self.d = d
-        self.m = m
         self.labels = [b.label for b in branches]
-        diffs = difference_distributions(psi, [b.pair for b in branches], d, m)
-        tables = [_alias_table(b.class_distribution(q)) for b, q in zip(branches, diffs)]
+        tables = [_alias_table(law) for law in branch_laws(psi, d, m)]
         # Cell branch*d + c keeps class c with probability _prob[cell], else
-        # takes _alias[cell]; both index the branches' stacked class scores.
+        # takes class _alias[cell]; every branch shares the class scores.
         self._prob = np.concatenate([prob for prob, _ in tables])
-        self._alias = np.concatenate([alias + n * d for n, (_, alias) in enumerate(tables)])
-        self._scores = np.concatenate([b.class_scores for b in branches])
+        self._alias = np.concatenate([alias for _, alias in tables])
+        self._scores = branches[0].class_scores
 
-    def evaluate(self, r: np.ndarray, i: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Round scores for draw arrays r in {0,1}, i in 1..m, u in [0,1).
+    def evaluate(self, branch: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Round scores for draw arrays branch in 0..2m-1 and u in [0,1).
 
         u * d splits into the column floor(u * d) and the coin frac(u * d);
         u < 1 keeps u * d below d after rounding.
         """
         scaled = np.asarray(u, dtype=float) * self.d
         col = scaled.astype(np.intp)
-        cell = ((np.asarray(i) - 1) * 2 + r) * self.d + col
+        cell = np.asarray(branch) * self.d + col
         keep = scaled - col < self._prob[cell]
-        return self._scores[np.where(keep, cell, self._alias[cell])]
+        return self._scores[np.where(keep, col, self._alias[cell])]
 
-    def tally(self, r: np.ndarray, i: np.ndarray) -> dict[str, int]:
-        branch = (np.asarray(i) - 1) * 2 + np.asarray(r)
-        counts = np.bincount(branch, minlength=2 * self.m)
+    def tally(self, branch: np.ndarray) -> dict[str, int]:
+        counts = np.bincount(branch, minlength=len(self.labels))
         return {label: int(count) for label, count in zip(self.labels, counts)}
 
 
@@ -139,19 +135,20 @@ def _alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 DRAW_BLOCK = 1 << 16
 
 
-def draw_table(seed: int, s: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-round draws (r, i, u) for rounds 0..s-1; row j depends only on (seed, j).
+def draw_table(seed: int, s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round draws (branch, u) for rounds 0..s-1; row j depends only on (seed, j).
 
     Rows come in blocks of DRAW_BLOCK, block b from RngStream(seed,
     stream_id=b), two uniforms per row in row order: the first picks the
-    branch (r, i), the second is u.  Only the rows asked for are drawn.
+    branch index in 0..2m-1, the second is u.  Only the rows asked for are
+    drawn.
     """
     draws = np.empty((s, 2))
     for block, lo in enumerate(range(0, s, DRAW_BLOCK)):
         RngStream(seed, stream_id=block).gen.random(out=draws[lo:lo + DRAW_BLOCK])
     # (1 - 2^-53) * 2m rounds below 2m, so the branch stays in range
     branch = (draws[:, 0] * (2 * m)).astype(np.intp)
-    return branch & 1, (branch >> 1) + 1, draws[:, 1]
+    return branch, draws[:, 1]
 
 
 def estimate_normalized_bell(
@@ -163,8 +160,9 @@ def estimate_normalized_bell(
     distance estimate clamps into [0, 1].
     """
     sampler = RoundSampler(psi, d, m)
-    r, i, u = draw_table(seed, plan.s, m)
-    values = sampler.evaluate(r, i, u)
+    branch, u = draw_table(seed, plan.s, m)
+    # u by keyword: bench/spans.py counts the rounds of a call from its u argument.
+    values = sampler.evaluate(branch, u=u)
     x = float(values.mean())
     return EstimationReport(
         s=plan.s,
@@ -175,7 +173,7 @@ def estimate_normalized_bell(
         seed=int(seed),
         d=d,
         m=m,
-        setting_tallies=sampler.tally(r, i),
+        setting_tallies=sampler.tally(branch),
     )
 
 

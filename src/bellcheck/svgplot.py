@@ -54,7 +54,6 @@ def emit_svg_scatter(
     y_col: str,
     out_path: str | Path,
     overlays: Iterable[Overlay] = (),
-    title: str | None = None,
 ) -> None:
     """Render one scatter plot (plus optional overlay polylines) to out_path.
 
@@ -85,11 +84,6 @@ def emit_svg_scatter(
         f'<rect x="{_ML}" y="{_MT}" width="{_WIDTH - _ML - _MR}" height="{_HEIGHT - _MT - _MB}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     for tick in _ticks(x_lo, x_hi):
         x = px(tick)
         parts.append(

@@ -98,12 +98,3 @@ def random_real_unit_vector(dim: int, rng: RngStream) -> np.ndarray:
         norm = np.linalg.norm(v)
         if norm > 0.0:
             return v / norm
-
-
-def inner(psi: np.ndarray, phi: np.ndarray) -> complex:
-    """Inner product <psi|phi>, conjugating the first argument."""
-    psi = np.asarray(psi)
-    phi = np.asarray(phi)
-    if psi.shape != phi.shape:
-        raise ValueError(f"dimension mismatch: {psi.shape} vs {phi.shape}")
-    return complex(np.vdot(psi, phi))

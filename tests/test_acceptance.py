@@ -11,9 +11,9 @@ import pytest
 from bellcheck.bell import (
     bell_value_gamma,
     bell_value_operator,
+    branch_laws,
     chsh_saturation_residual,
     chsh_value,
-    collect_distributions,
     lemma1_envelope,
     lemma2_exceedance,
     normalized_bell_from_probabilities,
@@ -137,9 +137,7 @@ def test_criterion_05_three_way_agreement():
                 psi = random_state(d * d, rng)
                 v_op = bell_value_operator(psi, d, m)
                 v_gamma = bell_value_gamma(psi, d, m)
-                i_prime = normalized_bell_from_probabilities(
-                    collect_distributions(psi, d, m), d, m
-                )
+                i_prime = normalized_bell_from_probabilities(branch_laws(psi, d, m), d, m)
                 v_prob = d * m * i_prime - m
                 worst = max(worst, abs(v_op - v_gamma), abs(v_op - v_prob))
     _report(5, "operator, diagonal-sum, and probability forms agree",
@@ -231,7 +229,7 @@ def test_criterion_11_product_measurement_equivalence():
             for x in range(1, m + 1):
                 for y in range(1, m + 1):
                     seq = sequential_distribution(psi, x, y, n, m)
-                    full = outcome_distribution(psi, x, y, d, m).probs
+                    full = outcome_distribution(psi, x, y, d, m)
                     worst = max(worst, float(np.max(np.abs(seq - full))))
     _report(11, "qubit-by-qubit readout equals projective statistics",
             worst < 1e-9, f"max deviation = {worst:.2e}")

@@ -6,9 +6,9 @@ from bellcheck.bell import (
     alpha_table,
     bell_value_gamma,
     bell_value_operator,
+    branch_laws,
     chsh_saturation_residual,
     chsh_value,
-    collect_distributions,
     lemma1_envelope,
     lemma2_bound,
     lemma2_exceedance,
@@ -18,7 +18,6 @@ from bellcheck.bell import (
 from bellcheck.measurement import (
     ALICE,
     BOB,
-    difference_distributions,
     observable_power,
     outcome_distribution,
 )
@@ -145,40 +144,44 @@ class TestProtocolBranches:
 
     def test_scores_and_wrapped_relabel(self):
         d, m = 4, 3
-        alpha = alpha_table(d, m).values
+        alpha = alpha_table(d, m)
         branches = protocol_branches(d, m)
+
+        def score(branch, a, b):
+            return branch.class_scores[branch.score_class(a, b)]
+
         for a in range(d):
             for b in range(d):
-                assert branches[0].scores[a, b] == 2.0 * alpha[(a - b) % d]
-                assert branches[1].scores[a, b] == 2.0 * alpha[(b - a) % d]
+                assert score(branches[0], a, b) == 2.0 * alpha[(a - b) % d]
+                assert score(branches[1], a, b) == 2.0 * alpha[(b - a) % d]
                 # Alice's (m+1)-th setting is setting 1 with outcome a + 1
-                assert branches[-1].scores[a, b] == 2.0 * alpha[(b - (a + 1)) % d]
-        assert all(np.all(np.abs(br.scores) <= 2.0) for br in branches)
+                assert score(branches[-1], a, b) == 2.0 * alpha[(b - (a + 1)) % d]
+        assert all(np.all(np.abs(br.class_scores) <= 2.0) for br in branches)
 
     @pytest.mark.parametrize("d,m", [(2, 2), (4, 3), (16, 2)])
     def test_class_distribution_is_the_class_histogram(self, d, m):
-        # the class map permutes the difference distribution into the law of the score class
+        # row n of the law table is the histogram of branch n's score class over the outcome grid
         psi = random_state(d * d, RngStream(121, d))
         outcomes = np.arange(d)
-        for branch in protocol_branches(d, m):
+        laws = branch_laws(psi, d, m)
+        assert laws.shape == (2 * m, d)
+        for law, branch in zip(laws, protocol_branches(d, m)):
             classes = branch.score_class(outcomes[:, None], outcomes)
-            assert np.array_equal(branch.scores, branch.class_scores[classes])
-            probs = outcome_distribution(psi, *branch.pair, d, m).probs
+            probs = outcome_distribution(psi, *branch.pair, d, m)
             want = np.bincount(classes.ravel(), weights=probs.ravel(), minlength=d)
-            diff = difference_distributions(psi, [branch.pair], d, m)[0]
-            assert np.max(np.abs(branch.class_distribution(diff) - want)) < 1e-12
+            assert np.max(np.abs(law - want)) < 1e-12
 
 
 class TestNormalizedBell:
     @pytest.mark.parametrize("d,m", [(2, 2), (2, 3), (4, 2), (4, 3)])
     def test_entangled_state_normalizes_to_one(self, d, m):
         phi = max_entangled(d)
-        i_prime = normalized_bell_from_probabilities(collect_distributions(phi, d, m), d, m)
+        i_prime = normalized_bell_from_probabilities(branch_laws(phi, d, m), d, m)
         assert abs(i_prime - 1.0) < ATOL
 
     def test_sigma_z_witness_is_zero(self):
         psi = apply_bilocal(np.eye(2), SIGMA_Z, max_entangled(2))
-        i_prime = normalized_bell_from_probabilities(collect_distributions(psi, 2, 2), 2, 2)
+        i_prime = normalized_bell_from_probabilities(branch_laws(psi, 2, 2), 2, 2)
         assert abs(i_prime) < ATOL
 
     @pytest.mark.parametrize("d,m", [(4, 2), (8, 3)])
@@ -188,41 +191,39 @@ class TestNormalizedBell:
             u1 = random_real_orthogonal(d, rng)
             u2 = random_real_orthogonal(d, rng)
             psi = apply_bilocal(u1, u2, max_entangled(d))
-            i_prime = normalized_bell_from_probabilities(collect_distributions(psi, d, m), d, m)
+            i_prime = normalized_bell_from_probabilities(branch_laws(psi, d, m), d, m)
             v = bell_value_operator(psi, d, m)
             assert abs(d * m * i_prime - m - v) < ATOL
             assert -ATOL <= i_prime <= 1.0 + ATOL
 
     def test_missing_pair_rejected(self):
-        phi = max_entangled(2)
-        dists = collect_distributions(phi, 2, 2)
-        del dists[(1, 2)]
-        with pytest.raises(ValueError, match="missing"):
-            normalized_bell_from_probabilities(dists, 2, 2)
+        # a table without the wrapped branch's row has the wrong shape
+        laws = branch_laws(max_entangled(2), 2, 2)
+        with pytest.raises(ValueError, match="shape"):
+            normalized_bell_from_probabilities(laws[:-1], 2, 2)
 
-    def test_mislabeled_pair_rejected(self):
-        phi = max_entangled(2)
-        dists = collect_distributions(phi, 2, 2)
-        dists[(1, 2)] = dists[(1, 1)]
-        with pytest.raises(ValueError):
-            normalized_bell_from_probabilities(dists, 2, 2)
+    def test_table_of_other_parameters_rejected(self):
+        phi = max_entangled(8)
+        for laws in (branch_laws(phi, 8, 3), branch_laws(phi, 8, 2).T, branch_laws(phi, 8, 2)[0]):
+            with pytest.raises(ValueError, match="shape"):
+                normalized_bell_from_probabilities(laws, 8, 2)
 
 
 class TestAlphaTable:
     def test_frozen_d2_m2_values(self):
         # closed forms: cot(pi/8) = 1 + sqrt2, cot(5 pi/8) = 1 - sqrt2
         table = alpha_table(2, 2)
-        assert_allclose(table.values[0], (1 + np.sqrt(2)) / 4, atol=1e-12)
-        assert_allclose(table.values[1], (1 - np.sqrt(2)) / 4, atol=1e-12)
+        assert_allclose(table[0], (1 + np.sqrt(2)) / 4, atol=1e-12)
+        assert_allclose(table[1], (1 - np.sqrt(2)) / 4, atol=1e-12)
 
     def test_bounded_by_one(self):
         for d in (2, 4, 8, 16, 64):
             for m in (2, 3, 4, 6):
-                assert np.max(np.abs(alpha_table(d, m).values)) <= 1.0
+                assert np.max(np.abs(alpha_table(d, m))) <= 1.0
 
     def test_first_positive_and_strictly_decreasing(self):
         for d, m in [(4, 2), (8, 3), (16, 2)]:
-            values = alpha_table(d, m).values
+            values = alpha_table(d, m)
             assert values[0] > 0
             assert np.all(np.diff(values) < 0)
 

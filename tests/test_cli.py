@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bellcheck
-from bellcheck.cli import _fig3_pair, main
+from bellcheck.cli import _fig3_point, main
 from bellcheck.distance import circuit_distance
 
 HADAMARD = "qubits 1\nH 0\n"
@@ -199,7 +199,7 @@ class TestFig3:
         # D_true column must match an independent recomputation of the pair
         for line in lines[1:]:
             pair_id, n, s, v_hat, d_true, d_est = line.split(",")
-            u1, u2 = _fig3_pair(13, int(n), int(pair_id))
+            u1, u2 = _fig3_point(13, int(n), int(pair_id))[:2]
             assert float(d_true) == pytest.approx(circuit_distance(u1, u2), abs=1e-12)
 
     def test_invalid_shots_choice(self, tmp_path, capsys):
@@ -323,6 +323,15 @@ class TestEntryPoints:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: 1-qubit sampled comparison") and err.count("\n") == 1
+
+    def test_back_to_back_calls_share_no_state(self, circuits, capsys):
+        # the parser is built once per process; one call's options must not leak into the next
+        assert main(["compare-exact", circuits["h"], circuits["z"], "--embedded"]) == 1
+        assert "mode = embedded" in capsys.readouterr().out
+        assert main(["compare-exact", circuits["h"], circuits["z"]]) == 1
+        assert "mode = raw" in capsys.readouterr().out
+        assert main(["--help"]) == 0
+        assert "compare-exact" in capsys.readouterr().out
 
     def test_module_invocation(self):
         # the child imports the same bellcheck as this process, installed or not

@@ -33,7 +33,7 @@ class TestBasis:
         # phase shift 1/4; outcome 0 amplitudes (1, e^{-i pi/4})/sqrt2
         b = basis(2, 2, 1, ALICE)
         want = np.array([1.0, np.exp(-1j * np.pi / 4)]) / np.sqrt(2)
-        assert_allclose(b.vector(0), want, atol=1e-12)
+        assert_allclose(b[:, 0], want, atol=1e-12)
 
     def test_bob_conjugate_form(self):
         # Bob's vectors follow the conjugated phase with shift y/m
@@ -42,21 +42,21 @@ class TestBasis:
         k = np.arange(d)
         for outcome in range(d):
             want = np.exp(-2j * np.pi * k * (outcome - y / m) / d) / np.sqrt(d)
-            assert_allclose(b.vector(outcome), want, atol=1e-12)
+            assert_allclose(b[:, outcome], want, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_gram_matrix_is_identity(self, d, m):
         for party in (ALICE, BOB):
             for setting in range(1, m + 1):
-                v = basis(d, m, setting, party).vectors
+                v = basis(d, m, setting, party)
                 assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < ATOL
 
     @pytest.mark.parametrize("d", [2, 4, 16])
     def test_resolution_of_identity(self, d):
         for m in (2, 4):
             for setting in range(1, m + 1):
-                v = basis(d, m, setting, ALICE).vectors
+                v = basis(d, m, setting, ALICE)
                 assert np.max(np.abs(v @ v.conj().T - np.eye(d))) < ATOL
 
     def test_setting_out_of_range(self):
@@ -73,7 +73,7 @@ class TestBasis:
 
     def test_vectors_read_only(self):
         with pytest.raises(ValueError):
-            basis(2, 2, 1, ALICE).vectors[0, 0] = 0
+            basis(2, 2, 1, ALICE)[0, 0] = 0
 
 
 class TestObservablePower:
@@ -126,16 +126,16 @@ class TestOutcomeDistribution:
         psi = random_state(d * d, rng)
         for x in range(1, m + 1):
             for y in range(1, m + 1):
-                dist = outcome_distribution(psi, x, y, d, m)
-                assert abs(dist.probs.sum() - 1.0) < ATOL
-                assert np.all(dist.probs >= 0)
+                probs = outcome_distribution(psi, x, y, d, m)
+                assert abs(probs.sum() - 1.0) < ATOL
+                assert np.all(probs >= 0)
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_entangled_state_marginals_uniform(self, d):
         phi = max_entangled(d)
-        dist = outcome_distribution(phi, 1, 2, d, 2)
-        assert_allclose(dist.probs.sum(axis=1), np.full(d, 1 / d), atol=ATOL)
-        assert_allclose(dist.probs.sum(axis=0), np.full(d, 1 / d), atol=ATOL)
+        probs = outcome_distribution(phi, 1, 2, d, 2)
+        assert_allclose(probs.sum(axis=1), np.full(d, 1 / d), atol=ATOL)
+        assert_allclose(probs.sum(axis=0), np.full(d, 1 / d), atol=ATOL)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ class TestDifferenceDistributions:
             got = difference_distributions(psi, pairs, d, m)
             assert got.shape == (len(pairs), d)
             for row, (x, y) in zip(got, pairs):
-                want = wrap_diagonal_sums(outcome_distribution(psi, x, y, d, m).probs)
+                want = wrap_diagonal_sums(outcome_distribution(psi, x, y, d, m))
                 assert np.max(np.abs(row - want)) < 1e-12
 
     def test_invalid_inputs(self):
@@ -233,7 +233,7 @@ class TestProductFactors:
                 factors = product_factors(1, 2, 1, outcome, party)
                 assert len(factors) == 1
                 assert_allclose(
-                    factors[0], basis(2, 2, 1, party).vector(outcome), atol=1e-12
+                    factors[0], basis(2, 2, 1, party)[:, outcome], atol=1e-12
                 )
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -250,7 +250,7 @@ class TestProductFactors:
                 for f in reversed(factors[:-1]):
                     vec = np.kron(vec, f)
                 assert_allclose(
-                    vec, basis(d, m, setting, party).vector(outcome), atol=ATOL
+                    vec, basis(d, m, setting, party)[:, outcome], atol=ATOL
                 )
 
     def test_factor_shapes_and_magnitudes(self):
@@ -277,7 +277,7 @@ class TestSequentialDistribution:
             for x in range(1, m + 1):
                 for y in range(1, m + 1):
                     seq = sequential_distribution(psi, x, y, n, m)
-                    full = outcome_distribution(psi, x, y, d, m).probs
+                    full = outcome_distribution(psi, x, y, d, m)
                     assert np.max(np.abs(seq - full)) < ATOL
 
     def test_matches_on_circuit_output_state(self):
@@ -287,7 +287,7 @@ class TestSequentialDistribution:
         u2 = random_real_orthogonal(d, rng)
         psi = apply_bilocal(u1, u2, max_entangled(d))
         seq = sequential_distribution(psi, 2, 1, n, m)
-        full = outcome_distribution(psi, 2, 1, d, m).probs
+        full = outcome_distribution(psi, 2, 1, d, m)
         assert np.max(np.abs(seq - full)) < ATOL
 
 
@@ -301,4 +301,4 @@ def test_every_cache_is_bounded():
             if callable(getattr(value, "cache_info", None)):
                 cached.append(name)
                 assert value.cache_info().maxsize is not None, f"{info.name}.{name} is unbounded"
-    assert "_basis_matrix" in cached
+    assert "basis" in cached

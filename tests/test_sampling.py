@@ -3,7 +3,7 @@ import pytest
 
 from bellcheck.bell import (
     bell_value_gamma,
-    collect_distributions,
+    branch_laws,
     normalized_bell_from_probabilities,
     protocol_branches,
 )
@@ -75,15 +75,15 @@ class TestSampleRound:
         d, m = 4, 2
         psi = max_entangled(d)
         sampler = RoundSampler(psi, d, m)
-        r, i, u = draw_table(133, 100_000, m)
-        mean = float(sampler.evaluate(r, i, u).mean())
+        branch, u = draw_table(133, 100_000, m)
+        mean = float(sampler.evaluate(branch, u).mean())
         assert abs(mean - 1.0) <= 0.01
 
     def test_unbiased_on_orthogonal_witness(self):
         psi = apply_bilocal(np.eye(2), SIGMA_Z, max_entangled(2))
         sampler = RoundSampler(psi, 2, 2)
-        r, i, u = draw_table(134, 100_000, 2)
-        mean = float(sampler.evaluate(r, i, u).mean())
+        branch, u = draw_table(134, 100_000, 2)
+        mean = float(sampler.evaluate(branch, u).mean())
         assert abs(mean) <= 0.01
 
     def test_mean_matches_probability_form(self):
@@ -93,10 +93,10 @@ class TestSampleRound:
         u1 = random_real_orthogonal(d, rng)
         u2 = random_real_orthogonal(d, rng)
         psi = apply_bilocal(u1, u2, max_entangled(d))
-        exact = normalized_bell_from_probabilities(collect_distributions(psi, d, m), d, m)
+        exact = normalized_bell_from_probabilities(branch_laws(psi, d, m), d, m)
         sampler = RoundSampler(psi, d, m)
-        r, i, u = draw_table(137, 200_000, m)
-        values = sampler.evaluate(r, i, u)
+        branch, u = draw_table(137, 200_000, m)
+        values = sampler.evaluate(branch, u)
         se = float(values.std(ddof=1) / np.sqrt(values.size))
         assert abs(float(values.mean()) - exact) <= 4 * se + 1e-6
 
@@ -132,8 +132,8 @@ class TestEstimateNormalizedBell:
         plan = ShotPlan(s=2000)
         report = estimate_normalized_bell(psi, 2, 2, plan, seed=7)
         sampler = RoundSampler(psi, 2, 2)
-        r, i, u = draw_table(7, plan.s, 2)
-        assert report.x == float(sampler.evaluate(r, i, u).mean())
+        branch, u = draw_table(7, plan.s, 2)
+        assert report.x == float(sampler.evaluate(branch, u).mean())
         assert report.distance_estimate == pytest.approx(np.sqrt(1 - min(1, max(0, report.x))))
 
     def test_schedule_independence(self):
@@ -141,9 +141,9 @@ class TestEstimateNormalizedBell:
         psi = max_entangled(4)
         m, s, seed = 2, 5000, 23
         sampler = RoundSampler(psi, 4, m)
-        r, i, u = draw_table(seed, s, m)
-        full = sampler.evaluate(r, i, u)
-        chunks = [sampler.evaluate(r[lo:hi], i[lo:hi], u[lo:hi])
+        branch, u = draw_table(seed, s, m)
+        full = sampler.evaluate(branch, u)
+        chunks = [sampler.evaluate(branch[lo:hi], u[lo:hi])
                   for lo, hi in [(0, 1234), (1234, 1235), (1235, 4000), (4000, s)]]
         assert np.array_equal(np.concatenate(chunks), full)
         report = estimate_normalized_bell(psi, 4, m, ShotPlan(s=s), seed)
@@ -207,16 +207,16 @@ class TestDrawTable:
         m, s, seed = 3, 200_000, 29
         full = draw_table(seed, s, m)
         short = draw_table(seed, k, m)
-        for col in range(3):
+        assert len(full) == len(short) == 2
+        for col in range(2):
             assert np.array_equal(full[col][:k], short[col])
 
     def test_ranges_and_branch_balance(self):
         m, s = 3, 120_000
-        r, i, u = draw_table(31, s, m)
-        assert set(np.unique(r)) == {0, 1}
-        assert set(np.unique(i)) == set(range(1, m + 1))
+        branch, u = draw_table(31, s, m)
+        assert set(np.unique(branch)) == set(range(2 * m))
         assert np.all((u >= 0.0) & (u < 1.0))
-        counts = np.bincount((i - 1) * 2 + r, minlength=2 * m)
+        counts = np.bincount(branch, minlength=2 * m)
         expected = s / (2 * m)
         assert np.all(np.abs(counts - expected) < 5 * np.sqrt(expected))
 
@@ -230,8 +230,13 @@ def class_law(psi, branch, d, m):
     """Exact class law from the d x d outcome grid, independently of the sampler."""
     outcomes = np.arange(d)
     classes = branch.score_class(outcomes[:, None], outcomes).ravel()
-    probs = outcome_distribution(psi, *branch.pair, d, m).probs.ravel()
+    probs = outcome_distribution(psi, *branch.pair, d, m).ravel()
     return np.bincount(classes, weights=probs, minlength=d)
+
+
+def wrapped_eigenstate(d, m):
+    """Outcome eigenstate of the wrapped pair (1, m): its class law is a point mass."""
+    return np.kron(basis(d, m, 1, ALICE)[:, 1], basis(d, m, m, BOB)[:, 0])
 
 
 class TestAliasTables:
@@ -249,17 +254,31 @@ class TestAliasTables:
     def test_each_branch_reproduces_its_class_law(self, d):
         m = 3
         rng = RngStream(153, d)
-        # an outcome eigenstate of the wrapped pair (1, m): its class law is a point mass
-        eigen = np.kron(basis(d, m, 1, ALICE).vector(1), basis(d, m, m, BOB).vector(0))
+        eigen = wrapped_eigenstate(d, m)
         branches = protocol_branches(d, m)
         for psi in (random_state(d, rng), max_entangled(d), eigen):
             sampler = RoundSampler(psi, d, m)
             for n, branch in enumerate(branches):
                 cells = slice(n * d, (n + 1) * d)
-                got = alias_class_probs(sampler._prob[cells], sampler._alias[cells] - n * d, d)
+                got = alias_class_probs(sampler._prob[cells], sampler._alias[cells], d)
                 assert np.max(np.abs(got - class_law(psi, branch, d, m))) < 1e-12
         wrapped_law = class_law(eigen, branches[-1], d, m)
         assert np.isclose(wrapped_law.max(), 1.0) and np.sum(wrapped_law < 1e-20) == d - 1
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("d", [2, 4, 16, 64])
+    def test_expected_round_value_is_exact(self, d, m):
+        # a round picks each of the 2m * d cells with probability 1/(2m d), then keeps
+        # the column's class with probability prob[cell], else takes its alias
+        rng = RngStream(156, 10 * d + m)
+        for psi in (random_state(d, rng), max_entangled(d), wrapped_eigenstate(d, m)):
+            sampler = RoundSampler(psi, d, m)
+            cols = np.tile(np.arange(d), 2 * m)
+            prob, scores = sampler._prob, sampler._scores
+            expected = float(np.mean(prob * scores[cols] + (1.0 - prob) * scores[sampler._alias]))
+            from_laws = normalized_bell_from_probabilities(branch_laws(psi, d, m), d, m)
+            assert abs(expected - from_laws) < 1e-12
+            assert abs(expected - exact_normalized_value(psi, d, m)) < 1e-12
 
     def test_evaluate_reads_column_then_coin(self):
         # u = (c + coin) / d keeps class c exactly when coin < prob[c]
@@ -267,14 +286,13 @@ class TestAliasTables:
         psi = random_state(d, RngStream(154))
         sampler = RoundSampler(psi, d, m)
         for n in range(2 * m):
-            r, i = n % 2, n // 2 + 1
             for c in range(d):
                 cell = n * d + c
                 for coin in (0.0, 0.999999):
                     u = np.array([(c + coin) / d])
-                    want_cell = cell if coin < sampler._prob[cell] else sampler._alias[cell]
-                    got = sampler.evaluate(np.array([r]), np.array([i]), u)
-                    assert got[0] == sampler._scores[want_cell]
+                    want = c if coin < sampler._prob[cell] else sampler._alias[cell]
+                    got = sampler.evaluate(np.array([n]), u)
+                    assert got[0] == sampler._scores[want]
 
 
 class TestInequivalentCoverage:

@@ -6,7 +6,6 @@ from scipy import stats
 from bellcheck.tensor import (
     RngStream,
     apply_bilocal,
-    inner,
     max_entangled,
     random_real_orthogonal,
     random_real_unit_vector,
@@ -83,6 +82,16 @@ class TestApplyBilocal:
             v = random_real_orthogonal(d, rng)
             assert abs(np.linalg.norm(apply_bilocal(u, v, phi)) - 1.0) < ATOL
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_trace_identity(self, d):
+        # <Phi| (I x M) |Phi> == Tr(M)/d
+        rng = RngStream(42, d)
+        phi = max_entangled(d)
+        for _ in range(10):
+            m = random_complex_matrix(d, rng)
+            lhs = np.vdot(phi, apply_bilocal(np.eye(d), m, phi))
+            assert abs(lhs - np.trace(m) / d) < 1e-10
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             apply_bilocal(np.eye(2), np.eye(3), max_entangled(2))
@@ -151,38 +160,6 @@ class TestRandomUnitVector:
         mean = total / n
         # per-coordinate variance is 1/dim, so SE of the mean is 1/sqrt(dim*n)
         assert np.max(np.abs(mean)) < 5.0 / np.sqrt(dim * n)
-
-
-class TestInner:
-    def test_self_inner_is_one(self):
-        rng = RngStream(41)
-        psi = random_complex_matrix(3, rng).reshape(-1)
-        psi /= np.linalg.norm(psi)
-        assert abs(inner(psi, psi) - 1.0) < 1e-12
-
-    def test_orthogonal_basis_vectors(self):
-        e0 = np.array([1, 0, 0, 0], dtype=complex)
-        e1 = np.array([0, 1, 0, 0], dtype=complex)
-        assert inner(e0, e1) == 0
-
-    def test_conjugation_on_first_argument(self):
-        a = np.array([1j, 0.0])
-        b = np.array([1.0, 0.0])
-        assert inner(a, b) == pytest.approx(-1j)
-
-    @pytest.mark.parametrize("d", [2, 4, 8])
-    def test_trace_identity(self, d):
-        # <Phi| (I x M) |Phi> == Tr(M)/d
-        rng = RngStream(42, d)
-        phi = max_entangled(d)
-        for _ in range(10):
-            m = random_complex_matrix(d, rng)
-            lhs = inner(phi, apply_bilocal(np.eye(d), m, phi))
-            assert abs(lhs - np.trace(m) / d) < 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            inner(np.zeros(2), np.zeros(3))
 
 
 class TestRngStream:
