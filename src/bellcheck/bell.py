@@ -5,10 +5,10 @@ laws, CHSH quantities, and the analytic envelope and concentration bounds.
 All three routes agree on any normalized state: the operator form sums
 <A_i^l (x) conj(A_i^l)> over settings i and powers l, which collapses to
 one basis change per setting, O(m d^3); the diagonal-sum form evaluates
-the same quantity in O(d^2) from the coefficient grid; the probability form
-averages the expected round value over the class-law table of
-``branch_laws``.  They are tied together by V = d*m*I' - m, where I' in
-[0, 1] is the normalized value.
+it in O(R d) from R stored rows of the wrap-diagonal layout; the probability
+form averages the expected round value over the class-law table of
+``branch_laws``, read from the same layout.  They are tied together by
+V = d*m*I' - m, where I' in [0, 1] is the normalized value.
 
 A protocol round picks one branch index n in 0..2m-1, in
 ``protocol_branches`` order: n = 2(i - 1) + r for setting i in 1..m and
@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import ALICE, basis, chsh_observables, difference_distributions
+from .measurement import (
+    ALICE, WrapDiagonals, basis, chsh_observables, difference_distributions, wrap_diagonals,
+)
 from .tensor import RngStream, check_params, check_state, random_real_unit_vector
 
 
@@ -44,23 +46,18 @@ def bell_value_operator(psi: np.ndarray, d: int, m: int) -> float:
     return total
 
 
-def bell_value_gamma(psi: np.ndarray, d: int, m: int) -> float:
-    """Bell value from wrap-diagonal sums of the coefficient grid, in O(d^2).
+def bell_value_gamma(psi: np.ndarray | WrapDiagonals, d: int, m: int) -> float:
+    """Bell value from wrap-diagonal sums of the coefficient grid, in O(R d).
 
-    V = m * sum_r (|sum of the r-th upper diagonal|^2
-                   + |sum of the (r-d)-th wrapped diagonal|^2) - m.
+    psi is a dense state (R = d) or a ``WrapDiagonals`` layout of R rows.
+    V = m * sum over rows of (|sum of its upper entries|^2
+                              + |sum of its wrapped entries|^2) - m.
     """
     check_params(d, m)
-    psi = check_state(psi, d)
-    grid = psi.reshape(d, d)
-    total = 0.0
-    for r in range(d):
-        upper = grid.diagonal(r).sum()
-        total += abs(upper) ** 2
-        if r > 0:
-            wrapped = grid.diagonal(r - d).sum()
-            total += abs(wrapped) ** 2
-    return float(m * total - m)
+    layout, wrapped = wrap_diagonals(psi, d)
+    upper = np.where(wrapped, 0, layout.rows).sum(axis=1)
+    lower = np.where(wrapped, layout.rows, 0).sum(axis=1)
+    return float(m * (np.sum(np.abs(upper) ** 2) + np.sum(np.abs(lower) ** 2)) - m)
 
 
 def alpha_table(d: int, m: int) -> np.ndarray:
@@ -121,7 +118,7 @@ def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
     return tuple(branches)
 
 
-def branch_laws(psi: np.ndarray, d: int, m: int) -> np.ndarray:
+def branch_laws(psi: np.ndarray | WrapDiagonals, d: int, m: int) -> np.ndarray:
     """(2m, d) table: row n is the law of ``protocol_branches(d, m)[n]``'s score class.
 
     Each row permutes the branch's difference distribution

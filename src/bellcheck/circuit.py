@@ -1,5 +1,5 @@
 """Gate-list circuits over a real gate set, a line-oriented text format,
-unitary synthesis, and the ancilla-doubling embedding.
+unitary synthesis, the ancilla-doubling embedding and the embedded pair.
 
 Bit convention: qubit 0 is the most significant bit of the basis-state
 index, so an n-qubit basis index reads b(0) b(1) ... b(n-1) left to right.
@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .measurement import WrapDiagonals
 
 _S = 1.0 / np.sqrt(2.0)
 
@@ -59,7 +61,6 @@ class Gate:
 class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...] = ()
-    label: str = ""
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -79,7 +80,7 @@ class Circuit:
                 )
 
 
-def parse_circuit(text: str, label: str = "") -> Circuit:
+def parse_circuit(text: str) -> Circuit:
     """Parse line-oriented circuit source.
 
     Grammar: optional ``#`` comments anywhere; first meaningful line is
@@ -129,7 +130,7 @@ def parse_circuit(text: str, label: str = "") -> Circuit:
         gates.append(Gate(kind, targets))
     if n_qubits is None:
         raise CircuitParseError("missing 'qubits <n>' header", max(last_line, 1))
-    return Circuit(n_qubits=n_qubits, gates=tuple(gates), label=label)
+    return Circuit(n_qubits=n_qubits, gates=tuple(gates))
 
 
 def _apply_gate(mat: np.ndarray, gate: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
@@ -191,13 +192,14 @@ def embed_double(u: np.ndarray) -> np.ndarray:
     return _cz_signs(n)[:, None] * np.kron(u, np.eye(1 << n))
 
 
-def embedded_pair_state(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """The embedded pair applied to the maximally entangled state, in O(16^n).
+def embedded_pair_state(u1: np.ndarray, u2: np.ndarray) -> WrapDiagonals:
+    """The embedded pair applied to the maximally entangled state, in O(8^n).
 
     Equals ``apply_bilocal(embed_double(u1), embed_double(u2), max_entangled(d))``
-    with d = 4^n.  Since embed_double(U) = diag(c) (U (x) I), with c the CZ
-    signs, the coefficient grid is diag(c) (U1 U2^T (x) I) diag(c) / sqrt(d):
-    only the 2^n x 2^n product U1 U2^T is multiplied.  Exact for complex U.
+    with d = 4^n, as its wrap-diagonal layout.  As embed_double(U) = diag(c) (U (x) I),
+    with c the CZ signs, the grid is diag(c) (W (x) I) diag(c), W = U1 U2^T / 2^n: only
+    the 2^n diagonals at offsets t * 2^n are nonzero, and row t at index p * 2^n + q
+    is c[p, q] * c[p + t, q] * W[p, p + t], indices mod 2^n.  Exact for complex U.
     """
     u1 = np.asarray(u1)
     u2 = np.asarray(u2)
@@ -205,8 +207,8 @@ def embedded_pair_state(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     if u2.shape != u1.shape:
         raise ValueError(f"dimension mismatch: {u1.shape} vs {u2.shape}")
     dim = 1 << n
-    signs = _cz_signs(n)
-    grid = np.kron(u1 @ u2.T / dim, np.eye(dim))  # sqrt(d) = dim
-    grid *= signs[:, None]
-    grid *= signs
-    return grid.reshape(-1)
+    w = u1 @ u2.T / dim  # sqrt(d) = dim
+    c = _cz_signs(n).reshape(dim, dim)
+    p = np.arange(dim)
+    shifted = (p[:, None] + p) % dim  # [t, p] -> p + t
+    return WrapDiagonals(p * dim, (c * c[shifted] * w[p, shifted][:, :, None]).reshape(dim, -1))

@@ -63,7 +63,7 @@ def _load_circuit(path: str) -> Circuit:
     except OSError as exc:
         raise ValueError(f"cannot read circuit file {path}: {exc}") from None
     try:
-        return parse_circuit(text, label=str(path))
+        return parse_circuit(text)
     except CircuitParseError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -92,23 +92,17 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _refuse_oversized(n: int, mode: str, s: int = 0) -> None:
-    """Refuse a comparison whose dense arrays cannot fit in physical memory.
+    """Refuse a comparison whose largest arrays cannot fit in physical memory.
 
-    The estimate counts only the largest arrays of each mode: raw holds two
-    2^n x 2^n unitaries and a 4^n-amplitude state, embedded a
-    16^n-amplitude state.  Sampled adds the FFT work arrays of the
-    difference distributions (a doubled coefficient grid, its transform and
-    the squared moduli: 4 complex values per amplitude) and, per round, the
-    draws (two uniforms and the branch index) and the evaluation
-    temporaries: at most 80 bytes.
+    Raw holds two 2^n x 2^n unitaries and a 4^n-amplitude state.  Embedded
+    holds the 8^n-entry layout of the embedded pair and its working copies,
+    traced at 2.6 complex values per entry for gamma and 4.7 for the sampled
+    class laws (counted as 3 and 5); sampled adds at most 80 bytes per round
+    for the draws (two uniforms and the branch index) and the evaluation.
     """
     complex_bytes, round_bytes = 16, 80
-    if mode == "raw":
-        need = complex_bytes * 3 * 4**n
-    else:
-        need = complex_bytes * 16**n
-        if mode == "sampled":
-            need += complex_bytes * 4 * 16**n + round_bytes * s
+    per_mode = {"raw": 3 * 4**n, "embedded": 3 * 8**n, "sampled": 5 * 8**n}
+    need = complex_bytes * per_mode[mode] + round_bytes * s
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
         rounds = f" of {s} rounds" if mode == "sampled" else ""
@@ -166,24 +160,24 @@ def cmd_compare_sampled(args: argparse.Namespace) -> int:
         if args.epsilon is None or args.delta is None:
             raise ValueError("need --shots, or both --epsilon and --delta")
         plan = plan_shots(args.epsilon, args.delta)
-        print(f"planned shots: s = {plan.s} (epsilon={_fmt(plan.epsilon)}, delta={_fmt(plan.delta)})")
+        print(f"planned shots: s = {plan.s} (epsilon={_fmt(args.epsilon)}, delta={_fmt(args.delta)})")
     seed = _resolve_seed(args)
     _refuse_oversized(c1.n_qubits, "sampled", plan.s)
     u1 = circuit_unitary(c1)
     u2 = circuit_unitary(c2)
     report = estimate_distance(u1, u2, args.m, plan, seed)
     print(f"circuits: {args.circuit_a} vs {args.circuit_b} ({c1.n_qubits} qubit(s))")
-    print(f"mode = embedded, d = {report.d}, m = {report.m}")
+    print(f"mode = embedded, d = {4**c1.n_qubits}, m = {args.m}")
     print(f"s = {report.s}")
-    print(f"seed = {report.seed}")
+    print(f"seed = {seed}")
     print(f"X = {_fmt(report.x)}")
     print(f"distance_estimate = {_fmt(report.distance_estimate)}")
     tallies = ", ".join(f"{k}={v}" for k, v in report.setting_tallies.items())
     print(f"setting_tallies: {tallies}")
     if args.out:
         row = [
-            args.circuit_a, args.circuit_b, "embedded", report.d, report.m,
-            report.s, report.seed, "", report.x, report.distance_estimate,
+            args.circuit_a, args.circuit_b, "embedded", 4**c1.n_qubits, args.m,
+            report.s, seed, "", report.x, report.distance_estimate,
             "", "", "",
         ]
         _write_csv(args.out, COMPARE_HEADER, [row])

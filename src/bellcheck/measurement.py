@@ -1,7 +1,7 @@
 """Measurement bases that witness maximal Bell violation on the maximally
-entangled state, their observable powers, outcome distributions and their
-outcome-difference marginals, CHSH observables, and the single-qubit
-product decomposition with its sequential qubit-by-qubit readout.
+entangled state, their observable powers and outcome distributions, the
+wrap-diagonal layout of a state with its outcome-difference marginals, CHSH
+observables, and the single-qubit product decomposition with its readout.
 
 Alice's setting-x basis vector for outcome a has amplitude
 exp(+2*pi*i*k*(a - alpha_x)/d)/sqrt(d) at k with alpha_x = (x - 1/2)/m;
@@ -10,13 +10,13 @@ Bob's uses the opposite phase sign with beta_y = y/m.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .tensor import check_state
+from .tensor import TOL, check_state
 
 ALICE = "alice"
 BOB = "bob"
@@ -78,34 +78,56 @@ def outcome_distribution(psi: np.ndarray, x: int, y: int, d: int, m: int) -> np.
     return probs
 
 
-def difference_distributions(
-    psi: np.ndarray, pairs: Sequence[tuple[int, int]], d: int, m: int
-) -> np.ndarray:
-    """P((a - b) mod d = c | x, y) for each setting pair, in O(d^2 log d) per pair.
+@dataclass(frozen=True, eq=False)
+class WrapDiagonals:
+    """A d x d coefficient grid by its wrap diagonals: rows[i, k] is
+    grid[k, (k + offsets[i]) mod d], and every unlisted diagonal is zero."""
 
-    Row p is the distribution over c for ``pairs[p]``; the d x d outcome grid
-    is never formed.  With j = (k + r) mod d, the amplitude of (a, b) is
-    sum_r exp(2*pi*i*r*(b - beta)/d) F[r, (a - b) mod d] / d, where F is the
-    DFT along k of the wrap-diagonal layout grid[k, (k + r) mod d], times
-    the ramp exp(2*pi*i*k*(alpha - beta)/d) and, on wrapped entries,
-    exp(2*pi*i*beta).  Parseval over b then gives q[c] = sum_r |F[r, c]|^2 / d.
+    offsets: np.ndarray  # (R,) distinct integers in 0..d-1
+    rows: np.ndarray  # (R, d)
+
+
+def wrap_diagonals(state: np.ndarray | WrapDiagonals, d: int) -> tuple[WrapDiagonals, np.ndarray]:
+    """The checked layout of a dense state (all d rows) or of a layout, and its wrapped mask."""
+    k = np.arange(d)
+    if isinstance(state, WrapDiagonals):
+        offsets = np.asarray(state.offsets)
+        rows = np.asarray(state.rows, dtype=complex)
+        if (offsets.ndim != 1 or offsets.dtype.kind not in "iu" or rows.shape != (offsets.size, d)
+                or len({r for r in offsets.tolist() if 0 <= r < d}) != offsets.size):
+            raise ValueError(f"layout needs (R, {d}) rows for R distinct offsets in 0..{d - 1}")
+        if abs(np.linalg.norm(rows) - 1.0) > TOL:
+            raise ValueError("state is not normalized")
+        layout = WrapDiagonals(offsets, rows)
+    else:
+        grid = check_state(state, d).reshape(d, d)
+        layout = WrapDiagonals(k, grid[k, (k[:, None] + k) % d])
+    return layout, layout.offsets[:, None] + k >= d
+
+
+def difference_distributions(
+    psi: np.ndarray | WrapDiagonals, pairs: Sequence[tuple[int, int]], d: int, m: int
+) -> np.ndarray:
+    """P((a - b) mod d = c | x, y) for each setting pair, in O(R d log d) per pair.
+
+    psi is a dense state or a layout of R rows; row p of the result is for
+    ``pairs[p]``, and no d x d outcome grid is formed.  With j = (k + r) mod d,
+    the amplitude of (a, b) is sum_r exp(2*pi*i*r*(b - beta)/d) F[r, (a - b) mod d] / d,
+    where F is the DFT along k of the layout row of offset r, times the ramp
+    exp(2*pi*i*k*(alpha - beta)/d) and, on wrapped entries, exp(2*pi*i*beta).
+    Parseval over b then gives q[c] = sum_r |F[r, c]|^2 / d.
     """
-    psi = check_state(psi, d)
-    grid = psi.reshape(d, d)
-    k = np.arange(d)[:, None]
-    # ext[k, k + r] is grid[k, (k + r) mod d], from the second copy when wrapped
-    ext = np.empty((d, 2 * d), dtype=complex)
-    row_step, col_step = ext.strides
-    wrap_diagonals = as_strided(ext, shape=(d, d), strides=(col_step, row_step + col_step))
+    layout, wrapped = wrap_diagonals(psi, d)
+    k = np.arange(d)
     out = np.empty((len(pairs), d))
     for p, (x, y) in enumerate(pairs):
         _check_setting(m, x)
         _check_setting(m, y)
         alpha, _ = _phase_params(ALICE, m, x)
         beta, _ = _phase_params(BOB, m, y)
-        np.multiply(grid, np.exp(2j * np.pi * k * (alpha - beta) / d), out=ext[:, :d])
-        np.multiply(ext[:, :d], np.exp(2j * np.pi * beta), out=ext[:, d:])
-        f = np.fft.fft(wrap_diagonals, axis=1)
+        ramped = layout.rows * np.exp(2j * np.pi * k * (alpha - beta) / d)
+        ramped[wrapped] *= np.exp(2j * np.pi * beta)
+        f = np.fft.fft(ramped, axis=1)
         out[p] = (f.real**2 + f.imag**2).sum(axis=0) / d
     return out
 

@@ -26,16 +26,15 @@ import numpy as np
 from .bell import branch_laws, protocol_branches
 from .circuit import embedded_pair_state
 from .distance import normalized_to_distance
+from .measurement import WrapDiagonals
 from .tensor import RngStream
 
 
 @dataclass(frozen=True)
 class ShotPlan:
-    """Shot budget, optionally carrying the accuracy target that produced it."""
+    """Shot budget: the number s of protocol rounds."""
 
     s: int
-    epsilon: float | None = None
-    delta: float | None = None
 
     def __post_init__(self):
         if self.s < 1:
@@ -56,7 +55,7 @@ def plan_shots(epsilon: float, delta: float) -> ShotPlan:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     s = math.floor(8.0 * math.log(1.0 / delta) / epsilon**2) + 1
-    return ShotPlan(s=s, epsilon=epsilon, delta=delta)
+    return ShotPlan(s=s)
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,6 @@ class EstimationReport:
     s: int
     x: float
     distance_estimate: float
-    epsilon: float | None
-    delta: float | None
-    seed: int
-    d: int
-    m: int
     setting_tallies: dict[str, int] = field(default_factory=dict)
 
 
@@ -82,7 +76,7 @@ class RoundSampler:
     entries, whatever the number of rounds.
     """
 
-    def __init__(self, psi: np.ndarray, d: int, m: int):
+    def __init__(self, psi: np.ndarray | WrapDiagonals, d: int, m: int):
         branches = protocol_branches(d, m)
         self.d = d
         self.labels = [b.label for b in branches]
@@ -152,9 +146,9 @@ def draw_table(seed: int, s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_normalized_bell(
-    psi: np.ndarray, d: int, m: int, plan: ShotPlan, seed: int
+    psi: np.ndarray | WrapDiagonals, d: int, m: int, plan: ShotPlan, seed: int
 ) -> EstimationReport:
-    """Run plan.s rounds and report the mean X with its accuracy certificate.
+    """Run plan.s rounds and report their mean X.
 
     X itself is never clamped (keeping it unbiased); only the derived
     distance estimate clamps into [0, 1].
@@ -168,11 +162,6 @@ def estimate_normalized_bell(
         s=plan.s,
         x=x,
         distance_estimate=normalized_to_distance(x),
-        epsilon=plan.epsilon,
-        delta=plan.delta,
-        seed=int(seed),
-        d=d,
-        m=m,
         setting_tallies=sampler.tally(branch),
     )
 
@@ -188,5 +177,4 @@ def estimate_distance(
     to a function of the distance alone.
     """
     psi = embedded_pair_state(u1, u2)
-    d = np.asarray(u1).shape[0] ** 2
-    return estimate_normalized_bell(psi, d, m, plan, seed)
+    return estimate_normalized_bell(psi, psi.rows.shape[1], m, plan, seed)

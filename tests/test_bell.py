@@ -18,10 +18,12 @@ from bellcheck.bell import (
 from bellcheck.measurement import (
     ALICE,
     BOB,
+    WrapDiagonals,
     observable_power,
     outcome_distribution,
+    wrap_diagonals,
 )
-from bellcheck.circuit import embedded_pair_state
+from bellcheck.circuit import embed_double, embedded_pair_state
 from bellcheck.tensor import (
     RngStream,
     apply_bilocal,
@@ -76,8 +78,9 @@ class TestBellValueOperator:
         d, m = 256, 2
         u1 = random_real_orthogonal(16, rng)
         u2 = random_real_orthogonal(16, rng)
-        psi = embedded_pair_state(u1, u2)
-        assert abs(bell_value_operator(psi, d, m) - bell_value_gamma(psi, d, m)) < ATOL
+        dense = apply_bilocal(embed_double(u1), embed_double(u2), max_entangled(d))
+        layout = embedded_pair_state(u1, u2)
+        assert abs(bell_value_operator(dense, d, m) - bell_value_gamma(layout, d, m)) < ATOL
 
     @pytest.mark.parametrize("d,m", [(2, 2), (4, 2), (4, 3), (8, 2)])
     def test_entangled_state_reaches_ceiling(self, d, m):
@@ -134,6 +137,65 @@ class TestBellValueGamma:
             psi = random_real_unit_vector(d * d, rng).astype(complex)
             v = bell_value_gamma(psi, d, m)
             assert -m - ATOL <= v <= m * (d - 1) + ATOL
+
+
+def class_histograms(psi, d, m):
+    """Independent oracle for ``branch_laws``: score-class histograms of the outcome grids."""
+    outcomes = np.arange(d)
+    rows = []
+    for branch in protocol_branches(d, m):
+        classes = branch.score_class(outcomes[:, None], outcomes)
+        probs = outcome_distribution(psi, *branch.pair, d, m)
+        rows.append(np.bincount(classes.ravel(), weights=probs.ravel(), minlength=d))
+    return np.array(rows)
+
+
+class TestWrapDiagonalLayout:
+    """Gamma and the class laws read from a layout agree with the dense state."""
+
+    @pytest.mark.parametrize("d", [2, 4, 16, 64])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_dense_state_layout(self, d, m):
+        psi = random_state(d * d, RngStream(108, d * 10 + m))
+        layout, _ = wrap_diagonals(psi, d)
+        v = bell_value_gamma(layout, d, m)
+        assert abs(v - oracle_wrap_sum_value(psi, d, m)) < 1e-12
+        assert abs(v - bell_value_gamma(psi, d, m)) < 1e-12
+        want = class_histograms(psi, d, m)
+        assert np.max(np.abs(branch_laws(layout, d, m) - want)) < 1e-12
+        assert np.max(np.abs(branch_laws(psi, d, m) - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_embedded_pair_layout(self, n, m):
+        rng = RngStream(109, n * 10 + m)
+        dim = 2**n
+        d = dim * dim
+        u1 = random_real_orthogonal(dim, rng)
+        u2 = random_real_orthogonal(dim, rng)
+        dense = apply_bilocal(embed_double(u1), embed_double(u2), max_entangled(d))
+        layout = embedded_pair_state(u1, u2)
+        assert abs(bell_value_gamma(layout, d, m) - bell_value_gamma(dense, d, m)) < 1e-12
+        want = class_histograms(dense, d, m)
+        assert np.max(np.abs(branch_laws(layout, d, m) - want)) < 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_unlisted_diagonals_read_as_zero(self, m):
+        # a layout listing offsets out of order equals the dense grid with every other
+        # wrap diagonal cleared
+        d = 8
+        offsets = np.array([5, 0, 3])
+        full, _ = wrap_diagonals(random_state(d * d, RngStream(110, m)), d)
+        rows = full.rows[offsets] / np.linalg.norm(full.rows[offsets])
+        k = np.arange(d)
+        grid = np.zeros((d, d), dtype=complex)
+        grid[k, (offsets[:, None] + k) % d] = rows
+        layout = WrapDiagonals(offsets, rows)
+        dense = grid.reshape(-1)
+        assert abs(bell_value_gamma(layout, d, m) - oracle_wrap_sum_value(dense, d, m)) < 1e-12
+        assert abs(bell_value_gamma(layout, d, m) - bell_value_operator(dense, d, m)) < ATOL
+        want = class_histograms(dense, d, m)
+        assert np.max(np.abs(branch_laws(layout, d, m) - want)) < 1e-12
 
 
 class TestProtocolBranches:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from bellcheck.circuit import (
     GATE_ARITY,
@@ -15,6 +15,7 @@ from bellcheck.circuit import (
     embedded_pair_state,
     parse_circuit,
 )
+from bellcheck.measurement import wrap_diagonals
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
 
 ATOL = 1e-9
@@ -219,13 +220,20 @@ class TestEmbeddedPairState:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("draw", [random_real_orthogonal, random_unitary])
     def test_matches_embed_then_apply(self, n, draw):
+        # the layout holds the dense oracle's diagonals at offsets t * 2^n; the rest are zero
         rng = RngStream(64, n)
         dim = 2**n
+        d = dim * dim
         for _ in range(3):
             u1 = draw(dim, rng)
             u2 = draw(dim, rng)
-            want = apply_bilocal(embed_double(u1), embed_double(u2), max_entangled(dim * dim))
-            assert_allclose(embedded_pair_state(u1, u2), want, rtol=0, atol=1e-12)
+            dense = apply_bilocal(embed_double(u1), embed_double(u2), max_entangled(d))
+            want, _ = wrap_diagonals(dense, d)
+            got = embedded_pair_state(u1, u2)
+            assert_array_equal(got.offsets, np.arange(dim) * dim)
+            assert_allclose(got.rows, want.rows[got.offsets], rtol=0, atol=1e-12)
+            omitted = np.setdiff1d(np.arange(d), got.offsets)
+            assert np.all(want.rows[omitted] == 0)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

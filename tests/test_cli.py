@@ -8,12 +8,29 @@ import pytest
 
 import bellcheck
 from bellcheck.cli import _fig3_point, main
+from bellcheck.circuit import circuit_unitary, parse_circuit
 from bellcheck.distance import circuit_distance
 
 HADAMARD = "qubits 1\nH 0\n"
 PAULI_Z = "qubits 1\nZ 0\n"
 # trailing Z X Z X block realizes a -I factor: a pure global sign
 HADAMARD_SIGNED = "qubits 1\nH 0\nZ 0\nX 0\nZ 0\nX 0\n"
+
+
+def wide_pair(tmp_path, n):
+    """Two n-qubit circuit files that differ by one trailing CX, and their distance."""
+    body = f"qubits {n}\nH 0\nCX 0 1\nH 2\nTOFFOLI 0 2 3\nSWAP 1 {n - 1}\nCX 3 4\n"
+    a, b = tmp_path / "a.qc", tmp_path / "b.qc"
+    a.write_text(body)
+    b.write_text(body + f"CX 2 {n - 1}\n")
+    dist = circuit_distance(circuit_unitary(parse_circuit(a.read_text())),
+                            circuit_unitary(parse_circuit(b.read_text())))
+    return str(a), str(b), dist
+
+
+def read_value(out, name):
+    return float(next(line for line in out.splitlines()
+                      if line.startswith(f"{name} = ")).split("=")[1])
 
 
 @pytest.fixture
@@ -84,6 +101,17 @@ class TestCompareExact:
         d_line = next(line for line in out.splitlines() if line.startswith("D = "))
         assert float(d_line.split("=")[1]) == pytest.approx(np.sqrt(1 - 0.75**2), abs=1e-9)
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_embedded_wide_matches_circuit_distance(self, n, tmp_path, capsys):
+        # d = 4^n; the embedded pair is read from its 2^n nonzero wrap diagonals
+        a, b, dist = wide_pair(tmp_path, n)
+        assert 0.1 < dist < 0.9
+        rc = main(["compare-exact", a, b, "--embedded", "--m", "2"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert f"mode = embedded, d = {4**n}, m = 2" in out
+        assert read_value(out, "D") == pytest.approx(dist, abs=1e-9)
+
     def test_width_mismatch_usage_error(self, circuits, tmp_path, capsys):
         wide = tmp_path / "wide.qc"
         wide.write_text("qubits 2\nH 0\n")
@@ -138,6 +166,15 @@ class TestCompareSampled:
         main(args + ["--out", str(out2)])
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_embedded_n6_within_epsilon(self, tmp_path, capsys):
+        a, b, dist = wide_pair(tmp_path, 6)
+        rc = main(["compare-sampled", a, b, "--m", "2", "--epsilon", "0.05",
+                   "--delta", "0.05", "--seed", "6"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "mode = embedded, d = 4096, m = 2" in out
+        assert abs(read_value(out, "X") - (1 - dist**2)) < 0.05
 
     def test_shots_and_epsilon_conflict(self, circuits, capsys):
         rc = main(["compare-sampled", circuits["h"], circuits["z"], "--m", "2",

@@ -3,12 +3,13 @@ import pkgutil
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import bellcheck
 from bellcheck.measurement import (
     ALICE,
     BOB,
+    WrapDiagonals,
     basis,
     chsh_observables,
     difference_distributions,
@@ -16,6 +17,7 @@ from bellcheck.measurement import (
     outcome_distribution,
     product_factors,
     sequential_distribution,
+    wrap_diagonals,
 )
 from bellcheck.bell import protocol_branches
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
@@ -203,6 +205,41 @@ class TestDifferenceDistributions:
             difference_distributions(psi[:8], [(1, 1)], 4, 2)
         with pytest.raises(ValueError):
             difference_distributions(2 * psi, [(1, 1)], 4, 2)
+
+
+class TestWrapDiagonals:
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_dense_state_index_map(self, d):
+        psi = random_state(d * d, RngStream(152, d))
+        grid = psi.reshape(d, d)
+        layout, wrapped = wrap_diagonals(psi, d)
+        assert_array_equal(layout.offsets, np.arange(d))
+        for r in range(d):
+            for k in range(d):
+                assert layout.rows[r, k] == grid[k, (k + r) % d]
+                assert wrapped[r, k] == (k + r >= d)
+
+    def test_layout_passes_through(self):
+        d = 4
+        rows = np.zeros((2, d), dtype=complex)
+        rows[0, 0] = rows[1, 3] = np.sqrt(0.5)
+        layout, wrapped = wrap_diagonals(WrapDiagonals(np.array([3, 1]), rows), d)
+        assert_array_equal(layout.offsets, [3, 1])
+        assert_array_equal(layout.rows, rows)
+        assert_array_equal(wrapped, [[False, True, True, True], [False, False, False, True]])
+
+    def test_rejects_bad_layouts(self):
+        d = 4
+        rows = np.full((2, d), np.sqrt(1 / 8), dtype=complex)
+        for offsets in ([0, 0], [0, 4], [-1, 1], [0.0, 1.0], [[0, 1]]):
+            with pytest.raises(ValueError):
+                wrap_diagonals(WrapDiagonals(np.array(offsets), rows), d)
+        with pytest.raises(ValueError):
+            wrap_diagonals(WrapDiagonals(np.array([0, 1]), rows[:, :3]), d)
+        with pytest.raises(ValueError):
+            wrap_diagonals(WrapDiagonals(np.array([0, 1]), 2 * rows), d)
+        with pytest.raises(ValueError):
+            wrap_diagonals(max_entangled(4), 3)
 
 
 class TestChshObservables:

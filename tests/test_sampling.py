@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,6 @@ class TestPlanShots:
         # floor(800 * ln 20) + 1
         plan = plan_shots(0.1, 0.05)
         assert plan.s == 2397
-        assert plan.epsilon == 0.1 and plan.delta == 0.05
 
     def test_boundary_adjacent_small_budget(self):
         assert plan_shots(0.999, 0.5).s == 6
@@ -120,9 +121,6 @@ class TestEstimateNormalizedBell:
         psi = max_entangled(4)
         report = estimate_normalized_bell(psi, 4, 2, plan_shots(0.1, 0.05), seed=5)
         assert report.s == 2397
-        assert report.d == 4 and report.m == 2
-        assert report.epsilon == 0.1 and report.delta == 0.05
-        assert report.seed == 5
         assert sum(report.setting_tallies.values()) == report.s
         assert set(report.setting_tallies) == {"A1B1", "A2B1", "A2B2", "A3B2"}
         assert -2.0 <= report.x <= 2.0
@@ -161,7 +159,6 @@ class TestEstimateDistance:
         u = random_real_orthogonal(2, rng)
         report = estimate_distance(u, u, 2, ShotPlan(s=10_000), seed=9)
         assert report.distance_estimate <= 0.1
-        assert report.d == 4
 
     def test_planted_orthogonal_pair_reads_near_one(self):
         report = estimate_distance(np.eye(2), SIGMA_Z, 2, ShotPlan(s=10_000), seed=10)
@@ -293,6 +290,25 @@ class TestAliasTables:
                     want = c if coin < sampler._prob[cell] else sampler._alias[cell]
                     got = sampler.evaluate(np.array([n]), u)
                     assert got[0] == sampler._scores[want]
+
+
+@pytest.mark.parametrize("run", [
+    lambda psi: bell_value_gamma(psi, 256, 2),
+    lambda psi: RoundSampler(psi, 256, 3),
+], ids=["gamma", "sampler"])
+def test_embedded_n4_peak_memory_below_one_dense_grid(run):
+    # the 16^4-amplitude grid would take 1 MiB; the embedded pair never forms it
+    rng = RngStream(156)
+    u1 = random_real_orthogonal(16, rng)
+    u2 = random_real_orthogonal(16, rng)
+    run(embedded_pair_state(u1, u2))  # warm the caches of the first call
+    tracemalloc.start()
+    try:
+        run(embedded_pair_state(u1, u2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 16**4
 
 
 class TestInequivalentCoverage:
