@@ -24,7 +24,9 @@ import numpy as np
 from .measurement import (
     ALICE, WrapDiagonals, basis, chsh_observables, difference_distributions, wrap_diagonals,
 )
-from .tensor import RngStream, check_params, check_state, random_real_unit_vector
+from .tensor import (
+    RngStream, check_params, check_samples, check_state, random_real_unit_vector, sample_blocks,
+)
 
 
 def bell_value_operator(psi: np.ndarray, d: int, m: int) -> float:
@@ -46,18 +48,22 @@ def bell_value_operator(psi: np.ndarray, d: int, m: int) -> float:
     return total
 
 
-def bell_value_gamma(psi: np.ndarray | WrapDiagonals, d: int, m: int) -> float:
+def bell_value_gamma(psi: np.ndarray | WrapDiagonals, d: int, m: int) -> float | np.ndarray:
     """Bell value from wrap-diagonal sums of the coefficient grid, in O(R d).
 
-    psi is a dense state (R = d) or a ``WrapDiagonals`` layout of R rows.
+    psi is a dense state (R = d), a dense stack of states, shape (..., d*d),
+    or a ``WrapDiagonals`` layout of R rows.
     V = m * sum over rows of (|sum of its upper entries|^2
                               + |sum of its wrapped entries|^2) - m.
+    One state gives a float and a stack an array of shape (...), each
+    entry equal to that state's own value bit for bit.
     """
     check_params(d, m)
     layout, wrapped = wrap_diagonals(psi, d)
-    upper = np.where(wrapped, 0, layout.rows).sum(axis=1)
-    lower = np.where(wrapped, layout.rows, 0).sum(axis=1)
-    return float(m * (np.sum(np.abs(upper) ** 2) + np.sum(np.abs(lower) ** 2)) - m)
+    upper = np.where(wrapped, 0, layout.rows).sum(axis=-1)
+    lower = np.where(wrapped, layout.rows, 0).sum(axis=-1)
+    v = m * (np.sum(np.abs(upper) ** 2, axis=-1) + np.sum(np.abs(lower) ** 2, axis=-1)) - m
+    return float(v) if v.ndim == 0 else v
 
 
 def alpha_table(d: int, m: int) -> np.ndarray:
@@ -196,15 +202,17 @@ def lemma2_exceedance(
     """Empirical check of the random-state ceiling.
 
     Draws uniformly random real unit states, evaluates each Bell value, and
-    returns (bound, fraction exceeding it, all values).  The fraction should
+    returns (bound, fraction exceeding it, all values).  States are drawn
+    and evaluated in blocks of ``sample_blocks``, which read the stream in
+    order, so the values equal one-state-at-a-time draws bit for bit and
+    memory beyond ``values`` does not grow with ``samples``.  The fraction should
     not exceed delta beyond binomial noise.
     """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    check_samples(samples)
     bound = lemma2_bound(d, m, delta)
     values = np.empty(samples)
-    for idx in range(samples):
-        psi = random_real_unit_vector(d * d, rng).astype(complex)
-        values[idx] = bell_value_gamma(psi, d, m)
+    for start, stop in sample_blocks(samples, d * d):
+        psi = random_real_unit_vector(d * d, rng, (stop - start,)).astype(complex)
+        values[start:stop] = bell_value_gamma(psi, d, m)
     fraction = float(np.mean(values > bound))
     return bound, fraction, values

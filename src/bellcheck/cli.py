@@ -28,7 +28,9 @@ from .distance import (
 )
 from .sampling import ShotPlan, estimate_distance, plan_shots
 from .svgplot import emit_svg_scatter
-from .tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
+from .tensor import (
+    RngStream, apply_bilocal, check_samples, max_entangled, random_real_orthogonal, sample_blocks,
+)
 
 SEED_ENV_VAR = "BELLCHECK_SEED"
 EQUIVALENCE_GAP = 1e-6
@@ -185,20 +187,21 @@ def cmd_compare_sampled(args: argparse.Namespace) -> int:
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
+    check_samples(args.samples)
     seed = _resolve_seed(args)
     rng = RngStream(seed)
     d, m = 4, 2
     phi = max_entangled(d)
     rows = []
-    for pair_id in range(args.samples):
-        u1 = random_real_orthogonal(d, rng)
-        u2 = random_real_orthogonal(d, rng)
-        if args.include_equal_pair and pair_id == 0:
-            u2 = u1
-        psi = apply_bilocal(u1, u2, phi)
-        v = bell_value_gamma(psi, d, m)
+    for start, stop in sample_blocks(args.samples, d * d):
+        pairs = random_real_orthogonal(d, rng, (stop - start, 2))
+        u1, u2 = pairs[:, 0], pairs[:, 1]
+        if args.include_equal_pair and start == 0:
+            u2[0] = u1[0]
+        v = bell_value_gamma(apply_bilocal(u1, u2, phi), d, m)
         bounds = distance_bounds_from_v(v, d, m)
-        rows.append([pair_id, v, circuit_distance(u1, u2), bounds.lower, bounds.upper])
+        columns = zip(v, circuit_distance(u1, u2), bounds.lower, bounds.upper)
+        rows += [[start + j, *cells] for j, cells in enumerate(columns)]
     _write_csv(args.out, FIG1_HEADER, rows)
     print(f"wrote {args.samples} pairs to {args.out} (d={d}, m={m}, seed={seed})")
     return 0
@@ -214,6 +217,7 @@ def _fig3_point(seed: int, n: int, pair_id: int) -> tuple[np.ndarray, np.ndarray
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
+    check_samples(args.samples)
     seed = _resolve_seed(args)
     m = 2
     d = 4**args.n
@@ -228,7 +232,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         rows.append([pair_id, args.n, args.shots, v_hat, d_true, report.distance_estimate])
         errors.append(report.distance_estimate - d_true)
     _write_csv(args.out, FIG3_HEADER, rows)
-    rms = float(np.sqrt(np.mean(np.square(errors)))) if errors else 0.0
+    rms = float(np.sqrt(np.mean(np.square(errors))))
     print(
         f"wrote {args.samples} pairs to {args.out} "
         f"(n={args.n}, s={args.shots}, m={m}, seed={seed}, rms_error={_fmt(rms)})"
@@ -259,12 +263,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
         d, m = args.d, args.m
         vs = np.linspace(-m, m * (d - 1), 200)
         if args.overlay == "bounds":
-            bounds = [distance_bounds_from_v(v, d, m) for v in vs]
-            overlays = [("lower bound", vs, [b.lower for b in bounds]),
-                        ("upper bound", vs, [b.upper for b in bounds])]
+            bounds = distance_bounds_from_v(vs, d, m)
+            overlays = [("lower bound", vs, bounds.lower), ("upper bound", vs, bounds.upper)]
         else:
-            ds = [distance_from_embedded_v(v, d, m) for v in vs]
-            overlays = [("exact distance", vs, ds)]
+            overlays = [("exact distance", vs, distance_from_embedded_v(vs, d, m))]
     emit_svg_scatter(args.csv, args.x, args.y, args.out, overlays=overlays)
     print(f"wrote {args.out}")
     return 0

@@ -20,65 +20,71 @@ _RANGE_PAD = 1e-9
 
 @dataclass(frozen=True)
 class DistanceBounds:
-    lower: float
-    upper: float
+    lower: float | np.ndarray
+    upper: float | np.ndarray
 
 
-def circuit_distance(u1: np.ndarray, u2: np.ndarray) -> float:
-    """sqrt(1 - |Tr(U1^T U2)/d|^2); zero iff equal up to a global phase."""
+def circuit_distance(u1: np.ndarray, u2: np.ndarray) -> float | np.ndarray:
+    """sqrt(1 - |Tr(U1^T U2)/d|^2); zero iff equal up to a global phase.
+
+    Stacks of pairs, shape (..., d, d), give an array of shape (...).
+    """
     u1 = np.asarray(u1)
     u2 = np.asarray(u2)
-    if u1.ndim != 2 or u1.shape[0] != u1.shape[1]:
+    if u1.ndim < 2 or u1.shape[-1] != u1.shape[-2]:
         raise ValueError(f"U1 must be square, got shape {u1.shape}")
     if u2.shape != u1.shape:
         raise ValueError(f"dimension mismatch: {u1.shape} vs {u2.shape}")
-    d = u1.shape[0]
-    overlap = np.trace(u1.T @ u2) / d
-    return float(np.sqrt(np.clip(1.0 - abs(overlap) ** 2, 0.0, 1.0)))
+    d = u1.shape[-1]
+    overlap = np.trace(np.swapaxes(u1, -1, -2) @ u2, axis1=-2, axis2=-1) / d
+    return _clamped_sqrt(1.0 - abs(overlap) ** 2)
 
 
-def _check_v_range(v: float, d: int, m: int) -> None:
-    if not (-m - _RANGE_PAD <= v <= m * (d - 1) + _RANGE_PAD):
+def _check_v_range(v: np.ndarray, d: int, m: int) -> None:
+    inside = (-m - _RANGE_PAD <= v) & (v <= m * (d - 1) + _RANGE_PAD)
+    if not np.all(inside):
         raise ValueError(
-            f"Bell value {v} outside the physical range [{-m}, {m * (d - 1)}]"
+            f"Bell value {v[~inside][0]} outside the physical range [{-m}, {m * (d - 1)}]"
         )
 
 
-def _clamped_sqrt(radicand: float) -> float:
-    return float(np.sqrt(np.clip(radicand, 0.0, 1.0)))
+def _clamped_sqrt(radicand):
+    """sqrt of the radicand clamped to [0, 1]: a float for a scalar, else an array."""
+    root = np.sqrt(np.clip(radicand, 0.0, 1.0))
+    return float(root) if root.ndim == 0 else root
 
 
-def distance_bounds_from_v(v: float, d: int, m: int) -> DistanceBounds:
+def distance_bounds_from_v(v, d: int, m: int) -> DistanceBounds:
     """Sandwich bounds on the circuit distance implied by an exact Bell value.
 
     lower = sqrt(1 - (V + m)/(m d)), upper = sqrt(1 - (V - m(d-2))/m), with
     radicands clamped to [0, 1] so statistical estimates of V stay legal.
-    Both collapse to 0 exactly at the maximal value V = m(d-1).
+    Both collapse to 0 exactly at the maximal value V = m(d-1).  An array
+    of values gives arrays of bounds; any value out of range rejects it.
     """
     check_params(d, m)
-    v = float(v)
+    v = np.asarray(v, dtype=float)
     _check_v_range(v, d, m)
     lower = _clamped_sqrt(1.0 - (v + m) / (m * d))
     upper = _clamped_sqrt(1.0 - (v - m * (d - 2)) / m)
     return DistanceBounds(lower=lower, upper=upper)
 
 
-def distance_from_embedded_v(v: float, d: int, m: int) -> float:
+def distance_from_embedded_v(v, d: int, m: int) -> float | np.ndarray:
     """Exact distance sqrt(1 - (V + m)/(m d)) after the doubling embedding.
 
     Valid only for embedded comparisons, where d = 4^n.  A radicand below
-    d * eps is rounding residue of V, not a distance, and reads as 0.
+    d * eps is rounding residue of V, not a distance, and reads as 0.  An
+    array of values gives an array; any value out of range rejects it.
     """
     check_params(d, m)
     n2 = d.bit_length() - 1
     if (1 << n2) != d or n2 % 2 != 0:
         raise ValueError(f"embedded protocol dimension must be a power of 4, got {d}")
-    v = float(v)
+    v = np.asarray(v, dtype=float)
     _check_v_range(v, d, m)
     radicand = 1.0 - (v + m) / (m * d)
-    if radicand < d * np.finfo(float).eps:
-        return 0.0
-    return _clamped_sqrt(radicand)
+    return _clamped_sqrt(np.where(radicand < d * np.finfo(float).eps, 0.0, radicand))
 
 
 def normalized_to_distance(i_prime: float) -> float:

@@ -88,7 +88,11 @@ class WrapDiagonals:
 
 
 def wrap_diagonals(state: np.ndarray | WrapDiagonals, d: int) -> tuple[WrapDiagonals, np.ndarray]:
-    """The checked layout of a dense state (all d rows) or of a layout, and its wrapped mask."""
+    """The checked layout of a dense state (all d rows) or of a layout, and its wrapped mask.
+
+    A dense stack of states, shape (..., d*d), becomes one layout with rows
+    of shape (..., d, d); the (R, d) mask broadcasts against them.
+    """
     k = np.arange(d)
     if isinstance(state, WrapDiagonals):
         offsets = np.asarray(state.offsets)
@@ -100,8 +104,10 @@ def wrap_diagonals(state: np.ndarray | WrapDiagonals, d: int) -> tuple[WrapDiago
             raise ValueError("state is not normalized")
         layout = WrapDiagonals(offsets, rows)
     else:
-        grid = check_state(state, d).reshape(d, d)
-        layout = WrapDiagonals(k, grid[k, (k[:, None] + k) % d])
+        # one gather of grid[..., k, (k + r) mod d] = psi[..., k d + (k + r) mod d]
+        # into C-ordered rows, so each row sums in the same order stacked or alone
+        psi = check_state(state, d)
+        layout = WrapDiagonals(k, np.take(psi, k * d + (k[:, None] + k) % d, axis=-1))
     return layout, layout.offsets[:, None] + k >= d
 
 
@@ -118,6 +124,8 @@ def difference_distributions(
     Parseval over b then gives q[c] = sum_r |F[r, c]|^2 / d.
     """
     layout, wrapped = wrap_diagonals(psi, d)
+    if layout.rows.ndim != 2:
+        raise ValueError(f"need one state of {d * d} amplitudes, got shape {np.shape(psi)}")
     k = np.arange(d)
     out = np.empty((len(pairs), d))
     for p, (x, y) in enumerate(pairs):

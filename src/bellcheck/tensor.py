@@ -10,9 +10,15 @@ avoids materializing d^2 x d^2 matrices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TOL = 1e-9
+# Amplitudes per block of a batched figure run: one block's states and their
+# temporaries stay under about 1 MiB, so peak memory does not grow with the
+# sample count, while a block still holds hundreds of small samples.
+BLOCK_AMPLITUDES = 1 << 13
 
 
 def check_params(d: int, m: int) -> None:
@@ -21,14 +27,31 @@ def check_params(d: int, m: int) -> None:
         raise ValueError(f"need d >= 2 and m >= 2, got d={d}, m={m}")
 
 
+def check_samples(samples: int) -> None:
+    """Reject a sample count below one."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+
+
 def check_state(psi: np.ndarray, d: int) -> np.ndarray:
-    """A normalized d x d bipartite state as a complex array, or ValueError."""
+    """A normalized d x d bipartite state as a complex array, or ValueError.
+
+    Leading axes hold a stack of states, shape (..., d*d); every state in
+    the stack must be normalized.
+    """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (d * d,):
+    if psi.shape[-1:] != (d * d,):
         raise ValueError(f"state must have {d * d} amplitudes, got shape {psi.shape}")
-    if abs(np.linalg.norm(psi) - 1.0) > TOL:
+    if np.any(np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0) > TOL):
         raise ValueError("state is not normalized")
     return psi
+
+
+def sample_blocks(samples: int, amplitudes: int) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) ranges over ``samples`` items of ``amplitudes``
+    amplitudes each, at most ``BLOCK_AMPLITUDES`` amplitudes (or one item) per range."""
+    step = max(1, BLOCK_AMPLITUDES // amplitudes)
+    return [(start, min(start + step, samples)) for start in range(0, samples, step)]
 
 
 class RngStream:
@@ -60,41 +83,57 @@ def max_entangled(d: int) -> np.ndarray:
 
 
 def apply_bilocal(m: np.ndarray, n: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply M (x) N to a bipartite state without forming the product matrix."""
+    """Apply M (x) N to a bipartite state without forming the product matrix.
+
+    Leading axes of M and N (shape (..., d, d)) and of psi (shape
+    (..., d*d)) broadcast, giving a stack of states.
+    """
     m = np.asarray(m)
     n = np.asarray(n)
     psi = np.asarray(psi)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"M must be square, got shape {m.shape}")
     if n.shape != m.shape:
         raise ValueError(f"M and N shapes differ: {m.shape} vs {n.shape}")
-    d = m.shape[0]
-    if psi.shape != (d * d,):
+    d = m.shape[-1]
+    if psi.shape[-1:] != (d * d,):
         raise ValueError(f"state must have {d * d} amplitudes, got shape {psi.shape}")
-    return (m @ psi.reshape(d, d) @ n.T).reshape(-1)
+    out = m @ psi.reshape(*psi.shape[:-1], d, d) @ np.swapaxes(n, -1, -2)
+    return out.reshape(*out.shape[:-2], d * d)
 
 
-def random_real_orthogonal(dim: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed real orthogonal matrix.
+def random_real_orthogonal(dim: int, rng: RngStream, size: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-distributed real orthogonal matrices, shape (*size, dim, dim).
 
     QR decomposition of an i.i.d. Gaussian matrix with the sign of R's
     diagonal absorbed into Q, which makes the distribution exactly Haar.
+    The stack is drawn in C order from one Gaussian call, so it equals
+    prod(size) single draws (``size=()``) made one after another, bit for bit.
     """
     if dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim}")
-    g = rng.gen.standard_normal((dim, dim))
+    g = rng.gen.standard_normal((*size, dim, dim))
     q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
 
 
-def random_real_unit_vector(dim: int, rng: RngStream) -> np.ndarray:
-    """Uniform point on the unit sphere of R^dim (normalized Gaussian draw)."""
+def random_real_unit_vector(dim: int, rng: RngStream, size: tuple[int, ...] = ()) -> np.ndarray:
+    """Uniform points on the unit sphere of R^dim (normalized Gaussian draws),
+    shape (*size, dim).
+
+    The stack equals prod(size) single draws (``size=()``) made one after
+    another, bit for bit: a zero draw is replaced by the next one, as a
+    single draw would redraw it, and is never divided by.
+    """
     if dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim}")
-    while True:
-        v = rng.gen.standard_normal(dim)
-        norm = np.linalg.norm(v)
-        if norm > 0.0:
-            return v / norm
+    count = math.prod(size)
+    v = rng.gen.standard_normal((count, dim))
+    norms = np.sqrt(np.vecdot(v, v))
+    while not norms.all():
+        keep = norms > 0.0
+        v = np.concatenate([v[keep], rng.gen.standard_normal((count - keep.sum(), dim))])
+        norms = np.sqrt(np.vecdot(v, v))
+    return (v / norms[:, None]).reshape(*size, dim)

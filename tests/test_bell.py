@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,11 +26,13 @@ from bellcheck.measurement import (
     wrap_diagonals,
 )
 from bellcheck.circuit import embed_double, embedded_pair_state
+from bellcheck import tensor
 from bellcheck.tensor import (
     RngStream,
     apply_bilocal,
     max_entangled,
     random_real_orthogonal,
+    random_real_unit_vector,
 )
 
 ATOL = 1e-9
@@ -128,9 +132,24 @@ class TestBellValueGamma:
                 psi = random_state(d * d, rng)
                 assert abs(bell_value_gamma(psi, d, 2) - oracle_wrap_sum_value(psi, d, 2)) < 1e-10
 
-    def test_random_real_state_within_global_range(self):
-        from bellcheck.tensor import random_real_unit_vector
+    @pytest.mark.parametrize("d", [2, 4, 16, 64])
+    def test_stack_equals_per_item(self, d):
+        rng = RngStream(105, d)
+        stack = np.array([random_state(d * d, rng) for _ in range(12)]).reshape(3, 4, d * d)
+        values = bell_value_gamma(stack, d, 3)
+        assert values.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            single = bell_value_gamma(stack[idx], d, 3)
+            assert type(single) is float
+            assert np.array_equal(values[idx], single)
 
+    def test_one_unnormalized_state_rejects_the_stack(self):
+        stack = np.tile(max_entangled(4), (6, 1))
+        stack[4] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="not normalized"):
+            bell_value_gamma(stack, 4, 2)
+
+    def test_random_real_state_within_global_range(self):
         rng = RngStream(104)
         d, m = 4, 2
         for _ in range(50):
@@ -380,6 +399,38 @@ class TestLemma2:
         bound, fraction, _ = lemma2_exceedance(d, m, delta, samples, RngStream(113))
         assert bound == pytest.approx(2 * np.sqrt(4 / (3 * 16 * 0.5)), abs=1e-12)
         assert fraction <= delta + 3 * np.sqrt(delta * (1 - delta) / samples)
+
+    @pytest.mark.parametrize("d", [4, 16, 64])
+    def test_equals_per_sample_loop(self, d):
+        # three blocks and one state more, so the last block is partial
+        samples = 3 * (tensor.BLOCK_AMPLITUDES // (d * d)) + 1
+        _, _, values = lemma2_exceedance(d, 3, 0.1, samples, RngStream(114, d))
+        assert np.array_equal(values, per_sample_lemma2_values(d, 3, samples, RngStream(114, d)))
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # one block's states and their gamma temporaries, plus the 160 KB of values;
+        # drawing all 20,000 states at once would hold about 80 MiB
+        rng = RngStream(115)
+        tracemalloc.start()
+        try:
+            lemma2_exceedance(16, 2, 0.1, 20_000, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_non_positive_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="need at least one sample, got 0"):
+            lemma2_exceedance(16, 2, 0.1, 0, RngStream(1))
+
+
+def per_sample_lemma2_values(d, m, samples, rng):
+    """Reference for ``lemma2_exceedance``: one state drawn and evaluated at a time."""
+    values = np.empty(samples)
+    for idx in range(samples):
+        psi = random_real_unit_vector(d * d, rng).astype(complex)
+        values[idx] = bell_value_gamma(psi, d, m)
+    return values
 
 
 class TestGlobalInvariants:

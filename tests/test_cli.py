@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 import bellcheck
-from bellcheck.cli import _fig3_point, main
+from bellcheck import tensor
+from bellcheck.bell import bell_value_gamma
+from bellcheck.cli import FIG1_HEADER, LEMMA2_HEADER, _fig3_point, _write_csv, main
 from bellcheck.circuit import circuit_unitary, parse_circuit
-from bellcheck.distance import circuit_distance
+from bellcheck.distance import circuit_distance, distance_bounds_from_v
+from bellcheck.tensor import (
+    RngStream, apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector,
+)
 
 HADAMARD = "qubits 1\nH 0\n"
 PAULI_Z = "qubits 1\nZ 0\n"
@@ -268,6 +273,61 @@ class TestLemma2Command:
         assert rc == 2
 
 
+def per_sample_fig1(path, samples, seed, include_equal_pair):
+    """Reference for ``fig1``: one pair drawn and evaluated at a time."""
+    rng = RngStream(seed)
+    d, m = 4, 2
+    phi = max_entangled(d)
+    rows = []
+    for pair_id in range(samples):
+        u1 = random_real_orthogonal(d, rng)
+        u2 = random_real_orthogonal(d, rng)
+        if include_equal_pair and pair_id == 0:
+            u2 = u1
+        v = bell_value_gamma(apply_bilocal(u1, u2, phi), d, m)
+        bounds = distance_bounds_from_v(v, d, m)
+        rows.append([pair_id, v, circuit_distance(u1, u2), bounds.lower, bounds.upper])
+    _write_csv(path, FIG1_HEADER, rows)
+
+
+def per_sample_lemma2(path, d, m, samples, seed):
+    """Reference for ``lemma2``'s CSV: one state drawn and evaluated at a time."""
+    rng = RngStream(seed)
+    rows = []
+    for idx in range(samples):
+        psi = random_real_unit_vector(d * d, rng).astype(complex)
+        rows.append([idx, bell_value_gamma(psi, d, m)])
+    _write_csv(path, LEMMA2_HEADER, rows)
+
+
+class TestBlockBoundaries:
+    """Blocked figure runs write the bytes of the per-sample loops at every block boundary."""
+
+    @pytest.fixture(params=["default", 64])
+    def block_amplitudes(self, request, monkeypatch):
+        if request.param != "default":
+            monkeypatch.setattr(tensor, "BLOCK_AMPLITUDES", request.param)
+        return tensor.BLOCK_AMPLITUDES
+
+    @pytest.mark.parametrize("blocks,extra", [(1, 0), (1, 1), (3, 1)])
+    def test_fig1_matches_per_sample_loop(self, blocks, extra, block_amplitudes, tmp_path, capsys):
+        samples = blocks * (block_amplitudes // 16) + extra
+        out, ref = tmp_path / "fig1.csv", tmp_path / "ref.csv"
+        assert main(["fig1", "--samples", str(samples), "--seed", "17", "--out", str(out),
+                     "--include-equal-pair"]) == 0
+        per_sample_fig1(ref, samples, 17, include_equal_pair=True)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("blocks,extra", [(1, 0), (1, 1), (3, 1)])
+    def test_lemma2_matches_per_sample_loop(self, blocks, extra, block_amplitudes, tmp_path, capsys):
+        samples = blocks * max(1, block_amplitudes // 256) + extra
+        out, ref = tmp_path / "lemma2.csv", tmp_path / "ref.csv"
+        assert main(["lemma2", "--d", "16", "--delta", "0.1", "--samples", str(samples),
+                     "--seed", "18", "--out", str(out)]) == 0
+        per_sample_lemma2(ref, 16, 2, samples, 18)
+        assert out.read_bytes() == ref.read_bytes()
+
+
 class TestPlot:
     def test_scatter_with_bound_overlays(self, tmp_path, capsys):
         csv_path = tmp_path / "fig1.csv"
@@ -348,6 +408,20 @@ class TestEntryPoints:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: 24-qubit ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--samples", "-3"],
+        ["fig3", "--n", "1", "--shots", "100", "--samples", "-2"],
+        ["lemma2", "--d", "16", "--delta", "0.1", "--samples", "0"],
+    ])
+    def test_non_positive_sample_count_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        rc = main([*argv, "--seed", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: need at least one sample, got {argv[-1]}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_huge_shot_count_refused_before_synthesis(self, circuits, capsys, monkeypatch):
         # the s-sized draw and evaluation arrays count toward the size guard

@@ -49,6 +49,18 @@ class TestCircuitDistance:
         with pytest.raises(ValueError):
             circuit_distance(np.eye(2), np.eye(4))
 
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_stack_equals_per_item(self, dim):
+        rng = RngStream(125, dim)
+        pairs = random_real_orthogonal(dim, rng, (20, 2))
+        pairs[3, 1] = -pairs[3, 0]  # one pair at distance zero
+        dists = circuit_distance(pairs[:, 0], pairs[:, 1])
+        assert dists.shape == (20,)
+        for j, (u1, u2) in enumerate(pairs):
+            single = circuit_distance(u1, u2)
+            assert type(single) is float
+            assert np.array_equal(dists[j], single)
+
 
 class TestDistanceBounds:
     def test_maximal_value_collapses_to_zero(self):
@@ -97,6 +109,26 @@ class TestDistanceBounds:
             bounds = distance_bounds_from_v(v, d, m)
             assert 0.0 <= bounds.lower <= bounds.upper <= 1.0
 
+    @pytest.mark.parametrize("d,m", [(4, 2), (16, 3)])
+    def test_stack_equals_per_item(self, d, m):
+        vs = np.linspace(-m, m * (d - 1), 200)
+        bounds = distance_bounds_from_v(vs, d, m)
+        assert bounds.lower.shape == bounds.upper.shape == (200,)
+        for j, v in enumerate(vs):
+            single = distance_bounds_from_v(v, d, m)
+            assert type(single.lower) is float and type(single.upper) is float
+            assert np.array_equal(bounds.lower[j], single.lower)
+            assert np.array_equal(bounds.upper[j], single.upper)
+
+    def test_one_value_out_of_range_rejects_the_stack(self):
+        vs = np.linspace(-2.0, 6.0, 50)
+        vs[17] = 6.1
+        with pytest.raises(ValueError, match="Bell value 6.1 outside"):
+            distance_bounds_from_v(vs, 4, 2)
+        vs[17] = np.nan
+        with pytest.raises(ValueError, match="Bell value nan outside"):
+            distance_bounds_from_v(vs, 4, 2)
+
 
 class TestEmbeddedDistance:
     def test_equal_circuits_give_zero(self):
@@ -134,6 +166,23 @@ class TestEmbeddedDistance:
             psi = apply_bilocal(embed_double(u1), embed_double(u2), phi)
             v = bell_value_gamma(psi, d, m)
             assert abs(distance_from_embedded_v(v, d, m) - circuit_distance(u1, u2)) < ATOL
+
+    def test_stack_equals_per_item(self):
+        d, m = 16, 2
+        # the grid of the exact overlay, plus the residue that reads as zero
+        vs = np.append(np.linspace(-m, m * (d - 1), 200), m * (d - 1) - 4e-15)
+        dists = distance_from_embedded_v(vs, d, m)
+        assert dists.shape == (201,) and dists[-1] == 0.0
+        for j, v in enumerate(vs):
+            single = distance_from_embedded_v(v, d, m)
+            assert type(single) is float
+            assert np.array_equal(dists[j], single)
+
+    def test_one_value_out_of_range_rejects_the_stack(self):
+        vs = np.zeros((3, 4))
+        vs[2, 1] = -2.5
+        with pytest.raises(ValueError, match="Bell value -2.5 outside"):
+            distance_from_embedded_v(vs, 16, 2)
 
     def test_rejects_non_embedded_dimension(self):
         with pytest.raises(ValueError):

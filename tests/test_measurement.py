@@ -205,6 +205,9 @@ class TestDifferenceDistributions:
             difference_distributions(psi[:8], [(1, 1)], 4, 2)
         with pytest.raises(ValueError):
             difference_distributions(2 * psi, [(1, 1)], 4, 2)
+        for count in (3, 4):  # a stack of states is not one state, whatever its length
+            with pytest.raises(ValueError, match="need one state of 16 amplitudes"):
+                difference_distributions(np.tile(psi, (count, 1)), [(1, 1)], 4, 2)
 
 
 class TestWrapDiagonals:

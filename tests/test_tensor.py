@@ -1,14 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from bellcheck import tensor
 from bellcheck.tensor import (
     RngStream,
     apply_bilocal,
+    check_samples,
+    check_state,
     max_entangled,
     random_real_orthogonal,
     random_real_unit_vector,
+    sample_blocks,
 )
 
 ATOL = 1e-9
@@ -98,6 +104,56 @@ class TestApplyBilocal:
         with pytest.raises(ValueError):
             apply_bilocal(np.eye(2), np.eye(2), max_entangled(3))
 
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_stack_equals_per_item(self, d):
+        rng = RngStream(14, d)
+        ms = random_real_orthogonal(d, rng, (7,))
+        ns = random_real_orthogonal(d, rng, (7,))
+        psis = rng.gen.standard_normal((7, d * d)) + 1j * rng.gen.standard_normal((7, d * d))
+        phi = max_entangled(d)
+        on_phi = apply_bilocal(ms, ns, phi)
+        on_stack = apply_bilocal(ms, ns, psis)
+        assert on_phi.shape == on_stack.shape == (7, d * d)
+        for j in range(7):
+            assert np.array_equal(on_phi[j], apply_bilocal(ms[j], ns[j], phi))
+            assert np.array_equal(on_stack[j], apply_bilocal(ms[j], ns[j], psis[j]))
+
+
+class TestCheckState:
+    def test_stack_passes_and_keeps_its_shape(self):
+        stack = np.tile(max_entangled(4), (3, 2, 1))
+        assert check_state(stack, 4).shape == (3, 2, 16)
+
+    def test_one_unnormalized_state_rejects_the_stack(self):
+        stack = np.tile(max_entangled(4), (5, 1))
+        stack[3] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="not normalized"):
+            check_state(stack, 4)
+
+    def test_wrong_amplitude_count(self):
+        with pytest.raises(ValueError, match="16 amplitudes"):
+            check_state(np.ones((2, 9)) / 3, 4)
+        with pytest.raises(ValueError, match="16 amplitudes"):
+            check_state(np.complex128(1.0), 4)
+
+
+class TestSampleBlocks:
+    def test_ranges_cover_in_order(self):
+        per_block = tensor.BLOCK_AMPLITUDES // 16
+        spans = sample_blocks(3 * per_block + 1, 16)
+        assert spans[0] == (0, per_block)
+        assert spans[-1] == (3 * per_block, 3 * per_block + 1)
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert max(stop - start for start, stop in spans) * 16 <= tensor.BLOCK_AMPLITUDES
+
+    def test_item_larger_than_a_block_gets_its_own(self):
+        assert sample_blocks(3, 2 * tensor.BLOCK_AMPLITUDES) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_non_positive_sample_count_rejected(self, samples):
+        with pytest.raises(ValueError, match=f"need at least one sample, got {samples}"):
+            check_samples(samples)
+
 
 class TestRandomOrthogonal:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
@@ -138,6 +194,23 @@ class TestRandomOrthogonal:
         with pytest.raises(ValueError):
             random_real_orthogonal(0, RngStream(0))
 
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16])
+    def test_stack_equals_sequential_draws(self, dim):
+        rng_stack, rng_single = RngStream(24, dim), RngStream(24, dim)
+        stack = random_real_orthogonal(dim, rng_stack, (50,))
+        assert stack.shape == (50, dim, dim)
+        for q in stack:
+            assert np.array_equal(q, random_real_orthogonal(dim, rng_single))
+        # both streams are left at the same place
+        assert np.array_equal(rng_stack.gen.random(4), rng_single.gen.random(4))
+
+    def test_pair_stack_interleaves_in_c_order(self):
+        rng_stack, rng_single = RngStream(25), RngStream(25)
+        pairs = random_real_orthogonal(4, rng_stack, (10, 2))
+        for u1, u2 in pairs:
+            assert np.array_equal(u1, random_real_orthogonal(4, rng_single))
+            assert np.array_equal(u2, random_real_orthogonal(4, rng_single))
+
 
 class TestRandomUnitVector:
     def test_unit_norm(self):
@@ -160,6 +233,41 @@ class TestRandomUnitVector:
         mean = total / n
         # per-coordinate variance is 1/dim, so SE of the mean is 1/sqrt(dim*n)
         assert np.max(np.abs(mean)) < 5.0 / np.sqrt(dim * n)
+
+
+class _ScriptedStream:
+    """A stand-in for ``RngStream`` whose Gaussian draws are a fixed list, in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.gen = self
+
+    def standard_normal(self, shape):
+        count = math.prod(shape)
+        drawn, self.values = self.values[:count], self.values[count:]
+        return np.array(drawn, dtype=float).reshape(shape)
+
+
+class TestRandomUnitVectorStack:
+    @pytest.mark.parametrize("dim", [1, 2, 16, 256])
+    def test_stack_equals_sequential_draws(self, dim):
+        rng_stack, rng_single = RngStream(34, dim), RngStream(34, dim)
+        stack = random_real_unit_vector(dim, rng_stack, (300,))
+        assert stack.shape == (300, dim)
+        for v in stack:
+            assert np.array_equal(v, random_real_unit_vector(dim, rng_single))
+        assert np.array_equal(rng_stack.gen.random(4), rng_single.gen.random(4))
+
+    def test_zero_draw_is_replaced_by_the_next(self):
+        # rows [0, 0] are redrawn, never divided by; the stack consumes the
+        # stream exactly as three single draws do
+        script = [0, 0, 3, 4, 0, 0, 0, 0, 1, 0, 6, 8, 5, 12]
+        stack_rng, single_rng = _ScriptedStream(script), _ScriptedStream(script)
+        stack = random_real_unit_vector(2, stack_rng, (3,))
+        singles = [random_real_unit_vector(2, single_rng) for _ in range(3)]
+        assert np.array_equal(stack, np.array(singles))
+        assert_allclose(stack, [[0.6, 0.8], [1.0, 0.0], [0.6, 0.8]], atol=1e-15)
+        assert stack_rng.values == single_rng.values == [5, 12]
 
 
 class TestRngStream:

@@ -3,10 +3,12 @@
 ``bench/spans.py`` wraps each function its ``LAYERS`` table names and counts
 the rounds of ``RoundSampler.evaluate`` from the ``u`` argument.  These tests
 load it from its path, unedited, so a renamed target or a changed call
-signature fails here and not only in a benchmark run.
+signature fails here and not only in a benchmark run.  They also pin the
+batched figure kernels: a return to one kernel call per sample fails here.
 """
 
 import importlib
+import math
 import importlib.util
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import bellcheck.cli
+from bellcheck import tensor
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -56,3 +59,43 @@ def test_traced_sampled_comparison(spans, tmp_path):
     evaluate = tracer.layers["sampling.RoundSampler.evaluate"]
     assert evaluate.calls == 1
     assert evaluate.work == 5000
+
+
+def traced_call(spans, argv):
+    tracer = spans.Tracer()
+    assert tracer.install()
+    try:
+        code = bellcheck.cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert {name: stats.errors for name, stats in tracer.layers.items() if stats.errors} == {}
+    return tracer.layers
+
+
+def test_fig1_draws_and_evaluates_once(spans, tmp_path, capsys):
+    layers = traced_call(spans, ["fig1", "--samples", "500", "--seed", "3",
+                                 "--out", str(tmp_path / "fig1.csv")])
+    assert layers["tensor.random_real_orthogonal"].calls == 1
+    assert layers["tensor.apply_bilocal"].calls == 1
+    assert layers["bell.bell_value_gamma"].calls == 1
+    assert layers["distance"].calls == 2  # circuit_distance and distance_bounds_from_v
+
+
+def test_lemma2_evaluates_once_per_block(spans, tmp_path, capsys):
+    layers = traced_call(spans, ["lemma2", "--d", "16", "--delta", "0.1", "--samples", "1000",
+                                 "--seed", "4", "--out", str(tmp_path / "lemma2.csv")])
+    blocks = math.ceil(1000 / (tensor.BLOCK_AMPLITUDES // 256))
+    assert layers["bell.lemma2_exceedance"].calls == 1
+    assert layers["tensor.random_real_unit_vector"].calls == blocks
+    assert layers["bell.bell_value_gamma"].calls == blocks
+
+
+def test_plot_overlays_make_one_call(spans, tmp_path, capsys):
+    csv = tmp_path / "points.csv"
+    csv.write_text("V,D\n0.5,0.5\n")
+    for overlay in ("bounds", "exact"):
+        layers = traced_call(spans, ["plot", str(csv), "--x", "V", "--y", "D", "--out",
+                                     str(tmp_path / "p.svg"), "--overlay", overlay,
+                                     "--d", "16", "--m", "2"])
+        assert layers["distance"].calls == 1
