@@ -40,10 +40,11 @@ GATE_ARITY = {name: mat.shape[0].bit_length() - 1 for name, mat in GATE_MATRICES
 
 
 class CircuitParseError(ValueError):
-    """Rejected circuit source; carries the offending line number."""
+    """Rejected circuit source or gate; carries the offending line number
+    (None for a circuit built directly)."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -66,18 +67,24 @@ class Circuit:
         if self.n_qubits < 1:
             raise ValueError(f"circuit needs at least one qubit, got {self.n_qubits}")
         for gate in self.gates:
-            if gate.kind not in GATE_MATRICES:
-                raise ValueError(f"unknown gate kind {gate.kind!r}")
-            if len(gate.targets) != GATE_ARITY[gate.kind]:
-                raise ValueError(
-                    f"{gate.kind} takes {GATE_ARITY[gate.kind]} qubits, got {gate.targets}"
-                )
-            if len(set(gate.targets)) != len(gate.targets):
-                raise ValueError(f"{gate.kind} targets must be distinct, got {gate.targets}")
-            if any(t < 0 or t >= self.n_qubits for t in gate.targets):
-                raise ValueError(
-                    f"{gate.kind} target {gate.targets} outside {self.n_qubits}-qubit register"
-                )
+            _check_gate(gate.kind, gate.targets, self.n_qubits)
+
+
+def _check_gate(kind: str, targets: tuple[int, ...], n_qubits: int, line: int | None = None):
+    """The one gate rule: a known kind, its arity, distinct indices inside the register."""
+    if kind not in GATE_MATRICES:
+        raise CircuitParseError(f"unknown gate {kind!r}", line)
+    arity = GATE_ARITY[kind]
+    if len(targets) != arity:
+        raise CircuitParseError(f"{kind} takes {arity} qubit index(es), got {len(targets)}", line)
+    if min(targets) < 0:  # every gate has at least one index
+        raise CircuitParseError(f"negative qubit index in {targets}", line)
+    if len(set(targets)) != len(targets):
+        raise CircuitParseError(f"repeated qubit index in {targets}", line)
+    if max(targets) >= n_qubits:
+        raise CircuitWidthError(
+            f"qubit index {max(targets)} outside register of {n_qubits} qubits", line
+        )
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -108,25 +115,11 @@ def parse_circuit(text: str) -> Circuit:
             n_qubits = declared
             continue
         kind = tokens[0]
-        if kind not in GATE_MATRICES:
-            raise CircuitParseError(f"unknown gate {kind!r}", line_no)
-        arity = GATE_ARITY[kind]
-        if len(tokens) - 1 != arity:
-            raise CircuitParseError(
-                f"{kind} takes {arity} qubit index(es), got {len(tokens) - 1}", line_no
-            )
         try:
             targets = tuple(int(tok) for tok in tokens[1:])
         except ValueError:
             raise CircuitParseError("qubit indices must be integers", line_no) from None
-        if any(t < 0 for t in targets):
-            raise CircuitParseError(f"negative qubit index in {targets}", line_no)
-        if len(set(targets)) != len(targets):
-            raise CircuitParseError(f"repeated qubit index in {targets}", line_no)
-        if any(t >= n_qubits for t in targets):
-            raise CircuitWidthError(
-                f"qubit index {max(targets)} outside register of {n_qubits} qubits", line_no
-            )
+        _check_gate(kind, targets, n_qubits, line_no)
         gates.append(Gate(kind, targets))
     if n_qubits is None:
         raise CircuitParseError("missing 'qubits <n>' header", max(last_line, 1))
@@ -162,11 +155,6 @@ def _cz_signs(n: int) -> np.ndarray:
     for i in range(n):
         parity ^= (overlap >> i) & 1
     return 1.0 - 2.0 * parity
-
-
-def cz_layer(n: int) -> np.ndarray:
-    """Diagonal layer of CZ gates pairing qubit i with qubit n+i on 2n qubits."""
-    return np.diag(_cz_signs(n))
 
 
 def _qubit_count(u: np.ndarray) -> int:

@@ -14,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,8 @@ from .distance import (
 from .sampling import ShotPlan, estimate_distance, plan_shots
 from .svgplot import emit_svg_scatter
 from .tensor import (
-    RngStream, apply_bilocal, check_samples, max_entangled, random_real_orthogonal, sample_blocks,
+    RngStream, apply_bilocal, check_params, check_samples, max_entangled, random_real_orthogonal,
+    sample_blocks,
 )
 
 SEED_ENV_VAR = "BELLCHECK_SEED"
@@ -53,10 +55,11 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write each row as it arrives, so memory does not grow with the row count."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -70,27 +73,19 @@ def _load_circuit(path: str) -> Circuit:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_pair(path_a: str, path_b: str) -> tuple[Circuit, Circuit]:
-    c1 = _load_circuit(path_a)
-    c2 = _load_circuit(path_b)
-    if c1.n_qubits != c2.n_qubits:
-        raise ValueError(
-            f"circuit widths differ: {path_a} has {c1.n_qubits} qubits, "
-            f"{path_b} has {c2.n_qubits}"
-        )
-    return c1, c2
-
-
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return int.from_bytes(os.urandom(4), "big")
+    """--seed, else BELLCHECK_SEED, else a fresh seed; a given seed is a non-negative integer."""
+    source, value = "--seed", args.seed
+    if value is None:
+        source, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR)
+    if value is None:
+        return int.from_bytes(os.urandom(4), "big")
+    try:
+        if int(value) >= 0:
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
 
 
 def _refuse_oversized(n: int, mode: str, s: int = 0) -> None:
@@ -114,16 +109,44 @@ def _refuse_oversized(n: int, mode: str, s: int = 0) -> None:
         )
 
 
+def _load_comparison(
+    args: argparse.Namespace, mode: str
+) -> tuple[int, np.ndarray, np.ndarray, ShotPlan | None, int | None]:
+    """(n, U1, U2, plan, seed) of a comparison; plan and seed only in sampled mode.
+
+    Both circuits are parsed, and the widths, m, the shot plan, the seed and the
+    size guard checked, before ``circuit_unitary`` runs: a refused request builds nothing.
+    """
+    c1, c2 = _load_circuit(args.circuit_a), _load_circuit(args.circuit_b)
+    n = c1.n_qubits
+    if c2.n_qubits != n:
+        raise ValueError(
+            f"circuit widths differ: {args.circuit_a} has {n} qubits, "
+            f"{args.circuit_b} has {c2.n_qubits}"
+        )
+    check_params(2**n if mode == "raw" else 4**n, args.m)
+    plan = seed = None
+    if mode == "sampled":
+        if args.shots is not None:
+            if args.epsilon is not None or args.delta is not None:
+                raise ValueError("give either --shots or --epsilon/--delta, not both")
+            plan = ShotPlan(s=args.shots)
+        elif args.epsilon is None or args.delta is None:
+            raise ValueError("need --shots, or both --epsilon and --delta")
+        else:
+            plan = plan_shots(args.epsilon, args.delta)
+        seed = _resolve_seed(args)
+    _refuse_oversized(n, mode, plan.s if plan else 0)
+    return n, circuit_unitary(c1), circuit_unitary(c2), plan, seed
+
+
 def cmd_compare_exact(args: argparse.Namespace) -> int:
-    c1, c2 = _load_pair(args.circuit_a, args.circuit_b)
     m = args.m
     mode = "embedded" if args.embedded else "raw"
-    _refuse_oversized(c1.n_qubits, mode)
-    u1 = circuit_unitary(c1)
-    u2 = circuit_unitary(c2)
-    print(f"circuits: {args.circuit_a} vs {args.circuit_b} ({c1.n_qubits} qubit(s))")
+    n, u1, u2, _, _ = _load_comparison(args, mode)
+    print(f"circuits: {args.circuit_a} vs {args.circuit_b} ({n} qubit(s))")
     if args.embedded:
-        d = 4**c1.n_qubits
+        d = 4**n
         v = bell_value_gamma(embedded_pair_state(u1, u2), d, m)
         dist = distance_from_embedded_v(v, d, m)
         lower = upper = ""
@@ -153,23 +176,12 @@ def cmd_compare_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_sampled(args: argparse.Namespace) -> int:
-    c1, c2 = _load_pair(args.circuit_a, args.circuit_b)
-    if args.shots is not None:
-        if args.epsilon is not None or args.delta is not None:
-            raise ValueError("give either --shots or --epsilon/--delta, not both")
-        plan = ShotPlan(s=args.shots)
-    else:
-        if args.epsilon is None or args.delta is None:
-            raise ValueError("need --shots, or both --epsilon and --delta")
-        plan = plan_shots(args.epsilon, args.delta)
+    n, u1, u2, plan, seed = _load_comparison(args, "sampled")
+    if args.shots is None:
         print(f"planned shots: s = {plan.s} (epsilon={_fmt(args.epsilon)}, delta={_fmt(args.delta)})")
-    seed = _resolve_seed(args)
-    _refuse_oversized(c1.n_qubits, "sampled", plan.s)
-    u1 = circuit_unitary(c1)
-    u2 = circuit_unitary(c2)
     report = estimate_distance(u1, u2, args.m, plan, seed)
-    print(f"circuits: {args.circuit_a} vs {args.circuit_b} ({c1.n_qubits} qubit(s))")
-    print(f"mode = embedded, d = {4**c1.n_qubits}, m = {args.m}")
+    print(f"circuits: {args.circuit_a} vs {args.circuit_b} ({n} qubit(s))")
+    print(f"mode = embedded, d = {4**n}, m = {args.m}")
     print(f"s = {report.s}")
     print(f"seed = {seed}")
     print(f"X = {_fmt(report.x)}")
@@ -178,7 +190,7 @@ def cmd_compare_sampled(args: argparse.Namespace) -> int:
     print(f"setting_tallies: {tallies}")
     if args.out:
         row = [
-            args.circuit_a, args.circuit_b, "embedded", 4**c1.n_qubits, args.m,
+            args.circuit_a, args.circuit_b, "embedded", 4**n, args.m,
             report.s, seed, "", report.x, report.distance_estimate,
             "", "", "",
         ]
@@ -192,17 +204,19 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     rng = RngStream(seed)
     d, m = 4, 2
     phi = max_entangled(d)
-    rows = []
-    for start, stop in sample_blocks(args.samples, d * d):
-        pairs = random_real_orthogonal(d, rng, (stop - start, 2))
-        u1, u2 = pairs[:, 0], pairs[:, 1]
-        if args.include_equal_pair and start == 0:
-            u2[0] = u1[0]
-        v = bell_value_gamma(apply_bilocal(u1, u2, phi), d, m)
-        bounds = distance_bounds_from_v(v, d, m)
-        columns = zip(v, circuit_distance(u1, u2), bounds.lower, bounds.upper)
-        rows += [[start + j, *cells] for j, cells in enumerate(columns)]
-    _write_csv(args.out, FIG1_HEADER, rows)
+
+    def rows():
+        for start, stop in sample_blocks(args.samples, d * d):
+            pairs = random_real_orthogonal(d, rng, (stop - start, 2))
+            u1, u2 = pairs[:, 0], pairs[:, 1]
+            if args.include_equal_pair and start == 0:
+                u2[0] = u1[0]
+            v = bell_value_gamma(apply_bilocal(u1, u2, phi), d, m)
+            bounds = distance_bounds_from_v(v, d, m)
+            columns = zip(v, circuit_distance(u1, u2), bounds.lower, bounds.upper)
+            yield from ([start + j, *cells] for j, cells in enumerate(columns))
+
+    _write_csv(args.out, FIG1_HEADER, rows())
     print(f"wrote {args.samples} pairs to {args.out} (d={d}, m={m}, seed={seed})")
     return 0
 
@@ -244,8 +258,7 @@ def cmd_lemma2(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     rng = RngStream(seed)
     bound, fraction, values = lemma2_exceedance(args.d, args.m, args.delta, args.samples, rng)
-    rows = [[idx, val] for idx, val in enumerate(values)]
-    _write_csv(args.out, LEMMA2_HEADER, rows)
+    _write_csv(args.out, LEMMA2_HEADER, enumerate(values))
     print(
         f"d={args.d} m={args.m} delta={_fmt(args.delta)} "
         f"samples={args.samples} seed={seed}"

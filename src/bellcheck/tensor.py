@@ -63,14 +63,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self.gen = np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-        )
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+        self.gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
 
 
 def max_entangled(d: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from bellcheck.tensor import (
     random_real_orthogonal,
     random_real_unit_vector,
 )
+from oracles import oracle_operator_sum
 
 ATOL = 1e-9
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -53,19 +54,6 @@ def oracle_wrap_sum_value(psi, d, m):
         s2 = sum(grid[k, k + r - d] for k in range(d - r, d))
         total += abs(s1) ** 2 + abs(s2) ** 2
     return m * total - m
-
-
-def oracle_operator_sum(psi, d, m):
-    """Independent oracle: the literal O(m d^4) sum of <A_i^l (x) conj(A_i^l)>."""
-    grid = np.asarray(psi).reshape(d, d)
-    total = 0j
-    for i in range(1, m + 1):
-        for power in range(1, d):
-            a = observable_power(d, m, i, power, ALICE)
-            b_bar = observable_power(d, m, i, power, BOB)
-            total += np.vdot(grid, a @ grid @ b_bar.T)
-    assert abs(total.imag) < 1e-12
-    return total.real
 
 
 class TestBellValueOperator:

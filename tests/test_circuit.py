@@ -10,13 +10,13 @@ from bellcheck.circuit import (
     CircuitWidthError,
     Gate,
     circuit_unitary,
-    cz_layer,
     embed_double,
     embedded_pair_state,
     parse_circuit,
 )
 from bellcheck.measurement import wrap_diagonals
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
+from oracles import cz_layer
 
 ATOL = 1e-9
 
@@ -79,6 +79,22 @@ class TestParse:
     def test_non_integer_index(self):
         with pytest.raises(CircuitParseError):
             parse_circuit("qubits 2\nX a")
+
+
+class TestGateRule:
+    @pytest.mark.parametrize("line", ["Y 0", "CX 0", "X -1", "SWAP 1 1", "CX 0 2"])
+    def test_built_circuit_obeys_the_parser_rule(self, line):
+        with pytest.raises(CircuitParseError) as parsed:
+            parse_circuit(f"qubits 2\n{line}")
+        kind, *targets = line.split()
+        with pytest.raises(type(parsed.value)) as built:
+            Circuit(2, (Gate(kind, tuple(map(int, targets))),))
+        assert str(parsed.value) == f"line 2: {built.value}"
+        assert built.value.line is None
+
+    def test_empty_register_rejected(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            Circuit(0)
 
 
 class TestCircuitUnitary:

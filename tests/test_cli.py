@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,85 @@ def circuits(tmp_path):
         p.write_text(text)
         paths[name] = str(p)
     return paths
+
+
+H_Z = ["{h}", "{z}"]
+OUT = ["--out", "{out}"]
+SAMPLED = ["--shots", "10", "--seed", "1", *OUT]
+
+# One row per outcome of every command: argv (with file placeholders), the
+# environment, the exit code, and a fragment of the one error: line (exit 2)
+# or of stdout (exit 0 or 1).
+EXIT_CODE_TABLE = [
+    pytest.param([], {}, 2, "required: command", id="usage-no-command"),
+    pytest.param(["no-such-command"], {}, 2, "invalid choice", id="usage-unknown-command"),
+    pytest.param(["compare-exact", "{h}"], {}, 2, "required: circuit_b", id="usage-compare-exact"),
+    pytest.param(["compare-sampled", "{h}"], {}, 2, "required: circuit_b",
+                 id="usage-compare-sampled"),
+    pytest.param(["fig1", *OUT], {}, 2, "required: --samples", id="usage-fig1"),
+    pytest.param(["fig3", "--n", "1", "--samples", "2", *OUT], {}, 2, "required: --shots",
+                 id="usage-fig3"),
+    pytest.param(["lemma2", "--d", "16", "--samples", "2", *OUT], {}, 2, "required: --delta",
+                 id="usage-lemma2"),
+    pytest.param(["plot", "{csv}", "--x", "V", "--y", "D"], {}, 2, "required: --out",
+                 id="usage-plot"),
+    pytest.param(["compare-exact", "{missing}", "{h}", *OUT], {}, 2,
+                 "cannot read circuit file {missing}", id="unreadable-compare-exact"),
+    pytest.param(["compare-sampled", "{h}", "{missing}", *SAMPLED], {}, 2,
+                 "cannot read circuit file {missing}", id="unreadable-compare-sampled"),
+    pytest.param(["plot", "{missing}", "--x", "V", "--y", "D", *OUT], {}, 2, "{missing}",
+                 id="unreadable-plot"),
+    pytest.param(["compare-exact", "{bad}", "{h}", *OUT], {}, 2,
+                 "{bad}: line 2: unknown gate 'Y'", id="parse-error-compare-exact"),
+    pytest.param(["compare-sampled", "{h}", "{bad}", *SAMPLED], {}, 2,
+                 "{bad}: line 2: unknown gate 'Y'", id="parse-error-compare-sampled"),
+    pytest.param(["compare-exact", "{h}", "{two}", *OUT], {}, 2,
+                 "circuit widths differ: {h} has 1 qubits, {two} has 2",
+                 id="width-mismatch-compare-exact"),
+    pytest.param(["compare-sampled", "{two}", "{h}", *SAMPLED], {}, 2,
+                 "circuit widths differ: {two} has 2 qubits, {h} has 1",
+                 id="width-mismatch-compare-sampled"),
+    pytest.param(["compare-sampled", *H_Z, "--shots", "10000000000000", "--seed", "1", *OUT],
+                 {}, 2, "1-qubit sampled comparison of 10000000000000 rounds",
+                 id="oversized-shots"),
+    pytest.param(["compare-exact", *H_Z, "--m", "1", *OUT], {}, 2,
+                 "need d >= 2 and m >= 2, got d=2, m=1", id="m1-raw"),
+    pytest.param(["compare-exact", *H_Z, "--embedded", "--m", "1", *OUT], {}, 2,
+                 "need d >= 2 and m >= 2, got d=4, m=1", id="m1-embedded"),
+    pytest.param(["compare-sampled", *H_Z, "--m", "1", *SAMPLED], {}, 2,
+                 "need d >= 2 and m >= 2, got d=4, m=1", id="m1-sampled"),
+    pytest.param(["compare-sampled", *H_Z, "--shots", "10", "--seed", "-1", *OUT], {}, 2,
+                 "--seed must be a non-negative integer, got -1", id="negative-seed-sampled"),
+    pytest.param(["compare-sampled", *H_Z, "--shots", "10", *OUT], {"BELLCHECK_SEED": "-1"}, 2,
+                 "BELLCHECK_SEED must be a non-negative integer, got '-1'",
+                 id="negative-env-seed-sampled"),
+    pytest.param(["fig1", "--samples", "2", *OUT], {"BELLCHECK_SEED": "seven"}, 2,
+                 "BELLCHECK_SEED must be a non-negative integer, got 'seven'",
+                 id="non-integer-env-seed-fig1"),
+    pytest.param(["fig1", "--samples", "2", "--seed", "-1", *OUT], {}, 2,
+                 "--seed must be a non-negative integer, got -1", id="negative-seed-fig1"),
+    pytest.param(["fig3", "--n", "1", "--shots", "100", "--samples", "2", "--seed", "-1", *OUT],
+                 {}, 2, "--seed must be a non-negative integer, got -1", id="negative-seed-fig3"),
+    pytest.param(["lemma2", "--d", "16", "--delta", "0.1", "--samples", "2", "--seed", "-1",
+                  *OUT], {}, 2, "--seed must be a non-negative integer, got -1",
+                 id="negative-seed-lemma2"),
+    pytest.param(["compare-sampled", *H_Z, "--seed", "1", *OUT], {}, 2,
+                 "need --shots, or both --epsilon and --delta", id="missing-shots"),
+    pytest.param(["compare-exact", "{h}", "{h_signed}", "--embedded", *OUT], {}, 0,
+                 "verdict = EQUIVALENT", id="equivalent"),
+    pytest.param(["compare-exact", *H_Z, "--embedded", "--m", "3", *OUT], {}, 1,
+                 "verdict = INEQUIVALENT", id="inequivalent"),
+    pytest.param(["compare-sampled", *H_Z, "--m", "3", "--shots", "100", "--seed", "5", *OUT],
+                 {}, 0, "mode = embedded, d = 4, m = 3", id="compare-sampled"),
+    pytest.param(["fig1", "--samples", "2", "--seed", "1", *OUT], {}, 0, "wrote 2 pairs",
+                 id="fig1"),
+    pytest.param(["fig3", "--n", "1", "--shots", "100", "--samples", "2", "--seed", "1", *OUT],
+                 {}, 0, "wrote 2 pairs", id="fig3"),
+    pytest.param(["lemma2", "--d", "4", "--delta", "0.1", "--samples", "2", "--seed", "1", *OUT],
+                 {}, 0, "exceedance_fraction = ", id="lemma2"),
+    pytest.param(["plot", "{csv}", "--x", "V", "--y", "D", *OUT], {}, 0, "wrote {out}",
+                 id="plot"),
+]
 
 
 class TestCompareExact:
@@ -116,25 +196,6 @@ class TestCompareExact:
         assert rc == 1
         assert f"mode = embedded, d = {4**n}, m = 2" in out
         assert read_value(out, "D") == pytest.approx(dist, abs=1e-9)
-
-    def test_width_mismatch_usage_error(self, circuits, tmp_path, capsys):
-        wide = tmp_path / "wide.qc"
-        wide.write_text("qubits 2\nH 0\n")
-        rc = main(["compare-exact", circuits["h"], str(wide), "--m", "2"])
-        assert rc == 2
-        assert "widths differ" in capsys.readouterr().err
-
-    def test_parse_error_reports_file_and_line(self, circuits, tmp_path, capsys):
-        bad = tmp_path / "bad.qc"
-        bad.write_text("qubits 1\nY 0\n")
-        rc = main(["compare-exact", str(bad), circuits["h"], "--m", "2"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "bad.qc" in err and "line 2" in err
-
-    def test_missing_file(self, circuits, capsys):
-        rc = main(["compare-exact", "no-such-file.qc", circuits["h"], "--m", "2"])
-        assert rc == 2
 
     def test_csv_row_output(self, circuits, tmp_path):
         out = tmp_path / "row.csv"
@@ -328,6 +389,23 @@ class TestBlockBoundaries:
         assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemma2", "--d", "16", "--delta", "0.1", "--samples", "100000"],
+    ["fig1", "--samples", "20000"],
+], ids=["lemma2", "fig1"])
+def test_figure_memory_does_not_grow_with_samples(argv, tmp_path, capsys):
+    # rows go to the file as they are made; a list of every row takes 9 to 25 MiB here
+    out = tmp_path / "out.csv"
+    assert main([*argv[:-1], "100", "--seed", "3", "--out", str(out)]) == 0  # warm caches
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--seed", "3", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 class TestPlot:
     def test_scatter_with_bound_overlays(self, tmp_path, capsys):
         csv_path = tmp_path / "fig1.csv"
@@ -377,9 +455,38 @@ class TestPlot:
 
 
 class TestEntryPoints:
-    def test_usage_error_exit_code(self, capsys):
-        assert main(["no-such-command"]) == 2
-        assert main([]) == 2
+    @pytest.mark.parametrize("argv,env,code,fragment", EXIT_CODE_TABLE)
+    def test_exit_code_table(self, argv, env, code, fragment, circuits, tmp_path, capsys,
+                             monkeypatch):
+        files = {**circuits, "missing": str(tmp_path / "no-such-file"),
+                 "out": str(tmp_path / "out")}
+        for name, text in [("two", "qubits 2\nH 0\n"), ("bad", "qubits 1\nY 0\n"),
+                           ("csv", "pair_id,V,D,lower,upper\n0,1,0.5,0.25,0.75\n")]:
+            files[name] = str(tmp_path / name)
+            Path(files[name]).write_text(text)
+        monkeypatch.delenv("BELLCHECK_SEED", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if code == 2:
+            # every refusal comes before synthesis
+            def must_not_run(circuit):
+                pytest.fail("circuit_unitary ran for a refused request")
+
+            monkeypatch.setattr("bellcheck.cli.circuit_unitary", must_not_run)
+        rc = main([arg.format(**files) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == code
+        if code != 2:
+            assert fragment.format(**files) in captured.out
+            assert captured.err == ""
+            return
+        error_lines = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1
+        assert fragment.format(**files) in error_lines[0]
+        if not captured.err.startswith("usage:"):  # argparse prints its usage lines first
+            assert captured.err == error_lines[0] + "\n" and captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not Path(files["out"]).exists()
 
     def test_unexpected_error_is_not_a_verdict(self, circuits, capsys, monkeypatch):
         # exit code 1 means INEQUIVALENT, so an out-of-memory failure must exit 2
@@ -422,18 +529,6 @@ class TestEntryPoints:
         assert captured.err == f"error: need at least one sample, got {argv[-1]}\n"
         assert captured.out == ""
         assert not out.exists()
-
-    def test_huge_shot_count_refused_before_synthesis(self, circuits, capsys, monkeypatch):
-        # the s-sized draw and evaluation arrays count toward the size guard
-        def must_not_run(circuit):
-            pytest.fail("circuit_unitary ran for a shot count that cannot fit")
-
-        monkeypatch.setattr("bellcheck.cli.circuit_unitary", must_not_run)
-        rc = main(["compare-sampled", circuits["h"], circuits["z"], "--m", "2",
-                   "--shots", "10000000000000", "--seed", "1"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error: 1-qubit sampled comparison") and err.count("\n") == 1
 
     def test_back_to_back_calls_share_no_state(self, circuits, capsys):
         # the parser is built once per process; one call's options must not leak into the next
