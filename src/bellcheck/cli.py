@@ -88,23 +88,22 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
 
 
-def _refuse_oversized(n: int, mode: str, s: int = 0) -> None:
+def _refuse_oversized(n: int, mode: str) -> None:
     """Refuse a comparison whose largest arrays cannot fit in physical memory.
 
     Raw holds two 2^n x 2^n unitaries and a 4^n-amplitude state.  Embedded
     holds the 8^n-entry layout of the embedded pair and its working copies,
     traced at 2.6 complex values per entry for gamma and 4.7 for the sampled
-    class laws (counted as 3 and 5); sampled adds at most 80 bytes per round
-    for the draws (two uniforms and the branch index) and the evaluation.
+    class laws (counted as 3 and 5).  The sampled rounds add nothing that
+    grows with s: their 2m x d cell counts are drawn directly, and ``ShotPlan``
+    refuses a shot count those int64 counts cannot hold.
     """
-    complex_bytes, round_bytes = 16, 80
     per_mode = {"raw": 3 * 4**n, "embedded": 3 * 8**n, "sampled": 5 * 8**n}
-    need = complex_bytes * per_mode[mode] + round_bytes * s
+    need = 16 * per_mode[mode]  # bytes of one complex value
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
-        rounds = f" of {s} rounds" if mode == "sampled" else ""
         raise ValueError(
-            f"{n}-qubit {mode} comparison{rounds} needs about {need / 2**30:.3g} GiB, "
+            f"{n}-qubit {mode} comparison needs about {need / 2**30:.3g} GiB, "
             f"more than the {physical / 2**30:.3g} GiB of physical memory"
         )
 
@@ -136,7 +135,7 @@ def _load_comparison(
         else:
             plan = plan_shots(args.epsilon, args.delta)
         seed = _resolve_seed(args)
-    _refuse_oversized(n, mode, plan.s if plan else 0)
+    _refuse_oversized(n, mode)
     return n, circuit_unitary(c1), circuit_unitary(c2), plan, seed
 
 

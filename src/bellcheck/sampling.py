@@ -8,12 +8,17 @@ mean X is an unbiased estimate of I' and every round value lies in
 [-2, 2], which yields the s > 8*ln(1/delta)/epsilon^2 shot budget.
 
 A round's value depends on (a, b) only through the branch's score class,
-a function of (a - b) mod d, so outcomes are not drawn as cells of the d^2
-grid: each branch holds a Walker/Vose alias table over its d classes, built
-from its row of ``bell.branch_laws``, and a round draws its class in O(1).
-Round j of an estimation run consumes row j of a draw table that is a pure
-function of (seed, j), so partitioning rounds across workers, or extending
-s, cannot change earlier rounds.
+a function of (a - b) mod d, so X and the per-branch tallies depend on the
+rounds only through the 2m x d counts of (branch, class) cells.  Those
+counts are drawn directly, not round by round: cell (n, c) has probability
+``bell.branch_laws``[n, c] / (2m), and the rounds come in dyadic blocks.
+Block 0 covers rounds [0, DRAW_BLOCK) and block b >= 1 covers
+[DRAW_BLOCK * 2^(b-1), DRAW_BLOCK * 2^b).  Block b draws one multinomial
+over the cells from RngStream(seed, stream_id=b): of the block's size when
+the run covers the block, else of the run's rounds that fall in it.  The
+counts therefore have the law of s i.i.d. rounds at O(m d log s) cost, the
+counts of rounds [0, s) are a function of (seed, s), and every complete
+block of a run is shared by all longer runs.
 """
 
 from __future__ import annotations
@@ -30,15 +35,21 @@ from .measurement import WrapDiagonals
 from .tensor import RngStream
 
 
+# The counts of a run are numpy int64 values.
+MAX_SHOTS = 2**63 - 1
+# Rounds of block 0; block b >= 1 holds DRAW_BLOCK * 2^(b-1).
+DRAW_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class ShotPlan:
-    """Shot budget: the number s of protocol rounds."""
+    """Shot budget: the number s of protocol rounds, 1 <= s <= MAX_SHOTS."""
 
     s: int
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"shot count must be >= 1, got {self.s}")
+        if not 1 <= self.s <= MAX_SHOTS:
+            raise ValueError(f"shot count must be in 1..2^63-1, got {self.s}")
 
 
 def plan_shots(epsilon: float, delta: float) -> ShotPlan:
@@ -54,7 +65,12 @@ def plan_shots(epsilon: float, delta: float) -> ShotPlan:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    s = math.floor(8.0 * math.log(1.0 / delta) / epsilon**2) + 1
+    try:
+        s = math.floor(8.0 * math.log(1.0 / delta) / epsilon**2) + 1
+    except (ZeroDivisionError, OverflowError):  # epsilon**2 underflows, or a quotient overflows
+        raise ValueError(
+            f"epsilon={epsilon}, delta={delta} need a shot count beyond 2^63-1"
+        ) from None
     return ShotPlan(s=s)
 
 
@@ -69,80 +85,30 @@ class EstimationReport:
 
 
 class RoundSampler:
-    """Per-state tables for single protocol rounds.
+    """Per-state law of single protocol rounds over their (branch, class) cells.
 
-    For each of the 2m branches of ``protocol_branches``, an alias table over
-    its d score classes, built from its row of ``branch_laws``: 2m x d
-    entries, whatever the number of rounds.
+    ``cell_law[n, c]`` is the probability that a round takes branch n of
+    ``protocol_branches`` and lands in score class c: row n of ``branch_laws``
+    over 2m.  It has 2m x d entries, whatever the number of rounds.
     """
 
     def __init__(self, psi: np.ndarray | WrapDiagonals, d: int, m: int):
         branches = protocol_branches(d, m)
-        self.d = d
         self.labels = [b.label for b in branches]
-        tables = [_alias_table(law) for law in branch_laws(psi, d, m)]
-        # Cell branch*d + c keeps class c with probability _prob[cell], else
-        # takes class _alias[cell]; every branch shares the class scores.
-        self._prob = np.concatenate([prob for prob, _ in tables])
-        self._alias = np.concatenate([alias for _, alias in tables])
-        self._scores = branches[0].class_scores
+        self.scores = branches[0].class_scores
+        laws = branch_laws(psi, d, m)
+        # the table's own sum, not 2m, so numpy's check that pvals sum to 1 holds
+        self.cell_law = laws / laws.sum()
 
-    def evaluate(self, branch: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Round scores for draw arrays branch in 0..2m-1 and u in [0,1).
-
-        u * d splits into the column floor(u * d) and the coin frac(u * d);
-        u < 1 keeps u * d below d after rounding.
-        """
-        scaled = np.asarray(u, dtype=float) * self.d
-        col = scaled.astype(np.intp)
-        cell = np.asarray(branch) * self.d + col
-        keep = scaled - col < self._prob[cell]
-        return self._scores[np.where(keep, col, self._alias[cell])]
-
-    def tally(self, branch: np.ndarray) -> dict[str, int]:
-        counts = np.bincount(branch, minlength=len(self.labels))
-        return {label: int(count) for label, count in zip(self.labels, counts)}
-
-
-def _alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walker/Vose alias table: column c keeps c with prob[c], else alias[c].
-
-    Drawing the column uniformly gives class c with probability
-    (prob[c] + sum over alias[j] = c of (1 - prob[j])) / n = probs[c].
-    """
-    n = probs.size
-    scaled = (probs * n).tolist()
-    prob = [1.0] * n
-    alias = list(range(n))
-    small = [c for c in range(n) if scaled[c] < 1.0]
-    large = [c for c in range(n) if scaled[c] >= 1.0]
-    while small and large:
-        lo, hi = small.pop(), large[-1]
-        prob[lo] = scaled[lo]
-        alias[lo] = hi
-        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-        if scaled[hi] < 1.0:
-            small.append(large.pop())
-    return np.array(prob), np.array(alias, dtype=np.intp)
-
-
-DRAW_BLOCK = 1 << 16
-
-
-def draw_table(seed: int, s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-round draws (branch, u) for rounds 0..s-1; row j depends only on (seed, j).
-
-    Rows come in blocks of DRAW_BLOCK, block b from RngStream(seed,
-    stream_id=b), two uniforms per row in row order: the first picks the
-    branch index in 0..2m-1, the second is u.  Only the rows asked for are
-    drawn.
-    """
-    draws = np.empty((s, 2))
-    for block, lo in enumerate(range(0, s, DRAW_BLOCK)):
-        RngStream(seed, stream_id=block).gen.random(out=draws[lo:lo + DRAW_BLOCK])
-    # (1 - 2^-53) * 2m rounds below 2m, so the branch stays in range
-    branch = (draws[:, 0] * (2 * m)).astype(np.intp)
-    return branch, draws[:, 1]
+    def draw_counts(self, seed: int, s: int) -> np.ndarray:
+        """(2m, d) int64 counts of the cells over rounds [0, s), one draw per dyadic block."""
+        pvals = self.cell_law.ravel()
+        counts = np.zeros(pvals.size, dtype=np.int64)
+        block, start, stop = 0, 0, DRAW_BLOCK
+        while start < s:
+            counts += RngStream(seed, stream_id=block).gen.multinomial(min(stop, s) - start, pvals)
+            block, start, stop = block + 1, stop, 2 * stop
+        return counts.reshape(self.cell_law.shape)
 
 
 def estimate_normalized_bell(
@@ -154,15 +120,13 @@ def estimate_normalized_bell(
     distance estimate clamps into [0, 1].
     """
     sampler = RoundSampler(psi, d, m)
-    branch, u = draw_table(seed, plan.s, m)
-    # u by keyword: bench/spans.py counts the rounds of a call from its u argument.
-    values = sampler.evaluate(branch, u=u)
-    x = float(values.mean())
+    counts = sampler.draw_counts(seed, plan.s)
+    x = float(counts.sum(axis=0) @ sampler.scores / plan.s)
     return EstimationReport(
         s=plan.s,
         x=x,
         distance_estimate=normalized_to_distance(x),
-        setting_tallies=sampler.tally(branch),
+        setting_tallies=dict(zip(sampler.labels, counts.sum(axis=1).tolist())),
     )
 
 

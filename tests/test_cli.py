@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -85,8 +86,8 @@ EXIT_CODE_TABLE = [
     pytest.param(["compare-sampled", "{two}", "{h}", *SAMPLED], {}, 2,
                  "circuit widths differ: {two} has 2 qubits, {h} has 1",
                  id="width-mismatch-compare-sampled"),
-    pytest.param(["compare-sampled", *H_Z, "--shots", "10000000000000", "--seed", "1", *OUT],
-                 {}, 2, "1-qubit sampled comparison of 10000000000000 rounds",
+    pytest.param(["compare-sampled", *H_Z, "--shots", str(2**63), "--seed", "1", *OUT],
+                 {}, 2, "shot count must be in 1..2^63-1, got 9223372036854775808",
                  id="oversized-shots"),
     pytest.param(["compare-exact", *H_Z, "--m", "1", *OUT], {}, 2,
                  "need d >= 2 and m >= 2, got d=2, m=1", id="m1-raw"),
@@ -241,6 +242,26 @@ class TestCompareSampled:
         assert rc == 0
         assert "mode = embedded, d = 4096, m = 2" in out
         assert abs(read_value(out, "X") - (1 - dist**2)) < 0.05
+
+    def test_ten_trillion_shots(self, circuits, capsys):
+        # the cell counts take one draw per dyadic block: 29 draws hold 10^13 rounds
+        exact = 1 - circuit_distance(circuit_unitary(parse_circuit(HADAMARD)),
+                                     circuit_unitary(parse_circuit(PAULI_Z))) ** 2
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            rc = main(["compare-sampled", circuits["h"], circuits["z"],
+                       "--shots", str(10**13), "--seed", "1"])
+            wall = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert rc == 0
+        tallies = out.split("setting_tallies: ")[1].split(", ")
+        assert sum(int(tally.split("=")[1]) for tally in tallies) == 10**13
+        assert abs(read_value(out, "X") - exact) < 1e-4
+        assert wall < 1.0 and peak < 1 << 20
 
     def test_shots_and_epsilon_conflict(self, circuits, capsys):
         rc = main(["compare-sampled", circuits["h"], circuits["z"], "--m", "2",

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bellcheck.bell import (
     bell_value_gamma,
@@ -13,10 +14,9 @@ from bellcheck.circuit import embedded_pair_state
 from bellcheck.measurement import ALICE, BOB, basis, outcome_distribution
 from bellcheck.sampling import (
     DRAW_BLOCK,
+    MAX_SHOTS,
     RoundSampler,
     ShotPlan,
-    _alias_table,
-    draw_table,
     estimate_distance,
     estimate_normalized_bell,
     plan_shots,
@@ -33,6 +33,20 @@ def random_state(d, rng):
 
 def exact_normalized_value(psi, d, m):
     return (bell_value_gamma(psi, d, m) + m) / (d * m)
+
+
+def round_values(sampler, counts):
+    """The round values of a run, one per round, expanded from its cell counts."""
+    return np.repeat(np.tile(sampler.scores, len(sampler.labels)), counts.ravel())
+
+
+def count_mean(sampler, counts):
+    """Mean round value of a run and its standard error, from the cell counts alone."""
+    per_class = counts.sum(axis=0)
+    s = int(per_class.sum())
+    mean = float(per_class @ sampler.scores) / s
+    var = float(per_class @ (sampler.scores - mean) ** 2) / (s - 1)
+    return mean, np.sqrt(var / s)
 
 
 class TestPlanShots:
@@ -60,6 +74,12 @@ class TestPlanShots:
                 plan_shots(eps, delta)
         with pytest.raises(ValueError):
             ShotPlan(s=0)
+        assert ShotPlan(s=MAX_SHOTS).s == 2**63 - 1
+        with pytest.raises(ValueError, match="got 9223372036854775808"):
+            ShotPlan(s=MAX_SHOTS + 1)
+        for eps, delta in [(1e-10, 0.05), (1e-160, 0.05), (1e-200, 0.05), (0.5, 5e-324)]:
+            with pytest.raises(ValueError, match="shot count"):
+                plan_shots(eps, delta)
 
 
 class TestSampleRound:
@@ -69,22 +89,23 @@ class TestSampleRound:
             z = rng_state.gen.standard_normal(d * d) + 1j * rng_state.gen.standard_normal(d * d)
             psi = z / np.linalg.norm(z)
             sampler = RoundSampler(psi, d, 2)
-            values = sampler.evaluate(*draw_table(132, 500, 2))
-            assert np.all(np.abs(values) <= 2.0)
+            counts = sampler.draw_counts(132, 500)
+            # counts land only in the 2m x d cells, whose scores lie in [-2, 2]
+            assert counts.shape == (4, d) and counts.dtype == np.int64
+            assert np.all(counts >= 0) and counts.sum() == 500
+            assert np.all(np.abs(sampler.scores) <= 2.0)
 
     def test_unbiased_on_entangled_state(self):
         d, m = 4, 2
         psi = max_entangled(d)
         sampler = RoundSampler(psi, d, m)
-        branch, u = draw_table(133, 100_000, m)
-        mean = float(sampler.evaluate(branch, u).mean())
+        mean, _ = count_mean(sampler, sampler.draw_counts(133, 100_000))
         assert abs(mean - 1.0) <= 0.01
 
     def test_unbiased_on_orthogonal_witness(self):
         psi = apply_bilocal(np.eye(2), SIGMA_Z, max_entangled(2))
         sampler = RoundSampler(psi, 2, 2)
-        branch, u = draw_table(134, 100_000, 2)
-        mean = float(sampler.evaluate(branch, u).mean())
+        mean, _ = count_mean(sampler, sampler.draw_counts(134, 100_000))
         assert abs(mean) <= 0.01
 
     def test_mean_matches_probability_form(self):
@@ -96,10 +117,8 @@ class TestSampleRound:
         psi = apply_bilocal(u1, u2, max_entangled(d))
         exact = normalized_bell_from_probabilities(branch_laws(psi, d, m), d, m)
         sampler = RoundSampler(psi, d, m)
-        branch, u = draw_table(137, 200_000, m)
-        values = sampler.evaluate(branch, u)
-        se = float(values.std(ddof=1) / np.sqrt(values.size))
-        assert abs(float(values.mean()) - exact) <= 4 * se + 1e-6
+        mean, se = count_mean(sampler, sampler.draw_counts(137, 200_000))
+        assert abs(mean - exact) <= 4 * se + 1e-6
 
 
 class TestEstimateNormalizedBell:
@@ -130,22 +149,25 @@ class TestEstimateNormalizedBell:
         plan = ShotPlan(s=2000)
         report = estimate_normalized_bell(psi, 2, 2, plan, seed=7)
         sampler = RoundSampler(psi, 2, 2)
-        branch, u = draw_table(7, plan.s, 2)
-        assert report.x == float(sampler.evaluate(branch, u).mean())
+        values = round_values(sampler, sampler.draw_counts(7, plan.s))
+        assert values.size == plan.s
+        assert report.x == pytest.approx(float(values.mean()), rel=0, abs=1e-12)
         assert report.distance_estimate == pytest.approx(np.sqrt(1 - min(1, max(0, report.x))))
 
     def test_schedule_independence(self):
-        # round j depends only on (seed, j): chunked evaluation must agree bitwise
-        psi = max_entangled(4)
-        m, s, seed = 2, 5000, 23
+        # the counts of rounds [0, s) are one multinomial per dyadic block, block b
+        # from stream b: [0, B), [B, 2B), [2B, 4B), then the 2B + 7 rounds of [4B, 8B)
+        psi = random_state(4, RngStream(139))
+        m, s, seed = 2, 6 * DRAW_BLOCK + 7, 23
         sampler = RoundSampler(psi, 4, m)
-        branch, u = draw_table(seed, s, m)
-        full = sampler.evaluate(branch, u)
-        chunks = [sampler.evaluate(branch[lo:hi], u[lo:hi])
-                  for lo, hi in [(0, 1234), (1234, 1235), (1235, 4000), (4000, s)]]
-        assert np.array_equal(np.concatenate(chunks), full)
+        sizes = [DRAW_BLOCK, DRAW_BLOCK, 2 * DRAW_BLOCK, 2 * DRAW_BLOCK + 7]
+        blocks = [RngStream(seed, stream_id=b).gen.multinomial(size, sampler.cell_law.ravel())
+                  for b, size in enumerate(sizes)]
+        counts = sampler.draw_counts(seed, s)
+        assert np.array_equal(counts.ravel(), np.sum(blocks, axis=0))
         report = estimate_normalized_bell(psi, 4, m, ShotPlan(s=s), seed)
-        assert report.x == float(full.mean())
+        assert report.x == float(counts.sum(axis=0) @ sampler.scores / s)
+        assert report.x == pytest.approx(count_mean(sampler, counts)[0], rel=0, abs=1e-12)
 
     def test_close_to_exact_on_entangled_state(self):
         report = estimate_normalized_bell(max_entangled(4), 4, 2, ShotPlan(s=10_000), seed=3)
@@ -198,29 +220,42 @@ class TestCoverage:
 
 
 class TestDrawTable:
+    """The dyadic block draws of ``RoundSampler.draw_counts``."""
+
     @pytest.mark.parametrize("k", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1])
     def test_prefix_stable(self, k):
-        # row j depends only on (seed, j): a shorter table is a prefix of a longer one
+        # a run's complete blocks are the first blocks of every longer run: past the
+        # last block boundary, a run only adds counts, in every one of the 96 cells
         m, s, seed = 3, 200_000, 29
-        full = draw_table(seed, s, m)
-        short = draw_table(seed, k, m)
-        assert len(full) == len(short) == 2
-        for col in range(2):
-            assert np.array_equal(full[col][:k], short[col])
+        sampler = RoundSampler(random_state(16, RngStream(151)), 16, m)
+        boundary = DRAW_BLOCK if k >= DRAW_BLOCK else 0
+        shared = sampler.draw_counts(seed, boundary)
+        assert shared.sum() == boundary
+        short = sampler.draw_counts(seed, k)
+        assert short.sum() == k
+        for longer in (short, sampler.draw_counts(seed, s)):
+            assert np.all(longer - shared >= 0)
+        if k == boundary:
+            assert np.array_equal(short, shared)
 
     def test_ranges_and_branch_balance(self):
         m, s = 3, 120_000
-        branch, u = draw_table(31, s, m)
-        assert set(np.unique(branch)) == set(range(2 * m))
-        assert np.all((u >= 0.0) & (u < 1.0))
-        counts = np.bincount(branch, minlength=2 * m)
+        sampler = RoundSampler(max_entangled(4), 4, m)
+        counts = sampler.draw_counts(31, s).sum(axis=1)
+        assert counts.shape == (2 * m,) and np.all(counts > 0)
         expected = s / (2 * m)
         assert np.all(np.abs(counts - expected) < 5 * np.sqrt(expected))
 
-
-def alias_class_probs(prob, alias, d):
-    """Class law of one alias table: (prob[c] + sum over alias[j] = c of (1 - prob[j])) / d."""
-    return (prob + np.bincount(alias, weights=1.0 - prob, minlength=d)) / d
+    @pytest.mark.parametrize("s", [DRAW_BLOCK, 5 * DRAW_BLOCK + 3])
+    def test_block_counts_follow_the_cell_law(self, s):
+        # chi-square goodness of fit of one run's counts against s times the cell law
+        d, m = 4, 3
+        sampler = RoundSampler(random_state(d, RngStream(152)), d, m)
+        law = sampler.cell_law.ravel()
+        assert law.min() > 1e-3  # every expected count is far above 5
+        counts = sampler.draw_counts(157, s).ravel()
+        result = stats.chisquare(counts, s * law)
+        assert result.pvalue > 1e-3
 
 
 def class_law(psi, branch, d, m):
@@ -237,15 +272,17 @@ def wrapped_eigenstate(d, m):
 
 
 class TestAliasTables:
+    """The cell law of ``RoundSampler`` against the class laws it is built from."""
+
     def test_point_mass_and_zero_classes(self):
-        for probs in (np.eye(8)[3], np.array([0.5, 0.0, 0.25, 0.0, 0.25, 0.0]), np.full(5, 0.2)):
-            prob, alias = _alias_table(probs)
-            assert np.all((prob >= 0.0) & (prob <= 1.0))
-            assert np.max(np.abs(alias_class_probs(prob, alias, probs.size) - probs)) < 1e-12
-            # a class of probability zero is never kept and never an alias
-            zero = probs == 0.0
-            assert np.all(prob[zero] == 0.0)
-            assert not np.any(zero[alias[prob < 1.0]])
+        # a cell of probability zero never receives a round
+        d, m = 8, 2
+        sampler = RoundSampler(wrapped_eigenstate(d, m), d, m)
+        zero = sampler.cell_law < 1e-20
+        assert np.isclose(sampler.cell_law[-1].max(), 1.0 / (2 * m))
+        assert np.sum(zero[-1]) == d - 1
+        counts = sampler.draw_counts(158, 3 * DRAW_BLOCK)
+        assert counts.sum() == 3 * DRAW_BLOCK and not np.any(counts[zero])
 
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_each_branch_reproduces_its_class_law(self, d):
@@ -255,9 +292,9 @@ class TestAliasTables:
         branches = protocol_branches(d, m)
         for psi in (random_state(d, rng), max_entangled(d), eigen):
             sampler = RoundSampler(psi, d, m)
+            assert abs(sampler.cell_law.sum() - 1.0) < 1e-12
             for n, branch in enumerate(branches):
-                cells = slice(n * d, (n + 1) * d)
-                got = alias_class_probs(sampler._prob[cells], sampler._alias[cells], d)
+                got = 2 * m * sampler.cell_law[n]
                 assert np.max(np.abs(got - class_law(psi, branch, d, m))) < 1e-12
         wrapped_law = class_law(eigen, branches[-1], d, m)
         assert np.isclose(wrapped_law.max(), 1.0) and np.sum(wrapped_law < 1e-20) == d - 1
@@ -265,36 +302,19 @@ class TestAliasTables:
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_expected_round_value_is_exact(self, d, m):
-        # a round picks each of the 2m * d cells with probability 1/(2m d), then keeps
-        # the column's class with probability prob[cell], else takes its alias
+        # a round lands in cell (n, c) with probability cell_law[n, c] and scores scores[c]
         rng = RngStream(156, 10 * d + m)
         for psi in (random_state(d, rng), max_entangled(d), wrapped_eigenstate(d, m)):
             sampler = RoundSampler(psi, d, m)
-            cols = np.tile(np.arange(d), 2 * m)
-            prob, scores = sampler._prob, sampler._scores
-            expected = float(np.mean(prob * scores[cols] + (1.0 - prob) * scores[sampler._alias]))
+            expected = float(np.sum(sampler.cell_law @ sampler.scores))
             from_laws = normalized_bell_from_probabilities(branch_laws(psi, d, m), d, m)
             assert abs(expected - from_laws) < 1e-12
             assert abs(expected - exact_normalized_value(psi, d, m)) < 1e-12
 
-    def test_evaluate_reads_column_then_coin(self):
-        # u = (c + coin) / d keeps class c exactly when coin < prob[c]
-        d, m = 4, 2
-        psi = random_state(d, RngStream(154))
-        sampler = RoundSampler(psi, d, m)
-        for n in range(2 * m):
-            for c in range(d):
-                cell = n * d + c
-                for coin in (0.0, 0.999999):
-                    u = np.array([(c + coin) / d])
-                    want = c if coin < sampler._prob[cell] else sampler._alias[cell]
-                    got = sampler.evaluate(np.array([n]), u)
-                    assert got[0] == sampler._scores[want]
-
 
 @pytest.mark.parametrize("run", [
     lambda psi: bell_value_gamma(psi, 256, 2),
-    lambda psi: RoundSampler(psi, 256, 3),
+    lambda psi: RoundSampler(psi, 256, 3).draw_counts(5, 239_659),
 ], ids=["gamma", "sampler"])
 def test_embedded_n4_peak_memory_below_one_dense_grid(run):
     # the 16^4-amplitude grid would take 1 MiB; the embedded pair never forms it

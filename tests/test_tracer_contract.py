@@ -1,10 +1,12 @@
 """The benchmark's per-layer tracer against the program it wraps.
 
-``bench/spans.py`` wraps each function its ``LAYERS`` table names and counts
-the rounds of ``RoundSampler.evaluate`` from the ``u`` argument.  These tests
-load it from its path, unedited, so a renamed target or a changed call
-signature fails here and not only in a benchmark run.  They also pin the
-batched figure kernels: a return to one kernel call per sample fails here.
+``bench/spans.py`` wraps each function its ``LAYERS`` table names.  These
+tests load it from its path, unedited, so a renamed target fails here and
+not only in a benchmark run.  They also pin the batched figure kernels: a
+return to one kernel call per sample fails here.  Two targets are retired:
+the sampler draws (branch, class) counts per block of rounds, so the
+per-round draw table and round evaluation are gone, and their layers record
+no calls.
 """
 
 import importlib
@@ -34,31 +36,24 @@ def spans():
         del sys.modules[spec.name]
 
 
+# Targets of the per-round sampler that the count draw replaced.
+RETIRED_TARGETS = {"bellcheck.sampling.draw_table", "bellcheck.sampling.RoundSampler.evaluate"}
+
+
 def test_every_layer_target_exists(spans):
+    retired = set()
     for layer in spans.LAYERS:
         home = importlib.import_module(layer.module)
         for target in layer.targets:
             owner_name, _, attr = target.rpartition(".")
             owner = getattr(home, owner_name) if owner_name else home
-            assert callable(vars(owner).get(attr)), f"{layer.module}.{target} is gone"
-
-
-def test_traced_sampled_comparison(spans, tmp_path):
-    a, b = tmp_path / "h.qc", tmp_path / "z.qc"
-    a.write_text("qubits 1\nH 0\n")
-    b.write_text("qubits 1\nZ 0\n")
-    tracer = spans.Tracer()
-    assert tracer.install()
-    try:
-        code = bellcheck.cli.main(["compare-sampled", str(a), str(b), "--shots", "5000",
-                                   "--seed", "5"])
-    finally:
-        tracer.uninstall()
-    assert code == 0
-    assert {name: stats.errors for name, stats in tracer.layers.items() if stats.errors} == {}
-    evaluate = tracer.layers["sampling.RoundSampler.evaluate"]
-    assert evaluate.calls == 1
-    assert evaluate.work == 5000
+            found = callable(vars(owner).get(attr))
+            if f"{layer.module}.{target}" in RETIRED_TARGETS:
+                assert not found, f"{layer.module}.{target} is retired but still there"
+                retired.add(f"{layer.module}.{target}")
+            else:
+                assert found, f"{layer.module}.{target} is gone"
+    assert retired == RETIRED_TARGETS
 
 
 def traced_call(spans, argv):
@@ -71,6 +66,20 @@ def traced_call(spans, argv):
     assert code == 0
     assert {name: stats.errors for name, stats in tracer.layers.items() if stats.errors} == {}
     return tracer.layers
+
+
+def test_traced_sampled_comparison(spans, tmp_path, capsys):
+    a, b = tmp_path / "h.qc", tmp_path / "z.qc"
+    a.write_text("qubits 1\nH 0\n")
+    b.write_text("qubits 1\nZ 0\n")
+    layers = traced_call(spans, ["compare-sampled", str(a), str(b), "--shots", "5000",
+                                 "--seed", "5"])
+    assert layers["sampling.estimate_distance"].calls == 1
+    assert layers["sampling.RoundSampler.init"].calls == 1
+    assert layers["sampling.draw_table"].calls == 0
+    assert layers["sampling.RoundSampler.evaluate"].calls == 0
+    tallies = capsys.readouterr().out.split("setting_tallies: ")[1].split(", ")
+    assert sum(int(tally.split("=")[1]) for tally in tallies) == 5000
 
 
 def test_fig1_draws_and_evaluates_once(spans, tmp_path, capsys):
