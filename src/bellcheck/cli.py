@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-# bell_value_operator stays importable from here: bench/tests/test_bench.py reads it.
-from .bell import bell_value_gamma, bell_value_operator, lemma2_exceedance  # noqa: F401
+from .bell import bell_value_gamma, lemma2_exceedance
 from .circuit import Circuit, CircuitParseError, circuit_unitary, embedded_pair_state, parse_circuit
 from .distance import (
     circuit_distance,
@@ -88,22 +87,36 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
 
 
-def _refuse_oversized(n: int, mode: str) -> None:
-    """Refuse a comparison whose largest arrays cannot fit in physical memory.
+def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples: int = 0) -> None:
+    """Refuse a request whose largest arrays cannot fit in physical memory.
 
-    Raw holds two 2^n x 2^n unitaries and a 4^n-amplitude state.  Embedded
-    holds the 8^n-entry layout of the embedded pair and its working copies,
-    traced at 2.6 complex values per entry for gamma and 4.7 for the sampled
-    class laws (counted as 3 and 5).  The sampled rounds add nothing that
-    grows with s: their 2m x d cell counts are drawn directly, and ``ShotPlan``
-    refuses a shot count those int64 counts cannot hold.
+    A comparison of n-qubit circuits (mode raw, embedded or sampled):
+    - raw holds two 2^n x 2^n unitaries and a 4^n-amplitude state;
+    - embedded holds the 8^n-entry layout of the embedded pair and its
+      working copies, traced at 2.6 complex values per entry for gamma and
+      4.7 for the sampled class laws (counted as 3 and 5);
+    - sampled also holds, per each of its 2m branches at d = 4^n, the rows of
+      the (2m, d) difference, class-law, cell-law and count tables and the
+      branch objects, traced at 24 d + 550 to 700 bytes (counted as
+      24 d + 1024).  Its rounds add nothing that grows with s: their cell
+      counts are drawn directly, and ``ShotPlan`` refuses a shot count
+      int64 cannot hold.
+
+    lemma2 holds one d^2-amplitude state and its working copies, traced at
+    3.1 complex values per amplitude (counted as 4; a block of smaller
+    states holds at most 2^13 amplitudes), and 8 bytes of ``values`` per sample.
     """
-    per_mode = {"raw": 3 * 4**n, "embedded": 3 * 8**n, "sampled": 5 * 8**n}
-    need = 16 * per_mode[mode]  # bytes of one complex value
+    if mode == "lemma2":
+        task, need = f"lemma2 at d={d} with {samples} samples", 64 * d * d + 8 * samples
+    else:
+        task = f"{n}-qubit {mode} comparison"
+        need = 16 * {"raw": 3 * 4**n, "embedded": 3 * 8**n, "sampled": 5 * 8**n}[mode]
+        if mode == "sampled":
+            need += 2 * m * (24 * 4**n + 1024)
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
         raise ValueError(
-            f"{n}-qubit {mode} comparison needs about {need / 2**30:.3g} GiB, "
+            f"{task} needs about {need / 2**30:.3g} GiB, "
             f"more than the {physical / 2**30:.3g} GiB of physical memory"
         )
 
@@ -135,7 +148,7 @@ def _load_comparison(
         else:
             plan = plan_shots(args.epsilon, args.delta)
         seed = _resolve_seed(args)
-    _refuse_oversized(n, mode)
+    _refuse_oversized(mode, n=n, m=args.m)
     return n, circuit_unitary(c1), circuit_unitary(c2), plan, seed
 
 
@@ -255,6 +268,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
 def cmd_lemma2(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
+    _refuse_oversized("lemma2", d=args.d, samples=args.samples)
     rng = RngStream(seed)
     bound, fraction, values = lemma2_exceedance(args.d, args.m, args.delta, args.samples, rng)
     _write_csv(args.out, LEMMA2_HEADER, enumerate(values))

@@ -1,7 +1,7 @@
 """Measurement bases that witness maximal Bell violation on the maximally
-entangled state, their observable powers and outcome distributions, the
-wrap-diagonal layout of a state with its outcome-difference marginals, CHSH
-observables, and the single-qubit product decomposition with its readout.
+entangled state, the wrap-diagonal layout of a state with its
+outcome-difference marginals, CHSH observables, and the single-qubit product
+decomposition with its readout.
 
 Alice's setting-x basis vector for outcome a has amplitude
 exp(+2*pi*i*k*(a - alpha_x)/d)/sqrt(d) at k with alpha_x = (x - 1/2)/m;
@@ -51,31 +51,6 @@ def basis(d: int, m: int, setting: int, party: str) -> np.ndarray:
     mat = np.exp(sign * 2j * np.pi * k * (a - shift) / d) / np.sqrt(d)
     mat.setflags(write=False)
     return mat
-
-
-def observable_power(d: int, m: int, setting: int, power: int, party: str) -> np.ndarray:
-    """Unitary power of the setting's observable.
-
-    Alice's is sum_a omega^(a*power) |a><a| in her setting basis; Bob's is
-    its entrywise complex conjugate.
-    """
-    if party not in (ALICE, BOB):
-        raise ValueError(f"party must be {ALICE!r} or {BOB!r}, got {party!r}")
-    if not 1 <= power <= d - 1:
-        raise ValueError(f"power must be in 1..{d - 1}, got {power}")
-    v = basis(d, m, setting, ALICE)
-    omega = np.exp(2j * np.pi * np.arange(d) * power / d)
-    mat = (v * omega) @ v.conj().T
-    return mat if party == ALICE else mat.conj()
-
-
-def outcome_distribution(psi: np.ndarray, x: int, y: int, d: int, m: int) -> np.ndarray:
-    """Read-only (d, d) grid of joint outcome probabilities p(a, b | settings x, y)."""
-    psi = check_state(psi, d)
-    amp = basis(d, m, x, ALICE).conj().T @ psi.reshape(d, d) @ basis(d, m, y, BOB).conj()
-    probs = np.abs(amp) ** 2
-    probs.setflags(write=False)
-    return probs
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +146,8 @@ def sequential_distribution(psi: np.ndarray, x: int, y: int, n: int, m: int) -> 
     Each party measures factor j = n down to j = 1 (top wire first); the
     single-qubit basis at each step depends on the bits already observed,
     and the outcome index accumulates least-significant bit first.  Must
-    agree with ``outcome_distribution`` on every state.
+    agree on every state with the dense grid |V_x^H grid conj(W_y)|^2 of
+    Alice's basis V_x and Bob's basis W_y (``basis``).
     """
     d = 1 << n
     psi = check_state(psi, d)

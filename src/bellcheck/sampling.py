@@ -43,11 +43,14 @@ DRAW_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class ShotPlan:
-    """Shot budget: the number s of protocol rounds, 1 <= s <= MAX_SHOTS."""
+    """Shot budget: the number s of protocol rounds, an integer 1 <= s <= MAX_SHOTS."""
 
     s: int
 
     def __post_init__(self):
+        # numpy would truncate a fractional round count, and a bool is not a count
+        if isinstance(self.s, bool) or not isinstance(self.s, (int, np.integer)):
+            raise ValueError(f"shot count must be an integer, got {self.s!r}")
         if not 1 <= self.s <= MAX_SHOTS:
             raise ValueError(f"shot count must be in 1..2^63-1, got {self.s}")
 

@@ -11,6 +11,7 @@ avoids materializing d^2 x d^2 matrices.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -47,11 +48,14 @@ def check_state(psi: np.ndarray, d: int) -> np.ndarray:
     return psi
 
 
-def sample_blocks(samples: int, amplitudes: int) -> list[tuple[int, int]]:
+def sample_blocks(samples: int, amplitudes: int) -> Iterator[tuple[int, int]]:
     """Consecutive [start, stop) ranges over ``samples`` items of ``amplitudes``
-    amplitudes each, at most ``BLOCK_AMPLITUDES`` amplitudes (or one item) per range."""
+    amplitudes each, at most ``BLOCK_AMPLITUDES`` amplitudes (or one item) per range.
+
+    The ranges are made as they are read, so their memory does not grow with ``samples``.
+    """
     step = max(1, BLOCK_AMPLITUDES // amplitudes)
-    return [(start, min(start + step, samples)) for start in range(0, samples, step)]
+    return ((start, min(start + step, samples)) for start in range(0, samples, step))
 
 
 class RngStream:

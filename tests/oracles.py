@@ -7,12 +7,38 @@ Each oracle computes a quantity the long way, so the fast code in
 import numpy as np
 
 from bellcheck.circuit import _cz_signs
-from bellcheck.measurement import ALICE, BOB, observable_power
+from bellcheck.measurement import ALICE, BOB, basis
+from bellcheck.tensor import check_state
 
 
 def cz_layer(n: int) -> np.ndarray:
     """Diagonal layer of CZ gates pairing qubit i with qubit n+i on 2n qubits."""
     return np.diag(_cz_signs(n))
+
+
+def observable_power(d: int, m: int, setting: int, power: int, party: str) -> np.ndarray:
+    """Unitary power of the setting's observable.
+
+    Alice's is sum_a omega^(a*power) |a><a| in her setting basis; Bob's is
+    its entrywise complex conjugate.
+    """
+    if party not in (ALICE, BOB):
+        raise ValueError(f"party must be {ALICE!r} or {BOB!r}, got {party!r}")
+    if not 1 <= power <= d - 1:
+        raise ValueError(f"power must be in 1..{d - 1}, got {power}")
+    v = basis(d, m, setting, ALICE)
+    omega = np.exp(2j * np.pi * np.arange(d) * power / d)
+    mat = (v * omega) @ v.conj().T
+    return mat if party == ALICE else mat.conj()
+
+
+def outcome_distribution(psi: np.ndarray, x: int, y: int, d: int, m: int) -> np.ndarray:
+    """Read-only (d, d) grid of joint outcome probabilities p(a, b | settings x, y)."""
+    psi = check_state(psi, d)
+    amp = basis(d, m, x, ALICE).conj().T @ psi.reshape(d, d) @ basis(d, m, y, BOB).conj()
+    probs = np.abs(amp) ** 2
+    probs.setflags(write=False)
+    return probs
 
 
 def oracle_operator_sum(psi, d, m):

@@ -24,7 +24,7 @@ from bellcheck.distance import (
     distance_bounds_from_v,
     distance_from_embedded_v,
 )
-from bellcheck.measurement import outcome_distribution, sequential_distribution
+from bellcheck.measurement import sequential_distribution
 from bellcheck.sampling import ShotPlan, estimate_distance, estimate_normalized_bell, plan_shots
 from bellcheck.tensor import (
     RngStream,
@@ -32,6 +32,7 @@ from bellcheck.tensor import (
     max_entangled,
     random_real_orthogonal,
 )
+from oracles import outcome_distribution
 
 SIGMA_Z = np.diag([1.0, -1.0])
 

@@ -21,8 +21,6 @@ from bellcheck.measurement import (
     ALICE,
     BOB,
     WrapDiagonals,
-    observable_power,
-    outcome_distribution,
     wrap_diagonals,
 )
 from bellcheck.circuit import embed_double, embedded_pair_state
@@ -34,7 +32,7 @@ from bellcheck.tensor import (
     random_real_orthogonal,
     random_real_unit_vector,
 )
-from oracles import oracle_operator_sum
+from oracles import observable_power, oracle_operator_sum, outcome_distribution
 
 ATOL = 1e-9
 SIGMA_Z = np.diag([1.0, -1.0])

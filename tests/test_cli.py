@@ -89,6 +89,8 @@ EXIT_CODE_TABLE = [
     pytest.param(["compare-sampled", *H_Z, "--shots", str(2**63), "--seed", "1", *OUT],
                  {}, 2, "shot count must be in 1..2^63-1, got 9223372036854775808",
                  id="oversized-shots"),
+    pytest.param(["compare-sampled", *H_Z, "--m", "1000000000000", *SAMPLED], {}, 2,
+                 "1-qubit sampled comparison needs about", id="oversized-m-sampled"),
     pytest.param(["compare-exact", *H_Z, "--m", "1", *OUT], {}, 2,
                  "need d >= 2 and m >= 2, got d=2, m=1", id="m1-raw"),
     pytest.param(["compare-exact", *H_Z, "--embedded", "--m", "1", *OUT], {}, 2,
@@ -158,12 +160,16 @@ class TestCompareExact:
         assert "lower = " in out and "upper = " in out
 
     def test_embedded_n4_skips_operator_route(self, tmp_path, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("observable_power called")
+        # the operator route is bell_value_operator and its basis changes
+        for route in ("bell_value_operator", "basis"):
+            def refuse(*args, route=route, **kwargs):
+                raise AssertionError(f"{route} called")
 
-        for module in [mod for name, mod in sys.modules.items() if name.startswith("bellcheck")]:
-            if hasattr(module, "observable_power"):
-                monkeypatch.setattr(module, "observable_power", refuse)
+            holders = [module for name, module in sys.modules.items()
+                       if name.startswith("bellcheck") and hasattr(module, route)]
+            assert holders, f"no bellcheck module holds {route}"
+            for module in holders:
+                monkeypatch.setattr(module, route, refuse)
         a = tmp_path / "a.qc"
         b = tmp_path / "b.qc"
         a.write_text("qubits 4\nH 0\nCX 0 1\nCX 1 2\nTOFFOLI 0 2 3\n")
@@ -353,6 +359,19 @@ class TestLemma2Command:
         rc = main(["lemma2", "--d", "16", "--delta", "1.5", "--samples", "10",
                    "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_oversized_request_refused_before_output(self, tmp_path, capsys, monkeypatch):
+        # 1 MiB of physical memory: a d = 256 state alone is 1 MiB of complex amplitudes
+        pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        out = tmp_path / "l2.csv"
+        argv = ["--delta", "0.1", "--seed", "1", "--out", str(out)]
+        rc = main(["lemma2", "--d", "256", "--samples", "4", *argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: lemma2 at d=256 with 4 samples needs about ")
+        assert captured.out == "" and not out.exists()
+        assert main(["lemma2", "--d", "16", "--samples", "4", *argv]) == 0
 
 
 def per_sample_fig1(path, samples, seed, include_equal_pair):

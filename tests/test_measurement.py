@@ -13,14 +13,13 @@ from bellcheck.measurement import (
     basis,
     chsh_observables,
     difference_distributions,
-    observable_power,
-    outcome_distribution,
     product_factors,
     sequential_distribution,
     wrap_diagonals,
 )
 from bellcheck.bell import protocol_branches
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
+from oracles import observable_power, outcome_distribution
 
 ATOL = 1e-9
 

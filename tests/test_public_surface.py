@@ -1,0 +1,45 @@
+"""What ``src/bellcheck`` may define at module level.
+
+Every public module-level function or class must be loaded by some code in
+``src/``, be a Library name of the README (``bellcheck.__all__``), or be one
+of the few paper claims kept for the acceptance criteria.  A definition
+that only tests read belongs in ``tests/oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import bellcheck
+
+SRC = Path(bellcheck.__file__).resolve().parent
+
+# Claims of the paper that only the acceptance criteria exercise.
+PAPER_CLAIMS = {"chsh_value", "chsh_saturation_residual", "lemma1_envelope", "product_factors"}
+
+
+def public_definitions_and_loads(src: Path) -> tuple[dict[str, str], set[str]]:
+    """({public module-level def or class: its module}, {names loaded outside their own def})."""
+    defined, loaded = {}, set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                if not own.startswith("_"):
+                    defined[own] = path.stem
+            loaded |= {n.id for n in ast.walk(node)
+                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id != own}
+    return defined, loaded
+
+
+def test_every_public_definition_has_a_reader():
+    defined, loaded = public_definitions_and_loads(SRC)
+    unread = {f"{module}.{name}" for name, module in defined.items()
+              if name not in loaded and name not in bellcheck.__all__ and name not in PAPER_CLAIMS}
+    assert not unread, f"nothing in src/ reads {sorted(unread)}; move them to tests/oracles.py"
+
+
+def test_every_kept_name_exists():
+    defined, _ = public_definitions_and_loads(SRC)
+    assert PAPER_CLAIMS <= defined.keys()
+    assert set(bellcheck.__all__) <= defined.keys()

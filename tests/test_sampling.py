@@ -11,7 +11,7 @@ from bellcheck.bell import (
     protocol_branches,
 )
 from bellcheck.circuit import embedded_pair_state
-from bellcheck.measurement import ALICE, BOB, basis, outcome_distribution
+from bellcheck.measurement import ALICE, BOB, basis
 from bellcheck.sampling import (
     DRAW_BLOCK,
     MAX_SHOTS,
@@ -22,6 +22,7 @@ from bellcheck.sampling import (
     plan_shots,
 )
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
+from oracles import outcome_distribution
 
 SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -77,6 +78,11 @@ class TestPlanShots:
         assert ShotPlan(s=MAX_SHOTS).s == 2**63 - 1
         with pytest.raises(ValueError, match="got 9223372036854775808"):
             ShotPlan(s=MAX_SHOTS + 1)
+        # numpy truncates a fractional multinomial size, so s = 2.5 would run 2 rounds
+        for s in (2.5, 1.0, True, False, "3", None):
+            with pytest.raises(ValueError, match=f"shot count must be an integer, got {s!r}"):
+                ShotPlan(s=s)
+        assert ShotPlan(s=np.int64(3)).s == 3
         for eps, delta in [(1e-10, 0.05), (1e-160, 0.05), (1e-200, 0.05), (0.5, 5e-324)]:
             with pytest.raises(ValueError, match="shot count"):
                 plan_shots(eps, delta)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,14 +141,24 @@ class TestCheckState:
 class TestSampleBlocks:
     def test_ranges_cover_in_order(self):
         per_block = tensor.BLOCK_AMPLITUDES // 16
-        spans = sample_blocks(3 * per_block + 1, 16)
+        spans = list(sample_blocks(3 * per_block + 1, 16))
         assert spans[0] == (0, per_block)
         assert spans[-1] == (3 * per_block, 3 * per_block + 1)
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         assert max(stop - start for start, stop in spans) * 16 <= tensor.BLOCK_AMPLITUDES
 
     def test_item_larger_than_a_block_gets_its_own(self):
-        assert sample_blocks(3, 2 * tensor.BLOCK_AMPLITUDES) == [(0, 1), (1, 2), (2, 3)]
+        assert list(sample_blocks(3, 2 * tensor.BLOCK_AMPLITUDES)) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_ranges_are_made_as_they_are_read(self):
+        # a list of 100,000 one-item ranges would take about 12 MiB
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in sample_blocks(100_000, tensor.BLOCK_AMPLITUDES)) == 100_000
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_non_positive_sample_count_rejected(self, samples):

@@ -3,10 +3,11 @@
 ``bench/spans.py`` wraps each function its ``LAYERS`` table names.  These
 tests load it from its path, unedited, so a renamed target fails here and
 not only in a benchmark run.  They also pin the batched figure kernels: a
-return to one kernel call per sample fails here.  Two targets are retired:
-the sampler draws (branch, class) counts per block of rounds, so the
-per-round draw table and round evaluation are gone, and their layers record
-no calls.
+return to one kernel call per sample fails here.  Four targets are retired,
+and their layers record no calls.  The sampler draws (branch, class) counts
+per block of rounds, so the per-round draw table and round evaluation are
+gone.  The observable powers and the dense outcome grids are test oracles
+in ``tests/oracles.py``: no Bell route calls them.
 """
 
 import importlib
@@ -36,8 +37,14 @@ def spans():
         del sys.modules[spec.name]
 
 
-# Targets of the per-round sampler that the count draw replaced.
-RETIRED_TARGETS = {"bellcheck.sampling.draw_table", "bellcheck.sampling.RoundSampler.evaluate"}
+RETIRED_TARGETS = {
+    # the per-round sampler that the count draw replaced
+    "bellcheck.sampling.draw_table",
+    "bellcheck.sampling.RoundSampler.evaluate",
+    # literal definitions that only tests read, now in tests/oracles.py
+    "bellcheck.measurement.observable_power",
+    "bellcheck.measurement.outcome_distribution",
+}
 
 
 def test_every_layer_target_exists(spans):
