@@ -5,10 +5,18 @@ Bit convention: qubit 0 is the most significant bit of the basis-state
 index, so an n-qubit basis index reads b(0) b(1) ... b(n-1) left to right.
 All supported gates have real matrices, hence every circuit unitary here is
 real orthogonal.
+
+Synthesis acts on the rows of the d x d matrix.  Each gate's row action is
+read once from its matrix in ``GATE_MATRICES``: row i of the product takes
+a weighted sum of one row (X, Z, CX, CZ, SWAP, TOFFOLI: a signed
+permutation) or two rows (H: a butterfly) of the matrix before it.  Signed
+permutations compose in O(d) without touching the matrix, so a circuit
+costs O(d^2) per H and O(d) per other gate.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,27 +131,66 @@ def parse_circuit(text: str) -> Circuit:
         gates.append(Gate(kind, targets))
     if n_qubits is None:
         raise CircuitParseError("missing 'qubits <n>' header", max(last_line, 1))
-    return Circuit(n_qubits=n_qubits, gates=tuple(gates))
+    # every gate passed the rule above with its line number; skip the second pass
+    # that Circuit.__post_init__ makes for a circuit built directly
+    circuit = object.__new__(Circuit)
+    object.__setattr__(circuit, "n_qubits", n_qubits)
+    object.__setattr__(circuit, "gates", tuple(gates))
+    return circuit
 
 
-def _apply_gate(mat: np.ndarray, gate: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Left-multiply a small gate acting on the given qubits of the row index."""
-    k = len(targets)
-    t = mat.reshape((2,) * n + (-1,))
-    t = np.moveaxis(t, targets, range(k))
-    rest = t.shape[k:]
-    t = (gate @ t.reshape(2**k, -1)).reshape((2,) * k + rest)
-    t = np.moveaxis(t, range(k), targets)
-    return t.reshape(mat.shape)
+@functools.lru_cache(maxsize=128)
+def _row_action(kind: str, targets: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (w, 2^n) arrays ``src``, ``coef``: row i of (gate @ M) is
+    sum_j coef[j, i] * M[src[j, i]].
+
+    w is the most nonzeros in a row of the gate's matrix (1 for a signed
+    permutation, 2 for H); shorter rows are padded with zero coefficients.
+    An entry holds at most 32 * 2^n bytes, so the cache at most 4096 * 2^n:
+    32 MiB at n = 13, the widest raw comparison the size guard admits below
+    12 GiB of memory, whose two unitaries take 1 GiB.
+    """
+    mat = GATE_MATRICES[kind]
+    width = int(np.count_nonzero(mat, axis=1).max())
+    cols = np.argsort(mat == 0, axis=1, kind="stable")[:, :width].T  # nonzero columns first
+    places = len(targets) - 1 - np.arange(len(targets))  # targets[0] is the gate's top bit
+    shifts = n - 1 - np.array(targets)  # each target's bit in the full index
+    spread = ((np.arange(len(mat))[:, None] >> places) & 1) @ (1 << shifts)
+    rows = np.arange(1 << n)
+    local = ((rows[:, None] >> shifts) & 1) @ (1 << places)  # the gate's row of each row
+    picked = cols[:, local]
+    src = (rows & ~spread[-1]) | spread[picked]
+    coef = mat[local, picked]
+    src.setflags(write=False)
+    coef.setflags(write=False)
+    return src, coef
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full matrix of the circuit, gates composed in application order."""
+    """Full matrix of the circuit, gates composed in application order.
+
+    Signed-permutation gates fold into one pending signed permutation
+    (row i of the pending product is sign[i] * row perm[i] of ``u``); an H
+    gate folds the pending pair into its two source rows, writes the
+    butterfly into ``u`` and resets the pair, and the end applies it once.
+    """
     dim = 2**circuit.n_qubits
     u = np.eye(dim)
+    identity, ones = np.arange(dim), np.ones(dim)
+    perm, sign = identity, ones
     for gate in circuit.gates:
-        u = _apply_gate(u, GATE_MATRICES[gate.kind], gate.targets, circuit.n_qubits)
-    return u
+        src, coef = _row_action(gate.kind, gate.targets, circuit.n_qubits)
+        coef = coef * sign[src]
+        src = perm[src]
+        if len(src) == 1:
+            perm, sign = src[0], coef[0]
+        else:
+            rows = u[src]
+            rows *= coef[:, :, None]
+            rows.sum(axis=0, out=u)
+            del rows  # free the 2 d^2 gather now: the peak stays at 3 d^2
+            perm, sign = identity, ones
+    return u[perm] * sign[:, None]
 
 
 def _cz_signs(n: int) -> np.ndarray:

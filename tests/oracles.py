@@ -6,7 +6,7 @@ Each oracle computes a quantity the long way, so the fast code in
 
 import numpy as np
 
-from bellcheck.circuit import _cz_signs
+from bellcheck.circuit import GATE_MATRICES, Circuit, _cz_signs
 from bellcheck.measurement import ALICE, BOB, basis
 from bellcheck.tensor import check_state
 
@@ -14,6 +14,30 @@ from bellcheck.tensor import check_state
 def cz_layer(n: int) -> np.ndarray:
     """Diagonal layer of CZ gates pairing qubit i with qubit n+i on 2n qubits."""
     return np.diag(_cz_signs(n))
+
+
+def _apply_gate(mat: np.ndarray, gate: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """Left-multiply a small gate acting on the given qubits of the row index."""
+    k = len(targets)
+    t = mat.reshape((2,) * n + (-1,))
+    t = np.moveaxis(t, targets, range(k))
+    rest = t.shape[k:]
+    t = (gate @ t.reshape(2**k, -1)).reshape((2,) * k + rest)
+    t = np.moveaxis(t, range(k), targets)
+    return t.reshape(mat.shape)
+
+
+def oracle_circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Full matrix of the circuit, gates composed in application order.
+
+    One moveaxis, reshape and 2^k x 2^k matmul per gate, straight from
+    ``GATE_MATRICES``.
+    """
+    dim = 2**circuit.n_qubits
+    u = np.eye(dim)
+    for gate in circuit.gates:
+        u = _apply_gate(u, GATE_MATRICES[gate.kind], gate.targets, circuit.n_qubits)
+    return u
 
 
 def observable_power(d: int, m: int, setting: int, power: int, party: str) -> np.ndarray:

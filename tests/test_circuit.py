@@ -1,7 +1,13 @@
+import importlib.util
+import itertools
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bellcheck import circuit as circuit_module
 from bellcheck.circuit import (
     GATE_ARITY,
     GATE_MATRICES,
@@ -14,9 +20,12 @@ from bellcheck.circuit import (
     embedded_pair_state,
     parse_circuit,
 )
+from bellcheck.distance import circuit_distance
 from bellcheck.measurement import wrap_diagonals
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
-from oracles import cz_layer
+from oracles import cz_layer, oracle_circuit_unitary
+
+PAIRS_PATH = Path(__file__).resolve().parents[1] / "bench" / "pairs.py"
 
 ATOL = 1e-9
 
@@ -79,6 +88,19 @@ class TestParse:
     def test_non_integer_index(self):
         with pytest.raises(CircuitParseError):
             parse_circuit("qubits 2\nX a")
+
+    def test_each_gate_checked_once(self, monkeypatch):
+        lines = []
+        check_gate = circuit_module._check_gate
+
+        def counting_check(kind, targets, n_qubits, line=None):
+            lines.append(line)
+            check_gate(kind, targets, n_qubits, line)
+
+        monkeypatch.setattr(circuit_module, "_check_gate", counting_check)
+        parsed = parse_circuit("qubits 3\nH 0\n# note\nCX 0 1\nTOFFOLI 2 0 1\nZ 2\n")
+        assert lines == [2, 4, 5, 6]
+        assert parsed == Circuit(3, parsed.gates)
 
 
 class TestGateRule:
@@ -144,20 +166,111 @@ class TestCircuitUnitary:
 
     def test_random_circuits_are_real_orthogonal(self):
         rng = RngStream(51)
-        names = list(GATE_MATRICES)
         for _ in range(20):
             n = int(rng.gen.integers(1, 4))
-            gates = []
-            for _ in range(int(rng.gen.integers(0, 12))):
-                usable = [g for g in names if GATE_ARITY[g] <= n]
-                kind = usable[int(rng.gen.integers(len(usable)))]
-                targets = tuple(
-                    int(t) for t in rng.gen.choice(n, size=GATE_ARITY[kind], replace=False)
-                )
-                gates.append(Gate(kind, targets))
-            u = circuit_unitary(Circuit(n, tuple(gates)))
+            u = circuit_unitary(Circuit(n, random_gates(rng, n, int(rng.gen.integers(0, 12)))))
             assert np.isrealobj(u)
             assert np.max(np.abs(u.T @ u - np.eye(2**n))) < ATOL
+
+
+def random_gates(rng, n, count, kinds=tuple(GATE_MATRICES)):
+    """``count`` gates drawn from ``kinds`` on n qubits, targets in random order."""
+    gates = []
+    usable = [kind for kind in kinds if GATE_ARITY[kind] <= n]
+    for _ in range(count):
+        kind = usable[int(rng.gen.integers(len(usable)))]
+        targets = rng.gen.choice(n, size=GATE_ARITY[kind], replace=False)
+        gates.append(Gate(kind, tuple(int(t) for t in targets)))
+    return tuple(gates)
+
+
+class TestAgainstOracle:
+    """The row-action synthesis against the moveaxis/matmul loop it replaced.
+
+    The old loop's 2 x 2 products run through BLAS, which may fuse the
+    multiply-add, so circuits with H agree to rounding; signed permutations
+    are exact on both sides.
+    """
+
+    @staticmethod
+    def check(circuit):
+        got, want = circuit_unitary(circuit), oracle_circuit_unitary(circuit)
+        if any(gate.kind == "H" for gate in circuit.gates):
+            assert_allclose(got, want, rtol=0, atol=1e-12)
+        else:
+            assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_circuits(self, n):
+        rng = RngStream(71, n)
+        for _ in range(100):
+            self.check(Circuit(n, random_gates(rng, n, int(rng.gen.integers(0, 40)))))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_gate_and_target_order(self, n):
+        h_layer = tuple(Gate("H", (q,)) for q in range(n))
+        for kind, arity in GATE_ARITY.items():
+            for targets in itertools.permutations(range(n), arity):
+                gate = Gate(kind, targets)
+                self.check(Circuit(n, (gate,)))
+                self.check(Circuit(n, h_layer + (gate, Gate("H", (targets[-1],)), gate)))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_empty_h_only_and_no_h(self, n):
+        rng = RngStream(72, n)
+        no_h = [kind for kind in GATE_MATRICES if kind != "H"]
+        self.check(Circuit(n))
+        for _ in range(10):
+            self.check(Circuit(n, random_gates(rng, n, int(rng.gen.integers(1, 30)), ("H",))))
+            self.check(Circuit(n, random_gates(rng, n, int(rng.gen.integers(1, 60)), no_h)))
+
+    def test_action_cache_is_bounded(self):
+        action = circuit_module._row_action
+        action.cache_clear()
+        keys = [
+            (kind, targets, n)
+            for n in range(1, 6)
+            for kind, arity in GATE_ARITY.items()
+            for targets in itertools.permutations(range(n), arity)
+        ]
+        assert len(keys) > action.cache_info().maxsize
+        for key in keys:
+            action(*key)
+        info = action.cache_info()
+        assert info.misses == len(keys)
+        assert info.currsize <= info.maxsize
+        action.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    """``bench/pairs.py``, loaded from its path unedited: an integer simulator of its own."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_matches_bench_integer_simulator(bench_pairs, tmp_path):
+    pairs = bench_pairs.generate_pairs(11, 12, tmp_path)
+    rewrites = 0
+    for pair in pairs:
+        unitaries = []
+        for path in (pair.path_a, pair.path_b):
+            circuit = parse_circuit(Path(path).read_text())
+            gates = [(gate.kind, gate.targets) for gate in circuit.gates]
+            unitaries.append(circuit_unitary(circuit))
+            want = bench_pairs.oracle_unitary(gates, circuit.n_qubits)
+            assert_allclose(unitaries[-1], want, rtol=0, atol=1e-12)
+        if pair.klass == "rewrite":
+            rewrites += 1
+            assert circuit_distance(*unitaries) <= 1e-7
+    assert len(pairs) * 2 == 24 and rewrites == 4
 
 
 class TestCzLayer:

@@ -7,7 +7,9 @@ return to one kernel call per sample fails here.  Four targets are retired,
 and their layers record no calls.  The sampler draws (branch, class) counts
 per block of rounds, so the per-round draw table and round evaluation are
 gone.  The observable powers and the dense outcome grids are test oracles
-in ``tests/oracles.py``: no Bell route calls them.
+in ``tests/oracles.py``: no Bell route calls them.  An exact comparison
+parses and synthesizes each of its two circuits once, so the circuit layers
+time the whole front end.
 """
 
 import importlib
@@ -87,6 +89,16 @@ def test_traced_sampled_comparison(spans, tmp_path, capsys):
     assert layers["sampling.RoundSampler.evaluate"].calls == 0
     tallies = capsys.readouterr().out.split("setting_tallies: ")[1].split(", ")
     assert sum(int(tally.split("=")[1]) for tally in tallies) == 5000
+
+
+def test_exact_comparison_builds_each_circuit_once(spans, tmp_path, capsys):
+    a, b = tmp_path / "a.qc", tmp_path / "b.qc"
+    a.write_text("qubits 4\nH 0\nCX 0 1\nTOFFOLI 1 2 3\nH 3\nSWAP 0 2\nCZ 3 1\n")
+    b.write_text("qubits 4\nH 0\nCX 0 1\nTOFFOLI 1 2 3\nH 3\nSWAP 2 0\nCZ 1 3\nX 2\nX 2\n")
+    layers = traced_call(spans, ["compare-exact", str(a), str(b), "--embedded"])
+    assert layers["circuit.parse_circuit"].calls == 2
+    assert layers["circuit.circuit_unitary"].calls == 2
+    assert "verdict = EQUIVALENT\n" in capsys.readouterr().out
 
 
 def test_fig1_draws_and_evaluates_once(spans, tmp_path, capsys):
