@@ -7,8 +7,9 @@ All three routes agree on any normalized state: the operator form sums
 one basis change per setting, O(m d^3); the diagonal-sum form evaluates
 it in O(R d) from R stored rows of the wrap-diagonal layout; the probability
 form averages the expected round value over the class-law table of
-``branch_laws``, read from the same layout.  They are tied together by
-V = d*m*I' - m, where I' in [0, 1] is the normalized value.
+``branch_laws``, read from the same layout by four FFTs for any m, in
+O(R d log d + m R d).  They are tied together by V = d*m*I' - m, where
+I' in [0, 1] is the normalized value.
 
 A protocol round picks one branch index n in 0..2m-1, in
 ``protocol_branches`` order: n = 2(i - 1) + r for setting i in 1..m and
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import (
-    ALICE, WrapDiagonals, basis, chsh_observables, difference_distributions, wrap_diagonals,
+    ALICE, BOB, WrapDiagonals, _phase_params, basis, chsh_observables, wrap_diagonals,
 )
 from .tensor import (
     RngStream, check_params, check_samples, check_state, random_real_unit_vector, sample_blocks,
@@ -99,12 +100,6 @@ class Branch:
         """Score class of outcome pair (a, b); broadcasts over arrays."""
         return (self.sign * (np.asarray(a) - b) + self.shift) % self.class_scores.size
 
-    def class_distribution(self, diff_probs: np.ndarray) -> np.ndarray:
-        """Class probabilities from P((a - b) mod d = c), a permutation of them."""
-        probs = np.empty_like(diff_probs)
-        probs[self.score_class(np.arange(diff_probs.size), 0)] = diff_probs
-        return probs
-
 
 def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
     """The 2m round branches (r, i), r in {0, 1}, i in 1..m, at index 2(i - 1) + r.
@@ -127,12 +122,41 @@ def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
 def branch_laws(psi: np.ndarray | WrapDiagonals, d: int, m: int) -> np.ndarray:
     """(2m, d) table: row n is the law of ``protocol_branches(d, m)[n]``'s score class.
 
-    Each row permutes the branch's difference distribution
-    P((a - b) mod d | x, y), so no d x d outcome grid is formed.
+    Four FFTs serve every m, and no d x d outcome grid is formed.  Under
+    settings (x, y), let F_u and F_w be the DFTs along k of the layout rows
+    times exp(2*pi*i*k*(alpha_x - beta_y)/d), upper and wrapped entries apart.
+    Parseval over b gives
+    P((a - b) mod d = c) = sum over rows of |F_u[c] + exp(2*pi*i*beta_y) F_w[c]|^2 / d.
+    Branch (r, i) measures (i + r, i), so alpha - beta is (2r - 1)/(2m) for
+    every i and F_u, F_w depend on r alone; an r = 1 law is index-reversed,
+    as it scores (b - a) mod d.  The wrapped branch (1, m) has alpha - beta
+    one less, which rolls its classes by one and cancels its -1 relabel.
     """
-    branches = protocol_branches(d, m)
-    diffs = difference_distributions(psi, [b.pair for b in branches], d, m)
-    return np.array([b.class_distribution(q) for b, q in zip(branches, diffs)])
+    check_params(d, m)
+    layout, wrapped = wrap_diagonals(psi, d)
+    if layout.rows.ndim != 2:
+        raise ValueError(f"need one state of {d * d} amplitudes, got shape {np.shape(psi)}")
+    laws = np.empty((2 * m, d))
+    ramp = np.empty(d, dtype=complex)
+    upper, lower, f = (np.empty_like(layout.rows) for _ in range(3))
+    for r in (0, 1):
+        ramp[:] = np.arange(d)
+        ramp *= 2j * np.pi * (_phase_params(ALICE, m, 1 + r)[0] - _phase_params(BOB, m, 1)[0]) / d
+        np.multiply(layout.rows, np.exp(ramp, out=ramp), out=upper)
+        np.multiply(upper, wrapped, out=lower)
+        upper[wrapped] = 0
+        # the unscaled inverse DFT is the DFT read at -c: the reversal of an r = 1 law
+        transform, norm = (np.fft.ifft, "forward") if r else (np.fft.fft, "backward")
+        transform(upper, axis=1, norm=norm, out=upper)
+        transform(lower, axis=1, norm=norm, out=lower)
+        for i in range(1, m + 1):
+            np.multiply(lower, np.exp(2j * np.pi * _phase_params(BOB, m, i)[0]), out=f)
+            f += upper
+            law = laws[2 * (i - 1) + r]
+            np.einsum("rc,rc->c", f.real, f.real, out=law)
+            law += np.einsum("rc,rc->c", f.imag, f.imag)
+    laws /= d
+    return laws
 
 
 def normalized_bell_from_probabilities(laws: np.ndarray, d: int, m: int) -> float:

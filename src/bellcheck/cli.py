@@ -94,10 +94,10 @@ def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples:
     - raw holds two 2^n x 2^n unitaries and a 4^n-amplitude state;
     - embedded holds the 8^n-entry layout of the embedded pair and its
       working copies, traced at 2.6 complex values per entry for gamma and
-      4.7 for the sampled class laws (counted as 3 and 5);
+      4.6 for a whole sampled request at n = 7, m = 3 (counted as 3 and 5);
     - sampled also holds, per each of its 2m branches at d = 4^n, the rows of
-      the (2m, d) difference, class-law, cell-law and count tables and the
-      branch objects, traced at 24 d + 550 to 700 bytes (counted as
+      the (2m, d) class-law, cell-law and count tables and the branch
+      objects, traced at 24 d + 230 bytes at n = 1, m = 4,000 (counted as
       24 d + 1024).  Its rounds add nothing that grows with s: their cell
       counts are drawn directly, and ``ShotPlan`` refuses a shot count
       int64 cannot hold.
@@ -248,16 +248,18 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     m = 2
     d = 4**args.n
     plan = ShotPlan(s=args.shots)
-    rows = []
-    errors = []
-    for pair_id in range(args.samples):
-        u1, u2, pair_seed = _fig3_point(seed, args.n, pair_id)
-        d_true = circuit_distance(u1, u2)
-        report = estimate_distance(u1, u2, m, plan, pair_seed)
-        v_hat = d * m * report.x - m
-        rows.append([pair_id, args.n, args.shots, v_hat, d_true, report.distance_estimate])
-        errors.append(report.distance_estimate - d_true)
-    _write_csv(args.out, FIG3_HEADER, rows)
+    errors = np.empty(args.samples)
+
+    def rows():
+        for pair_id in range(args.samples):
+            u1, u2, pair_seed = _fig3_point(seed, args.n, pair_id)
+            d_true = circuit_distance(u1, u2)
+            report = estimate_distance(u1, u2, m, plan, pair_seed)
+            v_hat = d * m * report.x - m
+            errors[pair_id] = report.distance_estimate - d_true
+            yield [pair_id, args.n, args.shots, v_hat, d_true, report.distance_estimate]
+
+    _write_csv(args.out, FIG3_HEADER, rows())
     rms = float(np.sqrt(np.mean(np.square(errors))))
     print(
         f"wrote {args.samples} pairs to {args.out} "

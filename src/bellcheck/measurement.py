@@ -1,7 +1,7 @@
 """Measurement bases that witness maximal Bell violation on the maximally
-entangled state, the wrap-diagonal layout of a state with its
-outcome-difference marginals, CHSH observables, and the single-qubit product
-decomposition with its readout.
+entangled state, the wrap-diagonal layout of a state, CHSH observables, and
+the single-qubit product decomposition with its readout.  ``bell.branch_laws``
+reads the outcome-difference laws of the protocol from the layout.
 
 Alice's setting-x basis vector for outcome a has amplitude
 exp(+2*pi*i*k*(a - alpha_x)/d)/sqrt(d) at k with alpha_x = (x - 1/2)/m;
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -84,35 +83,6 @@ def wrap_diagonals(state: np.ndarray | WrapDiagonals, d: int) -> tuple[WrapDiago
         psi = check_state(state, d)
         layout = WrapDiagonals(k, np.take(psi, k * d + (k[:, None] + k) % d, axis=-1))
     return layout, layout.offsets[:, None] + k >= d
-
-
-def difference_distributions(
-    psi: np.ndarray | WrapDiagonals, pairs: Sequence[tuple[int, int]], d: int, m: int
-) -> np.ndarray:
-    """P((a - b) mod d = c | x, y) for each setting pair, in O(R d log d) per pair.
-
-    psi is a dense state or a layout of R rows; row p of the result is for
-    ``pairs[p]``, and no d x d outcome grid is formed.  With j = (k + r) mod d,
-    the amplitude of (a, b) is sum_r exp(2*pi*i*r*(b - beta)/d) F[r, (a - b) mod d] / d,
-    where F is the DFT along k of the layout row of offset r, times the ramp
-    exp(2*pi*i*k*(alpha - beta)/d) and, on wrapped entries, exp(2*pi*i*beta).
-    Parseval over b then gives q[c] = sum_r |F[r, c]|^2 / d.
-    """
-    layout, wrapped = wrap_diagonals(psi, d)
-    if layout.rows.ndim != 2:
-        raise ValueError(f"need one state of {d * d} amplitudes, got shape {np.shape(psi)}")
-    k = np.arange(d)
-    out = np.empty((len(pairs), d))
-    for p, (x, y) in enumerate(pairs):
-        _check_setting(m, x)
-        _check_setting(m, y)
-        alpha, _ = _phase_params(ALICE, m, x)
-        beta, _ = _phase_params(BOB, m, y)
-        ramped = layout.rows * np.exp(2j * np.pi * k * (alpha - beta) / d)
-        ramped[wrapped] *= np.exp(2j * np.pi * beta)
-        f = np.fft.fft(ramped, axis=1)
-        out[p] = (f.real**2 + f.imag**2).sum(axis=0) / d
-    return out
 
 
 def _qubit_factor(j: int, value: int, shift: float, sign: float, d: int) -> np.ndarray:

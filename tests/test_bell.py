@@ -24,7 +24,7 @@ from bellcheck.measurement import (
     wrap_diagonals,
 )
 from bellcheck.circuit import embed_double, embedded_pair_state
-from bellcheck import tensor
+from bellcheck import bell, tensor
 from bellcheck.tensor import (
     RngStream,
     apply_bilocal,
@@ -159,7 +159,7 @@ class TestWrapDiagonalLayout:
     """Gamma and the class laws read from a layout agree with the dense state."""
 
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 64])
     def test_dense_state_layout(self, d, m):
         psi = random_state(d * d, RngStream(108, d * 10 + m))
         layout, _ = wrap_diagonals(psi, d)
@@ -171,7 +171,7 @@ class TestWrapDiagonalLayout:
         assert np.max(np.abs(branch_laws(psi, d, m) - want)) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 64])
     def test_embedded_pair_layout(self, n, m):
         rng = RngStream(109, n * 10 + m)
         dim = 2**n
@@ -237,6 +237,35 @@ class TestProtocolBranches:
             probs = outcome_distribution(psi, *branch.pair, d, m)
             want = np.bincount(classes.ravel(), weights=probs.ravel(), minlength=d)
             assert np.max(np.abs(law - want)) < 1e-12
+
+    def test_branch_laws_rejects_invalid_inputs(self):
+        psi = max_entangled(4)
+        with pytest.raises(ValueError):
+            branch_laws(psi[:8], 4, 2)
+        with pytest.raises(ValueError):
+            branch_laws(2 * psi, 4, 2)
+        for count in (3, 4):  # a stack of states is not one state, whatever its length
+            with pytest.raises(ValueError, match="need one state of 16 amplitudes"):
+                branch_laws(np.tile(psi, (count, 1)), 4, 2)
+        with pytest.raises(ValueError, match="m >= 2"):
+            branch_laws(psi, 4, 1)
+
+    @pytest.mark.parametrize("m", [2, 3, 64])
+    def test_branch_laws_takes_four_ffts_for_any_m(self, m, monkeypatch):
+        # the laws never read the branch table, and their FFT count does not grow with m
+        calls = []
+        for name in ("fft", "ifft"):
+            transform = getattr(np.fft, name)
+            monkeypatch.setattr(
+                np.fft, name, lambda *a, t=transform, **k: calls.append(1) or t(*a, **k)
+            )
+
+        def no_table(d, m):
+            raise AssertionError("branch_laws built the branch table")
+
+        monkeypatch.setattr(bell, "protocol_branches", no_table)
+        laws = branch_laws(random_state(64, RngStream(122, m)), 8, m)
+        assert len(calls) == 4 and laws.shape == (2 * m, 8)
 
 
 class TestNormalizedBell:

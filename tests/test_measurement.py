@@ -12,12 +12,10 @@ from bellcheck.measurement import (
     WrapDiagonals,
     basis,
     chsh_observables,
-    difference_distributions,
     product_factors,
     sequential_distribution,
     wrap_diagonals,
 )
-from bellcheck.bell import protocol_branches
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
 from oracles import observable_power, outcome_distribution
 
@@ -170,43 +168,6 @@ class TestOutcomeDistribution:
             - correlator(a1, b1)
         )
         assert abs(chsh - 2 * np.sqrt(2)) < ATOL
-
-
-def wrap_diagonal_sums(probs):
-    """sum over a - b = c (mod d) of an outcome grid p[a, b]."""
-    d = probs.shape[0]
-    diff = (np.arange(d)[:, None] - np.arange(d)) % d
-    return np.bincount(diff.ravel(), weights=probs.ravel(), minlength=d)
-
-
-class TestDifferenceDistributions:
-    @pytest.mark.parametrize("d", [2, 4, 16, 64])
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_equals_wrap_diagonal_sums_of_outcome_grid(self, d, m):
-        # every setting pair (x, y), which includes every pair of protocol_branches
-        rng = RngStream(151, d * m)
-        pairs = [(x, y) for x in range(1, m + 1) for y in range(1, m + 1)]
-        assert {b.pair for b in protocol_branches(d, m)} <= set(pairs)
-        for psi in (random_state(d * d, rng), random_state(d * d, rng), max_entangled(d)):
-            got = difference_distributions(psi, pairs, d, m)
-            assert got.shape == (len(pairs), d)
-            for row, (x, y) in zip(got, pairs):
-                want = wrap_diagonal_sums(outcome_distribution(psi, x, y, d, m))
-                assert np.max(np.abs(row - want)) < 1e-12
-
-    def test_invalid_inputs(self):
-        psi = max_entangled(4)
-        with pytest.raises(ValueError):
-            difference_distributions(psi, [(0, 1)], 4, 2)
-        with pytest.raises(ValueError):
-            difference_distributions(psi, [(1, 3)], 4, 2)
-        with pytest.raises(ValueError):
-            difference_distributions(psi[:8], [(1, 1)], 4, 2)
-        with pytest.raises(ValueError):
-            difference_distributions(2 * psi, [(1, 1)], 4, 2)
-        for count in (3, 4):  # a stack of states is not one state, whatever its length
-            with pytest.raises(ValueError, match="need one state of 16 amplitudes"):
-                difference_distributions(np.tile(psi, (count, 1)), [(1, 1)], 4, 2)
 
 
 class TestWrapDiagonals:

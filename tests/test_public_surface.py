@@ -43,3 +43,22 @@ def test_every_kept_name_exists():
     defined, _ = public_definitions_and_loads(SRC)
     assert PAPER_CLAIMS <= defined.keys()
     assert set(bellcheck.__all__) <= defined.keys()
+
+
+def test_every_module_level_import_is_read():
+    # no linter runs here, so this catches an import that a deletion left behind
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert not unused, f"imported but never read: {unused}"

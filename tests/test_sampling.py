@@ -10,6 +10,7 @@ from bellcheck.bell import (
     normalized_bell_from_probabilities,
     protocol_branches,
 )
+from bellcheck import bell, sampling
 from bellcheck.circuit import embedded_pair_state
 from bellcheck.measurement import ALICE, BOB, basis
 from bellcheck.sampling import (
@@ -280,15 +281,27 @@ def wrapped_eigenstate(d, m):
 class TestAliasTables:
     """The cell law of ``RoundSampler`` against the class laws it is built from."""
 
-    def test_point_mass_and_zero_classes(self):
+    @pytest.mark.parametrize("d,m", [(8, 2), (16, 3), (64, 5)])
+    def test_point_mass_and_zero_classes(self, d, m):
         # a cell of probability zero never receives a round
-        d, m = 8, 2
         sampler = RoundSampler(wrapped_eigenstate(d, m), d, m)
         zero = sampler.cell_law < 1e-20
         assert np.isclose(sampler.cell_law[-1].max(), 1.0 / (2 * m))
         assert np.sum(zero[-1]) == d - 1
         counts = sampler.draw_counts(158, 3 * DRAW_BLOCK)
         assert counts.sum() == 3 * DRAW_BLOCK and not np.any(counts[zero])
+
+    def test_branch_table_built_once(self, monkeypatch):
+        builds = []
+
+        def counted(d, m):
+            builds.append((d, m))
+            return protocol_branches(d, m)
+
+        monkeypatch.setattr(bell, "protocol_branches", counted)
+        monkeypatch.setattr(sampling, "protocol_branches", counted)
+        RoundSampler(max_entangled(4), 4, 3)
+        assert builds == [(4, 3)]
 
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_each_branch_reproduces_its_class_law(self, d):
