@@ -1,6 +1,6 @@
 """Bell-expression evaluation by three independent routes, the weight table
-and the round branches of the randomized protocol with their score-class
-laws, CHSH quantities, and the analytic envelope and concentration bounds.
+and the score-class laws of the randomized protocol's round branches, CHSH
+quantities, and the analytic envelope and concentration bounds.
 
 All three routes agree on any normalized state: the operator form sums
 <A_i^l (x) conj(A_i^l)> over settings i and powers l, which collapses to
@@ -11,14 +11,13 @@ form averages the expected round value over the class-law table of
 O(R d log d + m R d).  They are tied together by V = d*m*I' - m, where
 I' in [0, 1] is the normalized value.
 
-A protocol round picks one branch index n in 0..2m-1, in
-``protocol_branches`` order: n = 2(i - 1) + r for setting i in 1..m and
-r in {0, 1}.  Row n of the class-law table is that branch's law.
+A protocol round picks one branch index n in 0..2m-1: n = 2(i - 1) + r for
+setting i in 1..m and r in {0, 1}.  ``branch_laws`` states what branch n
+measures and how it scores, and its row n is that branch's law;
+``branch_labels`` names the rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,53 +80,32 @@ def alpha_table(d: int, m: int) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One (r, i) round branch of the protocol.
+def branch_labels(m: int) -> list[str]:
+    """Label "A{i+r}B{i}" of each round branch (r, i), in ``branch_laws`` row order.
 
-    The round value of outcome pair (a, b) is ``class_scores[k]`` for its
-    score class k = (sign * (a - b) + shift) mod d, so it depends on (a, b)
-    only through (a - b) mod d.
+    The wrapped branch (1, m) keeps the label A{m+1}B{m}.
     """
-
-    label: str  # "A{i+r}B{i}"
-    pair: tuple[int, int]  # settings (x, y) Alice and Bob measure
-    sign: int  # +1 or -1
-    shift: int
-    class_scores: np.ndarray  # length d: round value of class k, in [-2, 2]
-
-    def score_class(self, a, b):
-        """Score class of outcome pair (a, b); broadcasts over arrays."""
-        return (self.sign * (np.asarray(a) - b) + self.shift) % self.class_scores.size
-
-
-def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
-    """The 2m round branches (r, i), r in {0, 1}, i in 1..m, at index 2(i - 1) + r.
-
-    Branch (0, i) measures settings (i, i) and scores 2*alpha[(a - b) mod d].
-    Branch (1, i) measures (i+1, i) and scores 2*alpha[(b - a) mod d], where
-    the (m+1)-th Alice setting is setting 1 with +1 added to its outcome mod
-    d: branch (1, m) measures (1, m) and scores 2*alpha[(b - a - 1) mod d].
-    """
-    class_scores = 2.0 * alpha_table(d, m)
-    class_scores.setflags(write=False)
-    branches = []
-    for i in range(1, m + 1):
-        branches.append(Branch(f"A{i}B{i}", (i, i), 1, 0, class_scores))
-        x, relabel = (i + 1, 0) if i < m else (1, 1)
-        branches.append(Branch(f"A{i + 1}B{i}", (x, i), -1, -relabel, class_scores))
-    return tuple(branches)
+    return [f"A{i + r}B{i}" for i in range(1, m + 1) for r in (0, 1)]
 
 
 def branch_laws(psi: np.ndarray | WrapDiagonals, d: int, m: int) -> np.ndarray:
-    """(2m, d) table: row n is the law of ``protocol_branches(d, m)[n]``'s score class.
+    """(2m, d) table of the score-class laws of the 2m round branches.
+
+    A round picks branch (r, i), r in {0, 1} and setting i in 1..m, at row
+    n = 2(i - 1) + r.  Branch (0, i) measures settings (i, i) and scores an
+    outcome pair (a, b) as 2*alpha[(a - b) mod d]; branch (1, i) measures
+    (i + 1, i) and scores 2*alpha[(b - a) mod d], where the (m+1)-th Alice
+    setting is setting 1 with +1 added to its outcome mod d, so branch (1, m)
+    measures (1, m) and scores 2*alpha[(b - a - 1) mod d].  Row n is the law
+    of that branch's score class k, whose round value is 2*alpha[k] for
+    alpha = ``alpha_table(d, m)``.
 
     Four FFTs serve every m, and no d x d outcome grid is formed.  Under
     settings (x, y), let F_u and F_w be the DFTs along k of the layout rows
     times exp(2*pi*i*k*(alpha_x - beta_y)/d), upper and wrapped entries apart.
     Parseval over b gives
     P((a - b) mod d = c) = sum over rows of |F_u[c] + exp(2*pi*i*beta_y) F_w[c]|^2 / d.
-    Branch (r, i) measures (i + r, i), so alpha - beta is (2r - 1)/(2m) for
+    As branch (r, i) measures (i + r, i), alpha - beta is (2r - 1)/(2m) for
     every i and F_u, F_w depend on r alone; an r = 1 law is index-reversed,
     as it scores (b - a) mod d.  The wrapped branch (1, m) has alpha - beta
     one less, which rolls its classes by one and cancels its -1 relabel.
@@ -163,10 +141,10 @@ def normalized_bell_from_probabilities(laws: np.ndarray, d: int, m: int) -> floa
     """Normalized Bell value I' from the class-law table of ``branch_laws``.
 
     I' is the expected round value, the mean over the 2m branches of
-    sum_k laws[n, k] * class_scores[k].  Satisfies d*m*I' - m = V and equals
+    sum_k laws[n, k] * 2*alpha[k].  Satisfies d*m*I' - m = V and equals
     1 exactly on the maximally entangled state.
     """
-    class_scores = protocol_branches(d, m)[0].class_scores
+    class_scores = 2.0 * alpha_table(d, m)
     laws = np.asarray(laws, dtype=float)
     if laws.shape != (2 * m, d):
         raise ValueError(f"class-law table has shape {laws.shape}, want {(2 * m, d)}")

@@ -96,9 +96,9 @@ def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples:
       working copies, traced at 2.6 complex values per entry for gamma and
       4.6 for a whole sampled request at n = 7, m = 3 (counted as 3 and 5);
     - sampled also holds, per each of its 2m branches at d = 4^n, the rows of
-      the (2m, d) class-law, cell-law and count tables and the branch
-      objects, traced at 24 d + 230 bytes at n = 1, m = 4,000 (counted as
-      24 d + 1024).  Its rounds add nothing that grows with s: their cell
+      the (2m, d) class-law, cell-law and count tables and the branch's
+      label and tally, traced at 24 d + 82 bytes at n = 1, m = 4,000 (counted
+      as 24 d + 1024).  Its rounds add nothing that grows with s: their cell
       counts are drawn directly, and ``ShotPlan`` refuses a shot count
       int64 cannot hold.
 

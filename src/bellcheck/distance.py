@@ -88,6 +88,5 @@ def distance_from_embedded_v(v, d: int, m: int) -> float | np.ndarray:
 
 
 def normalized_to_distance(i_prime: float) -> float:
-    """Distance estimate sqrt(1 - I'), clamping I' into [0, 1] first."""
-    clamped = min(1.0, max(0.0, float(i_prime)))
-    return float(np.sqrt(1.0 - clamped))
+    """Distance estimate sqrt(1 - I'), its radicand clamped into [0, 1]."""
+    return _clamped_sqrt(1.0 - float(i_prime))

@@ -82,7 +82,8 @@ def wrap_diagonals(state: np.ndarray | WrapDiagonals, d: int) -> tuple[WrapDiago
         # into C-ordered rows, so each row sums in the same order stacked or alone
         psi = check_state(state, d)
         layout = WrapDiagonals(k, np.take(psi, k * d + (k[:, None] + k) % d, axis=-1))
-    return layout, layout.offsets[:, None] + k >= d
+    # (R,) int64 thresholds, not an (R, d) sum; narrow offset types cannot hold d
+    return layout, k >= (d - layout.offsets.astype(np.int64))[:, None]
 
 
 def _qubit_factor(j: int, value: int, shift: float, sign: float, d: int) -> np.ndarray:

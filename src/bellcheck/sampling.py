@@ -2,9 +2,9 @@
 the circuit distance, with Hoeffding shot planning.
 
 One round draws a branch index n uniformly from 0..2m-1; the parties
-measure branch n's setting pair and its class scores value the outcome
-pair (a, b), both as ``bell.protocol_branches`` defines them.  The round
-mean X is an unbiased estimate of I' and every round value lies in
+measure branch n's setting pair, and the score class of their outcome pair
+(a, b) gives the round value, both as ``bell.branch_laws`` states them.
+The round mean X is an unbiased estimate of I' and every round value lies in
 [-2, 2], which yields the s > 8*ln(1/delta)/epsilon^2 shot budget.
 
 A round's value depends on (a, b) only through the branch's score class,
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import branch_laws, protocol_branches
+from .bell import alpha_table, branch_labels, branch_laws
 from .circuit import embedded_pair_state
 from .distance import normalized_to_distance
 from .measurement import WrapDiagonals
@@ -90,15 +90,16 @@ class EstimationReport:
 class RoundSampler:
     """Per-state law of single protocol rounds over their (branch, class) cells.
 
-    ``cell_law[n, c]`` is the probability that a round takes branch n of
-    ``protocol_branches`` and lands in score class c: row n of ``branch_laws``
-    over 2m.  It has 2m x d entries, whatever the number of rounds.
+    ``cell_law[n, c]`` is the probability that a round takes branch n and
+    lands in score class c: row n of ``branch_laws`` over 2m.  It has 2m x d
+    entries, whatever the number of rounds.  ``labels[n]`` names branch n
+    (``branch_labels``) and ``scores[c]`` is the round value 2*alpha[c] of
+    class c.
     """
 
     def __init__(self, psi: np.ndarray | WrapDiagonals, d: int, m: int):
-        branches = protocol_branches(d, m)
-        self.labels = [b.label for b in branches]
-        self.scores = branches[0].class_scores
+        self.labels = branch_labels(m)
+        self.scores = 2.0 * alpha_table(d, m)
         laws = branch_laws(psi, d, m)
         # the table's own sum, not 2m, so numpy's check that pvals sum to 1 holds
         self.cell_law = laws / laws.sum()

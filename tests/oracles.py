@@ -4,8 +4,11 @@ Each oracle computes a quantity the long way, so the fast code in
 ``bellcheck`` can be compared against it.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from bellcheck.bell import alpha_table
 from bellcheck.circuit import GATE_MATRICES, Circuit, _cz_signs
 from bellcheck.measurement import ALICE, BOB, basis
 from bellcheck.tensor import check_state
@@ -76,3 +79,41 @@ def oracle_operator_sum(psi, d, m):
             total += np.vdot(grid, a @ grid @ b_bar.T)
     assert abs(total.imag) < 1e-12
     return total.real
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One (r, i) round branch of the protocol.
+
+    The round value of outcome pair (a, b) is ``class_scores[k]`` for its
+    score class k = (sign * (a - b) + shift) mod d, so it depends on (a, b)
+    only through (a - b) mod d.
+    """
+
+    label: str  # "A{i+r}B{i}"
+    pair: tuple[int, int]  # settings (x, y) Alice and Bob measure
+    sign: int  # +1 or -1
+    shift: int
+    class_scores: np.ndarray  # length d: round value of class k, in [-2, 2]
+
+    def score_class(self, a, b):
+        """Score class of outcome pair (a, b); broadcasts over arrays."""
+        return (self.sign * (np.asarray(a) - b) + self.shift) % self.class_scores.size
+
+
+def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
+    """The 2m round branches (r, i), r in {0, 1}, i in 1..m, at index 2(i - 1) + r.
+
+    Branch (0, i) measures settings (i, i) and scores 2*alpha[(a - b) mod d].
+    Branch (1, i) measures (i+1, i) and scores 2*alpha[(b - a) mod d], where
+    the (m+1)-th Alice setting is setting 1 with +1 added to its outcome mod
+    d: branch (1, m) measures (1, m) and scores 2*alpha[(b - a - 1) mod d].
+    """
+    class_scores = 2.0 * alpha_table(d, m)
+    class_scores.setflags(write=False)
+    branches = []
+    for i in range(1, m + 1):
+        branches.append(Branch(f"A{i}B{i}", (i, i), 1, 0, class_scores))
+        x, relabel = (i + 1, 0) if i < m else (1, 1)
+        branches.append(Branch(f"A{i + 1}B{i}", (x, i), -1, -relabel, class_scores))
+    return tuple(branches)

@@ -1,11 +1,13 @@
 import importlib
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import bellcheck
+from bellcheck.circuit import embedded_pair_state
 from bellcheck.measurement import (
     ALICE,
     BOB,
@@ -190,6 +192,26 @@ class TestWrapDiagonals:
         assert_array_equal(layout.offsets, [3, 1])
         assert_array_equal(layout.rows, rows)
         assert_array_equal(wrapped, [[False, True, True, True], [False, False, False, True]])
+
+    def test_narrow_offset_type_whose_range_excludes_d(self):
+        d = 256
+        rows = np.full((2, d), np.sqrt(1 / (2 * d)))
+        _, wrapped = wrap_diagonals(WrapDiagonals(np.array([0, 255], dtype=np.uint8), rows), d)
+        assert_array_equal(wrapped.sum(axis=1), [0, 255])
+
+    def test_peak_memory_is_the_returned_arrays(self):
+        # n = 6 embedded layout (d = 4096, 64 real rows): the complex copy of the rows and
+        # the bool mask; an (R, d) int64 offset sum would add half the rows' size again
+        rng = RngStream(153)
+        u1, u2 = random_real_orthogonal(64, rng), random_real_orthogonal(64, rng)
+        state = embedded_pair_state(u1, u2)
+        tracemalloc.start()
+        try:
+            layout, wrapped = wrap_diagonals(state, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * (layout.rows.nbytes + wrapped.nbytes)
 
     def test_rejects_bad_layouts(self):
         d = 4

@@ -1,9 +1,11 @@
-"""What ``src/bellcheck`` may define at module level.
+"""What ``src/bellcheck`` may define.
 
 Every public module-level function or class must be loaded by some code in
 ``src/``, be a Library name of the README (``bellcheck.__all__``), or be one
-of the few paper claims kept for the acceptance criteria.  A definition
-that only tests read belongs in ``tests/oracles.py``.
+of the few paper claims kept for the acceptance criteria.  Every public
+method and dataclass field of a public class must be read in ``src/``, as an
+attribute or a keyword argument.  A definition that only tests read belongs
+in ``tests/oracles.py``.
 """
 
 import ast
@@ -37,6 +39,43 @@ def test_every_public_definition_has_a_reader():
     unread = {f"{module}.{name}" for name, module in defined.items()
               if name not in loaded and name not in bellcheck.__all__ and name not in PAPER_CLAIMS}
     assert not unread, f"nothing in src/ reads {sorted(unread)}; move them to tests/oracles.py"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "dataclass"
+               for dec in node.decorator_list for n in ast.walk(dec))
+
+
+def public_members_and_reads(src: Path) -> tuple[dict[str, str], set[str]]:
+    """({"module.Class.member": member} for public methods and dataclass fields,
+    {attribute and keyword-argument names read anywhere in src/})."""
+    members, read = {}, set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            owner = f"{path.stem}.{node.name}"
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and _is_dataclass(node)):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members[f"{owner}.{name}"] = name
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        read |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.keyword)}
+    return members, read
+
+
+def test_every_public_member_has_a_reader():
+    members, read = public_members_and_reads(SRC)
+    unread = sorted(qualified for qualified, name in members.items() if name not in read)
+    assert not unread, f"nothing in src/ reads {unread}; move them to tests/oracles.py"
 
 
 def test_every_kept_name_exists():

@@ -8,9 +8,7 @@ from bellcheck.bell import (
     bell_value_gamma,
     branch_laws,
     normalized_bell_from_probabilities,
-    protocol_branches,
 )
-from bellcheck import bell, sampling
 from bellcheck.circuit import embedded_pair_state
 from bellcheck.measurement import ALICE, BOB, basis
 from bellcheck.sampling import (
@@ -23,7 +21,7 @@ from bellcheck.sampling import (
     plan_shots,
 )
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
-from oracles import outcome_distribution
+from oracles import outcome_distribution, protocol_branches
 
 SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -291,17 +289,17 @@ class TestAliasTables:
         counts = sampler.draw_counts(158, 3 * DRAW_BLOCK)
         assert counts.sum() == 3 * DRAW_BLOCK and not np.any(counts[zero])
 
-    def test_branch_table_built_once(self, monkeypatch):
-        builds = []
-
-        def counted(d, m):
-            builds.append((d, m))
-            return protocol_branches(d, m)
-
-        monkeypatch.setattr(bell, "protocol_branches", counted)
-        monkeypatch.setattr(sampling, "protocol_branches", counted)
-        RoundSampler(max_entangled(4), 4, 3)
-        assert builds == [(4, 3)]
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_labels_and_scores_match_the_branch_oracle(self, m):
+        # the wrapped branch (1, m) keeps the label A{m+1}B{m}; X is printed to 12 digits
+        d = 8
+        sampler = RoundSampler(max_entangled(d), d, m)
+        branches = protocol_branches(d, m)
+        assert sampler.labels == [b.label for b in branches]
+        assert sampler.labels[-1] == f"A{m + 1}B{m}"
+        for branch in branches:
+            assert sampler.scores.dtype == branch.class_scores.dtype
+            assert sampler.scores.tobytes() == branch.class_scores.tobytes()
 
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_each_branch_reproduces_its_class_law(self, d):
