@@ -89,7 +89,11 @@ def branch_labels(m: int) -> list[str]:
 
 
 def branch_laws(psi: np.ndarray | WrapDiagonals, d: int, m: int) -> np.ndarray:
-    """(2m, d) table of the score-class laws of the 2m round branches.
+    """(..., 2m, d) table of the score-class laws of the 2m round branches.
+
+    psi is one state or a stack of states, dense or as a ``WrapDiagonals``
+    layout; a stack gives one (2m, d) table per state, each equal to that
+    state's own table bit for bit.
 
     A round picks branch (r, i), r in {0, 1} and setting i in 1..m, at row
     n = 2(i - 1) + r.  Branch (0, i) measures settings (i, i) and scores an
@@ -112,9 +116,7 @@ def branch_laws(psi: np.ndarray | WrapDiagonals, d: int, m: int) -> np.ndarray:
     """
     check_params(d, m)
     layout, wrapped = wrap_diagonals(psi, d)
-    if layout.rows.ndim != 2:
-        raise ValueError(f"need one state of {d * d} amplitudes, got shape {np.shape(psi)}")
-    laws = np.empty((2 * m, d))
+    laws = np.empty((*layout.rows.shape[:-2], 2 * m, d))
     ramp = np.empty(d, dtype=complex)
     upper, lower, f = (np.empty_like(layout.rows) for _ in range(3))
     for r in (0, 1):
@@ -122,17 +124,18 @@ def branch_laws(psi: np.ndarray | WrapDiagonals, d: int, m: int) -> np.ndarray:
         ramp *= 2j * np.pi * (_phase_params(ALICE, m, 1 + r)[0] - _phase_params(BOB, m, 1)[0]) / d
         np.multiply(layout.rows, np.exp(ramp, out=ramp), out=upper)
         np.multiply(upper, wrapped, out=lower)
-        upper[wrapped] = 0
+        # copyto broadcasts the mask over a stack without a subscript's index arrays
+        np.copyto(upper, 0, where=wrapped)
         # the unscaled inverse DFT is the DFT read at -c: the reversal of an r = 1 law
         transform, norm = (np.fft.ifft, "forward") if r else (np.fft.fft, "backward")
-        transform(upper, axis=1, norm=norm, out=upper)
-        transform(lower, axis=1, norm=norm, out=lower)
+        transform(upper, axis=-1, norm=norm, out=upper)
+        transform(lower, axis=-1, norm=norm, out=lower)
         for i in range(1, m + 1):
             np.multiply(lower, np.exp(2j * np.pi * _phase_params(BOB, m, i)[0]), out=f)
             f += upper
-            law = laws[2 * (i - 1) + r]
-            np.einsum("rc,rc->c", f.real, f.real, out=law)
-            law += np.einsum("rc,rc->c", f.imag, f.imag)
+            law = laws[..., 2 * (i - 1) + r, :]
+            np.einsum("...rc,...rc->...c", f.real, f.real, out=law)
+            law += np.einsum("...rc,...rc->...c", f.imag, f.imag)
     laws /= d
     return laws
 

@@ -205,10 +205,10 @@ def _cz_signs(n: int) -> np.ndarray:
 
 
 def _qubit_count(u: np.ndarray) -> int:
-    """n for a square 2^n x 2^n matrix with n >= 1, or ValueError."""
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    """n for a square 2^n x 2^n matrix, or a stack of them, with n >= 1, or ValueError."""
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {u.shape}")
-    dim = u.shape[0]
+    dim = u.shape[-1]
     n = dim.bit_length() - 1
     if dim < 2 or (1 << n) != dim:
         raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
@@ -235,6 +235,9 @@ def embedded_pair_state(u1: np.ndarray, u2: np.ndarray) -> WrapDiagonals:
     with c the CZ signs, the grid is diag(c) (W (x) I) diag(c), W = U1 U2^T / 2^n: only
     the 2^n diagonals at offsets t * 2^n are nonzero, and row t at index p * 2^n + q
     is c[p, q] * c[p + t, q] * W[p, p + t], indices mod 2^n.  Exact for complex U.
+
+    Stacks of pairs, shape (..., 2^n, 2^n), give one layout whose rows have
+    shape (..., 2^n, 4^n), each state equal to its pair's own bit for bit.
     """
     u1 = np.asarray(u1)
     u2 = np.asarray(u2)
@@ -242,8 +245,9 @@ def embedded_pair_state(u1: np.ndarray, u2: np.ndarray) -> WrapDiagonals:
     if u2.shape != u1.shape:
         raise ValueError(f"dimension mismatch: {u1.shape} vs {u2.shape}")
     dim = 1 << n
-    w = u1 @ u2.T / dim  # sqrt(d) = dim
+    w = u1 @ u2.mT / dim  # sqrt(d) = dim
     c = _cz_signs(n).reshape(dim, dim)
     p = np.arange(dim)
     shifted = (p[:, None] + p) % dim  # [t, p] -> p + t
-    return WrapDiagonals(p * dim, (c * c[shifted] * w[p, shifted][:, :, None]).reshape(dim, -1))
+    rows = c * c[shifted] * w[..., p, shifted][..., None]
+    return WrapDiagonals(p * dim, rows.reshape(*w.shape[:-2], dim, -1))

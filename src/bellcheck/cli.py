@@ -29,8 +29,8 @@ from .distance import (
 from .sampling import ShotPlan, estimate_distance, plan_shots
 from .svgplot import emit_svg_scatter
 from .tensor import (
-    RngStream, apply_bilocal, check_params, check_samples, max_entangled, random_real_orthogonal,
-    sample_blocks,
+    RngStream, apply_bilocal, check_params, check_samples, haar_orthogonal, max_entangled,
+    random_real_orthogonal, sample_blocks,
 )
 
 SEED_ENV_VAR = "BELLCHECK_SEED"
@@ -233,31 +233,33 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fig3_point(seed: int, n: int, pair_id: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """One scatter point's Haar orthogonal pair, then its estimation seed, from one stream."""
-    rng = RngStream(seed, stream_id=pair_id + 1)
-    dim = 2**n
-    u1 = random_real_orthogonal(dim, rng)
-    u2 = random_real_orthogonal(dim, rng)
-    return u1, u2, int(rng.gen.integers(1 << 63))
-
-
 def cmd_fig3(args: argparse.Namespace) -> int:
     check_samples(args.samples)
     seed = _resolve_seed(args)
     m = 2
-    d = 4**args.n
+    dim = 2**args.n
+    d = dim * dim
     plan = ShotPlan(s=args.shots)
     errors = np.empty(args.samples)
 
     def rows():
-        for pair_id in range(args.samples):
-            u1, u2, pair_seed = _fig3_point(seed, args.n, pair_id)
+        # a pair's layout has 8^n entries; pair j draws its Gaussian pair, then
+        # its estimation seed, from its own stream, and the math between is stacked
+        for start, stop in sample_blocks(args.samples, d * dim):
+            gauss = np.empty((stop - start, 2, dim, dim))
+            seeds = np.empty(stop - start, dtype=np.int64)
+            for j in range(start, stop):
+                rng = RngStream(seed, stream_id=j + 1)
+                rng.gen.standard_normal(out=gauss[j - start])
+                seeds[j - start] = rng.gen.integers(1 << 63)
+            pairs = haar_orthogonal(gauss)
+            u1, u2 = pairs[:, 0], pairs[:, 1]
             d_true = circuit_distance(u1, u2)
-            report = estimate_distance(u1, u2, m, plan, pair_seed)
+            report = estimate_distance(u1, u2, m, plan, seeds)
             v_hat = d * m * report.x - m
-            errors[pair_id] = report.distance_estimate - d_true
-            yield [pair_id, args.n, args.shots, v_hat, d_true, report.distance_estimate]
+            errors[start:stop] = report.distance_estimate - d_true
+            columns = zip(v_hat, d_true, report.distance_estimate)
+            yield from ([start + j, args.n, args.shots, *cells] for j, cells in enumerate(columns))
 
     _write_csv(args.out, FIG3_HEADER, rows())
     rms = float(np.sqrt(np.mean(np.square(errors))))

@@ -87,6 +87,9 @@ def distance_from_embedded_v(v, d: int, m: int) -> float | np.ndarray:
     return _clamped_sqrt(np.where(radicand < d * np.finfo(float).eps, 0.0, radicand))
 
 
-def normalized_to_distance(i_prime: float) -> float:
-    """Distance estimate sqrt(1 - I'), its radicand clamped into [0, 1]."""
-    return _clamped_sqrt(1.0 - float(i_prime))
+def normalized_to_distance(i_prime) -> float | np.ndarray:
+    """Distance estimate sqrt(1 - I'), its radicand clamped into [0, 1].
+
+    An array of values gives an array.
+    """
+    return _clamped_sqrt(1.0 - np.asarray(i_prime, dtype=float))

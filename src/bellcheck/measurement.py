@@ -54,27 +54,34 @@ def basis(d: int, m: int, setting: int, party: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WrapDiagonals:
-    """A d x d coefficient grid by its wrap diagonals: rows[i, k] is
-    grid[k, (k + offsets[i]) mod d], and every unlisted diagonal is zero."""
+    """A d x d coefficient grid by its wrap diagonals: rows[..., i, k] is
+    grid[k, (k + offsets[i]) mod d], and every unlisted diagonal is zero.
+    Leading axes of ``rows`` hold a stack of grids."""
 
     offsets: np.ndarray  # (R,) distinct integers in 0..d-1
-    rows: np.ndarray  # (R, d)
+    rows: np.ndarray  # (..., R, d)
 
 
 def wrap_diagonals(state: np.ndarray | WrapDiagonals, d: int) -> tuple[WrapDiagonals, np.ndarray]:
     """The checked layout of a dense state (all d rows) or of a layout, and its wrapped mask.
 
     A dense stack of states, shape (..., d*d), becomes one layout with rows
-    of shape (..., d, d); the (R, d) mask broadcasts against them.
+    of shape (..., d, d), and a layout's rows may hold a stack of states,
+    shape (..., R, d), over one set of offsets; the (R, d) mask broadcasts
+    against them.  Every state in a stack must be normalized.
     """
     k = np.arange(d)
     if isinstance(state, WrapDiagonals):
         offsets = np.asarray(state.offsets)
         rows = np.asarray(state.rows, dtype=complex)
-        if (offsets.ndim != 1 or offsets.dtype.kind not in "iu" or rows.shape != (offsets.size, d)
+        if (offsets.ndim != 1 or offsets.dtype.kind not in "iu"
+                or rows.shape[-2:] != (offsets.size, d)
                 or len({r for r in offsets.tolist() if 0 <= r < d}) != offsets.size):
-            raise ValueError(f"layout needs (R, {d}) rows for R distinct offsets in 0..{d - 1}")
-        if abs(np.linalg.norm(rows) - 1.0) > TOL:
+            raise ValueError(
+                f"layout needs (..., R, {d}) rows for R distinct offsets in 0..{d - 1}"
+            )
+        flat = rows.reshape(*rows.shape[:-2], -1)
+        if np.any(np.abs(np.sqrt(np.vecdot(flat, flat).real) - 1.0) > TOL):
             raise ValueError("state is not normalized")
         layout = WrapDiagonals(offsets, rows)
     else:

@@ -19,6 +19,10 @@ the run covers the block, else of the run's rounds that fall in it.  The
 counts therefore have the law of s i.i.d. rounds at O(m d log s) cost, the
 counts of rounds [0, s) are a function of (seed, s), and every complete
 block of a run is shared by all longer runs.
+
+A stack of states, shape (...), has cell laws and counts of shape
+(..., 2m, d) and takes one seed per state; each state's counts are drawn
+from its own seed, as they would be alone.
 """
 
 from __future__ import annotations
@@ -79,20 +83,26 @@ def plan_shots(epsilon: float, delta: float) -> ShotPlan:
 
 @dataclass(frozen=True)
 class EstimationReport:
-    """Result of one estimation run; X is the raw (unclamped) round mean."""
+    """Result of one estimation run; X is the raw (unclamped) round mean.
+
+    A stack of states gives arrays of shape (...) for x and the distance
+    estimate, and per branch label a nested list of tallies of shape (...).
+    """
 
     s: int
-    x: float
-    distance_estimate: float
-    setting_tallies: dict[str, int] = field(default_factory=dict)
+    x: float | np.ndarray
+    distance_estimate: float | np.ndarray
+    setting_tallies: dict[str, int | list] = field(default_factory=dict)
 
 
 class RoundSampler:
     """Per-state law of single protocol rounds over their (branch, class) cells.
 
-    ``cell_law[n, c]`` is the probability that a round takes branch n and
-    lands in score class c: row n of ``branch_laws`` over 2m.  It has 2m x d
-    entries, whatever the number of rounds.  ``labels[n]`` names branch n
+    ``cell_law``, shape (..., 2m, d), holds at [..., n, c] the probability
+    that a round takes branch n and lands in score class c: row n of
+    ``branch_laws`` over 2m.  Its size does not depend on the number of
+    rounds, and each state of a stack, shape (...), has the table it would
+    have alone, bit for bit.  ``labels[n]`` names branch n
     (``branch_labels``) and ``scores[c]`` is the round value 2*alpha[c] of
     class c.
     """
@@ -101,48 +111,60 @@ class RoundSampler:
         self.labels = branch_labels(m)
         self.scores = 2.0 * alpha_table(d, m)
         laws = branch_laws(psi, d, m)
-        # the table's own sum, not 2m, so numpy's check that pvals sum to 1 holds
-        self.cell_law = laws / laws.sum()
+        # each table's own sum, not 2m, so numpy's check that pvals sum to 1 holds
+        self.cell_law = laws / laws.sum(axis=(-2, -1), keepdims=True)
 
-    def draw_counts(self, seed: int, s: int) -> np.ndarray:
-        """(2m, d) int64 counts of the cells over rounds [0, s), one draw per dyadic block."""
-        pvals = self.cell_law.ravel()
-        counts = np.zeros(pvals.size, dtype=np.int64)
-        block, start, stop = 0, 0, DRAW_BLOCK
-        while start < s:
-            counts += RngStream(seed, stream_id=block).gen.multinomial(min(stop, s) - start, pvals)
-            block, start, stop = block + 1, stop, 2 * stop
+    def draw_counts(self, seed: int | np.ndarray, s: int) -> np.ndarray:
+        """(..., 2m, d) int64 counts of the cells over rounds [0, s), one draw per dyadic block.
+
+        A stack takes an array of seeds of its shape, one per state.
+        """
+        laws = self.cell_law.reshape(-1, math.prod(self.cell_law.shape[-2:]))
+        counts = np.zeros(laws.shape, dtype=np.int64)
+        for pvals, item, item_seed in zip(laws, counts, np.ravel(seed).tolist(), strict=True):
+            block, start, stop = 0, 0, DRAW_BLOCK
+            while start < s:
+                item += RngStream(item_seed, stream_id=block).gen.multinomial(
+                    min(stop, s) - start, pvals
+                )
+                block, start, stop = block + 1, stop, 2 * stop
         return counts.reshape(self.cell_law.shape)
 
 
 def estimate_normalized_bell(
-    psi: np.ndarray | WrapDiagonals, d: int, m: int, plan: ShotPlan, seed: int
+    psi: np.ndarray | WrapDiagonals, d: int, m: int, plan: ShotPlan, seed: int | np.ndarray
 ) -> EstimationReport:
     """Run plan.s rounds and report their mean X.
 
     X itself is never clamped (keeping it unbiased); only the derived
-    distance estimate clamps into [0, 1].
+    distance estimate clamps into [0, 1].  A stack of states takes one seed
+    per state and runs plan.s rounds on each.
     """
     sampler = RoundSampler(psi, d, m)
     counts = sampler.draw_counts(seed, plan.s)
-    x = float(counts.sum(axis=0) @ sampler.scores / plan.s)
+    x = np.vecdot(counts.sum(axis=-2), sampler.scores) / plan.s
+    x = float(x) if x.ndim == 0 else x
+    tallies = counts.sum(axis=-1)
     return EstimationReport(
         s=plan.s,
         x=x,
         distance_estimate=normalized_to_distance(x),
-        setting_tallies=dict(zip(sampler.labels, counts.sum(axis=1).tolist())),
+        setting_tallies={
+            label: tallies[..., n].tolist() for n, label in enumerate(sampler.labels)
+        },
     )
 
 
 def estimate_distance(
-    u1: np.ndarray, u2: np.ndarray, m: int, plan: ShotPlan, seed: int
+    u1: np.ndarray, u2: np.ndarray, m: int, plan: ShotPlan, seed: int | np.ndarray
 ) -> EstimationReport:
     """Shot-sampled distance between two unitaries via the doubling embedding.
 
     Both inputs are embedded with ancillas, the embedded pair acts on the
     maximally entangled state, and the sampled X converts to a distance
     exactly (up to shot noise) because the embedding pins the Bell value
-    to a function of the distance alone.
+    to a function of the distance alone.  Stacks of pairs, shape
+    (..., 2^n, 2^n), take an array of seeds of shape (...), one per pair.
     """
     psi = embedded_pair_state(u1, u2)
-    return estimate_normalized_bell(psi, psi.rows.shape[1], m, plan, seed)
+    return estimate_normalized_bell(psi, psi.rows.shape[-1], m, plan, seed)

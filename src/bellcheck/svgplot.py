@@ -7,6 +7,7 @@ cleanly in tests and version control.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,10 +28,23 @@ def _read_columns(csv_path: str | Path, x_col: str, y_col: str) -> tuple[list[fl
                 raise ValueError(f"column {col!r} not in {csv_path} (columns: {header})")
         xs: list[float] = []
         ys: list[float] = []
-        for row in reader:
-            xs.append(float(row[x_col]))
-            ys.append(float(row[y_col]))
+        for number, row in enumerate(reader, start=1):
+            xs.append(_finite_cell(row, x_col, number, csv_path))
+            ys.append(_finite_cell(row, y_col, number, csv_path))
     return xs, ys
+
+
+def _finite_cell(row: dict, col: str, number: int, csv_path: str | Path) -> float:
+    """A plotted cell as a finite float, or ValueError naming its data row (from 1) and column."""
+    try:
+        value = float(row[col])
+    except (TypeError, ValueError):  # a missing cell reads as None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{csv_path}: row {number}, column {col!r}: {row[col]!r} is not a finite number"
+        )
+    return value
 
 
 def _padded_range(values: list[float]) -> tuple[float, float]:

@@ -99,21 +99,29 @@ def apply_bilocal(m: np.ndarray, n: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-2], d * d)
 
 
-def random_real_orthogonal(dim: int, rng: RngStream, size: tuple[int, ...] = ()) -> np.ndarray:
-    """Haar-distributed real orthogonal matrices, shape (*size, dim, dim).
+def haar_orthogonal(gauss: np.ndarray) -> np.ndarray:
+    """The Haar map: real orthogonal matrices from i.i.d. Gaussian ones, shape (..., dim, dim).
 
-    QR decomposition of an i.i.d. Gaussian matrix with the sign of R's
-    diagonal absorbed into Q, which makes the distribution exactly Haar.
-    The stack is drawn in C order from one Gaussian call, so it equals
-    prod(size) single draws (``size=()``) made one after another, bit for bit.
+    QR decomposition of each matrix with the sign of R's diagonal absorbed
+    into Q, which makes the distribution exactly Haar.  Each matrix of a
+    stack maps as it would alone, bit for bit.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim}")
-    g = rng.gen.standard_normal((*size, dim, dim))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(gauss)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
     return q * signs[..., None, :]
+
+
+def random_real_orthogonal(dim: int, rng: RngStream, size: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-distributed real orthogonal matrices, shape (*size, dim, dim).
+
+    ``haar_orthogonal`` of a stack drawn in C order from one Gaussian call,
+    so it equals prod(size) single draws (``size=()``) made one after
+    another, bit for bit.
+    """
+    if dim < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dim}")
+    return haar_orthogonal(rng.gen.standard_normal((*size, dim, dim)))
 
 
 def random_real_unit_vector(dim: int, rng: RngStream, size: tuple[int, ...] = ()) -> np.ndarray:

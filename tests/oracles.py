@@ -10,8 +10,11 @@ import numpy as np
 
 from bellcheck.bell import alpha_table
 from bellcheck.circuit import GATE_MATRICES, Circuit, _cz_signs
+from bellcheck.cli import FIG3_HEADER, _write_csv
+from bellcheck.distance import circuit_distance
 from bellcheck.measurement import ALICE, BOB, basis
-from bellcheck.tensor import check_state
+from bellcheck.sampling import ShotPlan, estimate_distance
+from bellcheck.tensor import RngStream, check_state, random_real_orthogonal
 
 
 def cz_layer(n: int) -> np.ndarray:
@@ -117,3 +120,35 @@ def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
         x, relabel = (i + 1, 0) if i < m else (1, 1)
         branches.append(Branch(f"A{i + 1}B{i}", (x, i), -1, -relabel, class_scores))
     return tuple(branches)
+
+
+def _fig3_point(seed: int, n: int, pair_id: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One scatter point's Haar orthogonal pair, then its estimation seed, from one stream."""
+    rng = RngStream(seed, stream_id=pair_id + 1)
+    dim = 2**n
+    u1 = random_real_orthogonal(dim, rng)
+    u2 = random_real_orthogonal(dim, rng)
+    return u1, u2, int(rng.gen.integers(1 << 63))
+
+
+def per_pair_fig3(path, n: int, shots: int, samples: int, seed: int) -> float:
+    """Reference for ``fig3``: one pair drawn and estimated at a time.
+
+    Writes the CSV and returns the RMS error the command reports.
+    """
+    m = 2
+    d = 4**n
+    plan = ShotPlan(s=shots)
+    errors = np.empty(samples)
+
+    def rows():
+        for pair_id in range(samples):
+            u1, u2, pair_seed = _fig3_point(seed, n, pair_id)
+            d_true = circuit_distance(u1, u2)
+            report = estimate_distance(u1, u2, m, plan, pair_seed)
+            v_hat = d * m * report.x - m
+            errors[pair_id] = report.distance_estimate - d_true
+            yield [pair_id, n, shots, v_hat, d_true, report.distance_estimate]
+
+    _write_csv(path, FIG3_HEADER, rows())
+    return float(np.sqrt(np.mean(np.square(errors))))

@@ -245,11 +245,47 @@ class TestProtocolBranches:
             branch_laws(psi[:8], 4, 2)
         with pytest.raises(ValueError):
             branch_laws(2 * psi, 4, 2)
-        for count in (3, 4):  # a stack of states is not one state, whatever its length
-            with pytest.raises(ValueError, match="need one state of 16 amplitudes"):
-                branch_laws(np.tile(psi, (count, 1)), 4, 2)
+        stack = np.tile(psi, (3, 1))
+        stack[1] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="not normalized"):  # one bad state rejects a stack
+            branch_laws(stack, 4, 2)
         with pytest.raises(ValueError, match="m >= 2"):
             branch_laws(psi, 4, 1)
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_dense_stack_equals_per_item(self, d):
+        rng = RngStream(123, d)
+        stack = np.array([random_state(d * d, rng) for _ in range(12)]).reshape(3, 4, d * d)
+        laws = branch_laws(stack, d, 3)
+        assert laws.shape == (3, 4, 6, d)
+        for idx in np.ndindex(3, 4):
+            assert laws[idx].tobytes() == branch_laws(stack[idx], d, 3).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_layout_stack_equals_per_item(self, n):
+        dim = 2**n
+        pairs = random_real_orthogonal(dim, RngStream(124, n), (3, 4, 2))
+        stack = embedded_pair_state(pairs[..., 0, :, :], pairs[..., 1, :, :])
+        laws = branch_laws(stack, dim * dim, 2)
+        assert laws.shape == (3, 4, 4, dim * dim)
+        for idx in np.ndindex(3, 4):
+            single = branch_laws(embedded_pair_state(*pairs[idx]), dim * dim, 2)
+            assert laws[idx].tobytes() == single.tobytes()
+
+    def test_one_unnormalized_layout_rejects_the_stack(self):
+        pairs = random_real_orthogonal(2, RngStream(125), (3, 4, 2))
+        stack = embedded_pair_state(pairs[..., 0, :, :], pairs[..., 1, :, :])
+        stack.rows[2, 1] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="not normalized"):
+            branch_laws(stack, 4, 2)
+
+    def test_norm_is_checked_per_state(self):
+        # four states of norm 1/2 have Frobenius norm 1 together, and none is normalized
+        rows = np.tile(embedded_pair_state(np.eye(2), np.eye(2)).rows, (4, 1, 1))
+        with pytest.raises(ValueError, match="not normalized"):
+            branch_laws(WrapDiagonals(np.array([0, 2]), rows / 2), 4, 2)
+        # four normalized states have Frobenius norm 2 together, and each is normalized
+        assert branch_laws(WrapDiagonals(np.array([0, 2]), rows), 4, 2).shape == (4, 4, 4)
 
     @pytest.mark.parametrize("m", [2, 3, 64])
     def test_branch_laws_takes_four_ffts_for_any_m(self, m, monkeypatch):

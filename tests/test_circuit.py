@@ -364,6 +364,20 @@ class TestEmbeddedPairState:
             omitted = np.setdiff1d(np.arange(d), got.offsets)
             assert np.all(want.rows[omitted] == 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("draw", [random_real_orthogonal, random_unitary])
+    def test_stack_equals_per_item(self, n, draw):
+        rng = RngStream(65, n)
+        dim = 2**n
+        pairs = np.array([[draw(dim, rng) for _ in range(2)] for _ in range(12)])
+        pairs = pairs.reshape(3, 4, 2, dim, dim)
+        got = embedded_pair_state(pairs[..., 0, :, :], pairs[..., 1, :, :])
+        assert got.rows.shape == (3, 4, dim, dim * dim)
+        assert_array_equal(got.offsets, np.arange(dim) * dim)
+        for idx in np.ndindex(3, 4):
+            single = embedded_pair_state(*pairs[idx])
+            assert got.rows[idx].tobytes() == single.rows.tobytes()
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             embedded_pair_state(np.eye(3), np.eye(3))

@@ -11,12 +11,13 @@ import pytest
 import bellcheck
 from bellcheck import tensor
 from bellcheck.bell import bell_value_gamma
-from bellcheck.cli import FIG1_HEADER, LEMMA2_HEADER, _fig3_point, _write_csv, main
+from bellcheck.cli import FIG1_HEADER, LEMMA2_HEADER, _write_csv, main
 from bellcheck.circuit import circuit_unitary, parse_circuit
 from bellcheck.distance import circuit_distance, distance_bounds_from_v
 from bellcheck.tensor import (
     RngStream, apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector,
 )
+from oracles import _fig3_point, per_pair_fig3
 
 HADAMARD = "qubits 1\nH 0\n"
 PAULI_Z = "qubits 1\nZ 0\n"
@@ -76,6 +77,12 @@ EXIT_CODE_TABLE = [
                  "cannot read circuit file {missing}", id="unreadable-compare-sampled"),
     pytest.param(["plot", "{missing}", "--x", "V", "--y", "D", *OUT], {}, 2, "{missing}",
                  id="unreadable-plot"),
+    pytest.param(["plot", "{nan_csv}", "--x", "V", "--y", "D", *OUT], {}, 2,
+                 "{nan_csv}: row 1, column 'D': 'nan' is not a finite number",
+                 id="non-finite-plot"),
+    pytest.param(["plot", "{inf_csv}", "--x", "V", "--y", "D", *OUT], {}, 2,
+                 "{inf_csv}: row 2, column 'V': '-inf' is not a finite number",
+                 id="infinite-plot"),
     pytest.param(["compare-exact", "{bad}", "{h}", *OUT], {}, 2,
                  "{bad}: line 2: unknown gate 'Y'", id="parse-error-compare-exact"),
     pytest.param(["compare-sampled", "{h}", "{bad}", *SAMPLED], {}, 2,
@@ -401,6 +408,31 @@ def per_sample_lemma2(path, d, m, samples, seed):
     _write_csv(path, LEMMA2_HEADER, rows)
 
 
+class TestFig3MatchesPerPairLoop:
+    """Blocked ``fig3`` writes the bytes and the summary of the per-pair oracle loop."""
+
+    def run(self, n, shots, samples, seed, tmp_path, capsys):
+        out, ref = tmp_path / "fig3.csv", tmp_path / "ref.csv"
+        assert main(["fig3", "--n", str(n), "--shots", str(shots), "--samples", str(samples),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        rms = per_pair_fig3(ref, n, shots, samples, seed)
+        assert out.read_bytes() == ref.read_bytes()
+        assert f"rms_error={format(rms, '.12g')})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [0, 22, 2**40 + 3])
+    @pytest.mark.parametrize("shots", [100, 1000, 10000])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_blocks(self, n, shots, seed, tmp_path, capsys, monkeypatch):
+        # blocks of 5 pairs: three full blocks and a ragged one of 2
+        monkeypatch.setattr(tensor, "BLOCK_AMPLITUDES", 5 * 8**n)
+        self.run(n, shots, 17, seed, tmp_path, capsys)
+
+    @pytest.mark.parametrize("n,samples", [(2, 130), (3, 39), (1, 50)])
+    def test_default_blocks(self, n, samples, tmp_path, capsys):
+        # n = 2: blocks of 128 and 2; n = 3: 16, 16 and 7; n = 1: one block of 50
+        self.run(n, 1000, samples, 23, tmp_path, capsys)
+
+
 class TestBlockBoundaries:
     """Blocked figure runs write the bytes of the per-sample loops at every block boundary."""
 
@@ -432,7 +464,8 @@ class TestBlockBoundaries:
 @pytest.mark.parametrize("argv", [
     ["lemma2", "--d", "16", "--delta", "0.1", "--samples", "100000"],
     ["fig1", "--samples", "20000"],
-], ids=["lemma2", "fig1"])
+    ["fig3", "--n", "3", "--shots", "100", "--samples", "2000"],
+], ids=["lemma2", "fig1", "fig3"])
 def test_figure_memory_does_not_grow_with_samples(argv, tmp_path, capsys):
     # rows go to the file as they are made; a list of every row takes 9 to 25 MiB here
     out = tmp_path / "out.csv"
@@ -501,7 +534,8 @@ class TestEntryPoints:
         files = {**circuits, "missing": str(tmp_path / "no-such-file"),
                  "out": str(tmp_path / "out")}
         for name, text in [("two", "qubits 2\nH 0\n"), ("bad", "qubits 1\nY 0\n"),
-                           ("csv", "pair_id,V,D,lower,upper\n0,1,0.5,0.25,0.75\n")]:
+                           ("csv", "pair_id,V,D,lower,upper\n0,1,0.5,0.25,0.75\n"),
+                           ("nan_csv", "V,D\n1,nan\n"), ("inf_csv", "V,D\n1,0.5\n-inf,0.5\n")]:
             files[name] = str(tmp_path / name)
             Path(files[name]).write_text(text)
         monkeypatch.delenv("BELLCHECK_SEED", raising=False)

@@ -211,6 +211,39 @@ class TestEstimateDistance:
             estimate_distance(np.eye(2), np.eye(4), 2, ShotPlan(s=10), seed=0)
 
 
+class TestStacks:
+    """A stack of pairs runs as its pairs would alone, bit for bit and seed for seed."""
+
+    @pytest.fixture
+    def pairs(self):
+        return random_real_orthogonal(4, RngStream(143), (3, 4, 2))
+
+    def test_cell_law_equals_per_item(self, pairs):
+        stack = RoundSampler(embedded_pair_state(pairs[..., 0, :, :], pairs[..., 1, :, :]), 16, 3)
+        assert stack.cell_law.shape == (3, 4, 6, 16)
+        for idx in np.ndindex(3, 4):
+            single = RoundSampler(embedded_pair_state(*pairs[idx]), 16, 3)
+            assert stack.cell_law[idx].tobytes() == single.cell_law.tobytes()
+
+    @pytest.mark.parametrize("s", [1_000, 3 * DRAW_BLOCK + 5])
+    def test_estimate_equals_per_item(self, pairs, s):
+        seeds = np.arange(12, dtype=np.int64).reshape(3, 4) * 7919
+        plan = ShotPlan(s=s)
+        stack = estimate_distance(pairs[..., 0, :, :], pairs[..., 1, :, :], 3, plan, seeds)
+        assert stack.x.shape == stack.distance_estimate.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            single = estimate_distance(*pairs[idx], 3, plan, int(seeds[idx]))
+            assert type(single.x) is float and type(single.distance_estimate) is float
+            assert np.array_equal(stack.x[idx], single.x)
+            assert np.array_equal(stack.distance_estimate[idx], single.distance_estimate)
+            for label, tally in single.setting_tallies.items():
+                assert stack.setting_tallies[label][idx[0]][idx[1]] == tally
+
+    def test_stack_needs_one_seed_per_state(self, pairs):
+        with pytest.raises(ValueError):
+            estimate_distance(pairs[..., 0, :, :], pairs[..., 1, :, :], 3, ShotPlan(s=10), 5)
+
+
 class TestCoverage:
     def test_hoeffding_coverage_sample(self):
         # light version of the certificate check: 60 runs at the planned budget

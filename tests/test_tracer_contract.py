@@ -119,6 +119,16 @@ def test_lemma2_evaluates_once_per_block(spans, tmp_path, capsys):
     assert layers["bell.bell_value_gamma"].calls == blocks
 
 
+def test_fig3_estimates_once_per_block(spans, tmp_path, capsys):
+    layers = traced_call(spans, ["fig3", "--n", "3", "--shots", "100", "--samples", "40",
+                                 "--seed", "5", "--out", str(tmp_path / "fig3.csv")])
+    blocks = math.ceil(40 / (tensor.BLOCK_AMPLITUDES // 8**3))
+    assert blocks == 3
+    assert layers["sampling.estimate_distance"].calls == blocks
+    assert layers["sampling.RoundSampler.init"].calls == blocks
+    assert layers["distance"].calls == 2 * blocks  # circuit_distance and normalized_to_distance
+
+
 def test_plot_overlays_make_one_call(spans, tmp_path, capsys):
     csv = tmp_path / "points.csv"
     csv.write_text("V,D\n0.5,0.5\n")
