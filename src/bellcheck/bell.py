@@ -25,7 +25,7 @@ from .measurement import (
     ALICE, BOB, WrapDiagonals, _phase_params, basis, chsh_observables, wrap_diagonals,
 )
 from .tensor import (
-    RngStream, check_params, check_samples, check_state, random_real_unit_vector, sample_blocks,
+    RngStream, check_params, check_positive, check_state, random_real_unit_vector, sample_blocks,
 )
 
 
@@ -156,11 +156,8 @@ def normalized_bell_from_probabilities(laws: np.ndarray, d: int, m: int) -> floa
 
 def chsh_value(psi: np.ndarray) -> float:
     """CHSH combination <A0 B0> + <A1 B0> + <A0 B1> - <A1 B1> on a two-qubit state."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (4,):
-        raise ValueError(f"CHSH needs a 4-amplitude state, got shape {psi.shape}")
+    grid = check_state(psi, 2).reshape(2, 2)
     a0, a1, b0, b1 = chsh_observables()
-    grid = psi.reshape(2, 2)
 
     def corr(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.vdot(grid, a @ grid @ b.T).real)
@@ -173,9 +170,7 @@ def chsh_saturation_residual(psi: np.ndarray) -> tuple[float, float]:
 
     Both vanish exactly at maximal CHSH violation and only there.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (4,):
-        raise ValueError(f"CHSH needs a 4-amplitude state, got shape {psi.shape}")
+    psi = check_state(psi, 2).reshape(4)
     a0, a1, b0, b1 = chsh_observables()
     eye = np.eye(2)
     s = 1.0 / np.sqrt(2.0)
@@ -213,7 +208,7 @@ def lemma2_exceedance(
     memory beyond ``values`` does not grow with ``samples``.  The fraction should
     not exceed delta beyond binomial noise.
     """
-    check_samples(samples)
+    check_positive("sample", samples)
     bound = lemma2_bound(d, m, delta)
     values = np.empty(samples)
     for start, stop in sample_blocks(samples, d * d):

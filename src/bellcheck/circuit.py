@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import WrapDiagonals
+from .tensor import check_pair, check_positive
 
 _S = 1.0 / np.sqrt(2.0)
 
@@ -72,8 +73,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"circuit needs at least one qubit, got {self.n_qubits}")
+        check_positive("qubit", self.n_qubits)
         for gate in self.gates:
             _check_gate(gate.kind, gate.targets, self.n_qubits)
 
@@ -194,8 +194,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 
 def _cz_signs(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"need at least one qubit pair, got n={n}")
+    check_positive("qubit pair", n)
     idx = np.arange(1 << (2 * n))
     overlap = (idx >> n) & idx & ((1 << n) - 1)
     parity = np.zeros_like(idx)
@@ -204,11 +203,8 @@ def _cz_signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
-def _qubit_count(u: np.ndarray) -> int:
-    """n for a square 2^n x 2^n matrix, or a stack of them, with n >= 1, or ValueError."""
-    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
-        raise ValueError(f"matrix must be square, got shape {u.shape}")
-    dim = u.shape[-1]
+def _qubit_count(dim: int) -> int:
+    """n for a dimension 2^n with n >= 1, or ValueError."""
     n = dim.bit_length() - 1
     if dim < 2 or (1 << n) != dim:
         raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
@@ -223,7 +219,7 @@ def embed_double(u: np.ndarray) -> np.ndarray:
     distance and pins the Bell value to an exact function of it.
     """
     u = np.asarray(u)
-    n = _qubit_count(u)
+    n = _qubit_count(check_pair(u, u))
     return _cz_signs(n)[:, None] * np.kron(u, np.eye(1 << n))
 
 
@@ -241,9 +237,7 @@ def embedded_pair_state(u1: np.ndarray, u2: np.ndarray) -> WrapDiagonals:
     """
     u1 = np.asarray(u1)
     u2 = np.asarray(u2)
-    n = _qubit_count(u1)
-    if u2.shape != u1.shape:
-        raise ValueError(f"dimension mismatch: {u1.shape} vs {u2.shape}")
+    n = _qubit_count(check_pair(u1, u2))
     dim = 1 << n
     w = u1 @ u2.mT / dim  # sqrt(d) = dim
     c = _cz_signs(n).reshape(dim, dim)

@@ -29,7 +29,7 @@ from .distance import (
 from .sampling import ShotPlan, estimate_distance, plan_shots
 from .svgplot import emit_svg_scatter
 from .tensor import (
-    RngStream, apply_bilocal, check_params, check_samples, haar_orthogonal, max_entangled,
+    RngStream, apply_bilocal, check_params, check_positive, haar_orthogonal, max_entangled,
     random_real_orthogonal, sample_blocks,
 )
 
@@ -211,7 +211,7 @@ def cmd_compare_sampled(args: argparse.Namespace) -> int:
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
-    check_samples(args.samples)
+    check_positive("sample", args.samples)
     seed = _resolve_seed(args)
     rng = RngStream(seed)
     d, m = 4, 2
@@ -234,7 +234,7 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
-    check_samples(args.samples)
+    check_positive("sample", args.samples)
     seed = _resolve_seed(args)
     m = 2
     dim = 2**args.n

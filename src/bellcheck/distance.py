@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import check_params
+from .tensor import check_pair, check_params
 
 _RANGE_PAD = 1e-9
 
@@ -31,11 +31,7 @@ def circuit_distance(u1: np.ndarray, u2: np.ndarray) -> float | np.ndarray:
     """
     u1 = np.asarray(u1)
     u2 = np.asarray(u2)
-    if u1.ndim < 2 or u1.shape[-1] != u1.shape[-2]:
-        raise ValueError(f"U1 must be square, got shape {u1.shape}")
-    if u2.shape != u1.shape:
-        raise ValueError(f"dimension mismatch: {u1.shape} vs {u2.shape}")
-    d = u1.shape[-1]
+    d = check_pair(u1, u2)
     overlap = np.trace(np.swapaxes(u1, -1, -2) @ u2, axis1=-2, axis2=-1) / d
     return _clamped_sqrt(1.0 - abs(overlap) ** 2)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import TOL, check_state
+from .tensor import check_norms, check_params, check_positive, check_state
 
 ALICE = "alice"
 BOB = "bob"
@@ -31,8 +31,6 @@ def _phase_params(party: str, m: int, setting: int) -> tuple[float, float]:
 
 
 def _check_setting(m: int, setting: int) -> None:
-    if m < 1:
-        raise ValueError(f"settings count must be >= 1, got {m}")
     if not 1 <= setting <= m:
         raise ValueError(f"setting must be in 1..{m}, got {setting}")
 
@@ -41,8 +39,7 @@ def _check_setting(m: int, setting: int) -> None:
 def basis(d: int, m: int, setting: int, party: str) -> np.ndarray:
     """Read-only (d, d) projective basis for one setting; column a is the
     outcome-a eigenvector.  Cached per (d, m, setting, party)."""
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    check_params(d, m)
     _check_setting(m, setting)
     shift, sign = _phase_params(party, m, setting)
     k = np.arange(d)[:, None]
@@ -80,9 +77,7 @@ def wrap_diagonals(state: np.ndarray | WrapDiagonals, d: int) -> tuple[WrapDiago
             raise ValueError(
                 f"layout needs (..., R, {d}) rows for R distinct offsets in 0..{d - 1}"
             )
-        flat = rows.reshape(*rows.shape[:-2], -1)
-        if np.any(np.abs(np.sqrt(np.vecdot(flat, flat).real) - 1.0) > TOL):
-            raise ValueError("state is not normalized")
+        check_norms(rows.reshape(*rows.shape[:-2], -1))
         layout = WrapDiagonals(offsets, rows)
     else:
         # one gather of grid[..., k, (k + r) mod d] = psi[..., k d + (k + r) mod d]
@@ -108,9 +103,9 @@ def product_factors(n: int, m: int, setting: int, outcome: int, party: str) -> l
     kron(factor_n, ..., factor_1) reproduces the eigenvector.  The
     decomposition exists only for qubit registers (d = 2^n).
     """
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
+    check_positive("qubit", n)
     d = 1 << n
+    check_params(d, m)
     _check_setting(m, setting)
     if not 0 <= outcome < d:
         raise ValueError(f"outcome must be in 0..{d - 1}, got {outcome}")
@@ -128,6 +123,7 @@ def sequential_distribution(psi: np.ndarray, x: int, y: int, n: int, m: int) -> 
     Alice's basis V_x and Bob's basis W_y (``basis``).
     """
     d = 1 << n
+    check_params(d, m)
     psi = check_state(psi, d)
     _check_setting(m, x)
     _check_setting(m, y)

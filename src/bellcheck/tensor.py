@@ -28,10 +28,28 @@ def check_params(d: int, m: int) -> None:
         raise ValueError(f"need d >= 2 and m >= 2, got d={d}, m={m}")
 
 
-def check_samples(samples: int) -> None:
-    """Reject a sample count below one."""
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+def check_positive(noun: str, count: int) -> None:
+    """Reject a count of ``noun`` (a sample, a qubit, a dimension) below one."""
+    if count < 1:
+        raise ValueError(f"need at least one {noun}, got {count}")
+
+
+def check_pair(a: np.ndarray, b: np.ndarray) -> int:
+    """dim of two square matrices, or stacks (..., dim, dim), of one shape, or ValueError."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if b.shape != a.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a.shape[-1]
+
+
+def check_norms(amplitudes: np.ndarray) -> None:
+    """Reject unless every state along the last axis has a norm within TOL of one;
+    a NaN or inf norm fails (NaN compares False), and no arithmetic warning escapes."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        drift = np.abs(np.sqrt(np.vecdot(amplitudes, amplitudes).real) - 1.0)
+    if not np.all(drift <= TOL):
+        raise ValueError("state is not normalized")
 
 
 def check_state(psi: np.ndarray, d: int) -> np.ndarray:
@@ -43,8 +61,7 @@ def check_state(psi: np.ndarray, d: int) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1:] != (d * d,):
         raise ValueError(f"state must have {d * d} amplitudes, got shape {psi.shape}")
-    if np.any(np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0) > TOL):
-        raise ValueError("state is not normalized")
+    check_norms(psi)
     return psi
 
 
@@ -72,8 +89,7 @@ class RngStream:
 
 def max_entangled(d: int) -> np.ndarray:
     """Maximally entangled state sum_i |ii> / sqrt(d) on a d x d register."""
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    check_positive("dimension", d)
     psi = np.zeros(d * d, dtype=complex)
     psi[np.arange(d) * (d + 1)] = 1.0 / np.sqrt(d)
     return psi
@@ -88,11 +104,7 @@ def apply_bilocal(m: np.ndarray, n: np.ndarray, psi: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     n = np.asarray(n)
     psi = np.asarray(psi)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"M must be square, got shape {m.shape}")
-    if n.shape != m.shape:
-        raise ValueError(f"M and N shapes differ: {m.shape} vs {n.shape}")
-    d = m.shape[-1]
+    d = check_pair(m, n)
     if psi.shape[-1:] != (d * d,):
         raise ValueError(f"state must have {d * d} amplitudes, got shape {psi.shape}")
     out = m @ psi.reshape(*psi.shape[:-1], d, d) @ np.swapaxes(n, -1, -2)
@@ -119,8 +131,7 @@ def random_real_orthogonal(dim: int, rng: RngStream, size: tuple[int, ...] = ())
     so it equals prod(size) single draws (``size=()``) made one after
     another, bit for bit.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim}")
+    check_positive("dimension", dim)
     return haar_orthogonal(rng.gen.standard_normal((*size, dim, dim)))
 
 
@@ -132,8 +143,7 @@ def random_real_unit_vector(dim: int, rng: RngStream, size: tuple[int, ...] = ()
     another, bit for bit: a zero draw is replaced by the next one, as a
     single draw would redraw it, and is never divided by.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim}")
+    check_positive("dimension", dim)
     count = math.prod(size)
     v = rng.gen.standard_normal((count, dim))
     norms = np.sqrt(np.vecdot(v, v))

@@ -101,3 +101,31 @@ def test_every_module_level_import_is_read():
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unused += [f"{path.stem}.{name}" for name in sorted(imported - read)]
     assert not unused, f"imported but never read: {unused}"
+
+
+# Phrases of the input rules that ``tensor.py`` states once for every entry point:
+# the norm, square matrices of one shape, counts of at least one, and (d, m).
+SHARED_RULE_PHRASES = ("not normalized", "must be square", "dimension mismatch", "at least one",
+                       "m >= 2")
+
+
+def raised_phrases(src: Path) -> dict[str, list[str]]:
+    """{phrase: ["module:line" of each raise in src/ whose literal text holds it]}."""
+    found = {phrase: [] for phrase in SHARED_RULE_PHRASES}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            text = "".join(n.value for n in ast.walk(node.exc)
+                           if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            for phrase in SHARED_RULE_PHRASES:
+                if phrase in text:
+                    found[phrase].append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_each_shared_input_rule_is_raised_once_from_tensor():
+    found = raised_phrases(SRC)
+    strays = {phrase: places for phrase, places in found.items()
+              if len(places) != 1 or not places[0].startswith("tensor:")}
+    assert not strays, f"state these rules once, in tensor.py, and call them: {strays}"

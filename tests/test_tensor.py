@@ -10,7 +10,7 @@ from bellcheck import tensor
 from bellcheck.tensor import (
     RngStream,
     apply_bilocal,
-    check_samples,
+    check_positive,
     check_state,
     max_entangled,
     random_real_orthogonal,
@@ -163,7 +163,7 @@ class TestSampleBlocks:
     @pytest.mark.parametrize("samples", [0, -3])
     def test_non_positive_sample_count_rejected(self, samples):
         with pytest.raises(ValueError, match=f"need at least one sample, got {samples}"):
-            check_samples(samples)
+            check_positive("sample", samples)
 
 
 class TestRandomOrthogonal:
