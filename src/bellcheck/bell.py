@@ -154,9 +154,17 @@ def normalized_bell_from_probabilities(laws: np.ndarray, d: int, m: int) -> floa
     return float(np.sum(laws @ class_scores)) / (2 * m)
 
 
+def _chsh_state(psi: np.ndarray) -> np.ndarray:
+    """The one two-qubit state that CHSH reads, checked; a stack of states is refused."""
+    psi = check_state(psi, 2)
+    if psi.ndim != 1:
+        raise ValueError(f"CHSH reads one two-qubit state, got a stack of shape {psi.shape}")
+    return psi
+
+
 def chsh_value(psi: np.ndarray) -> float:
     """CHSH combination <A0 B0> + <A1 B0> + <A0 B1> - <A1 B1> on a two-qubit state."""
-    grid = check_state(psi, 2).reshape(2, 2)
+    grid = _chsh_state(psi).reshape(2, 2)
     a0, a1, b0, b1 = chsh_observables()
 
     def corr(a: np.ndarray, b: np.ndarray) -> float:
@@ -170,7 +178,7 @@ def chsh_saturation_residual(psi: np.ndarray) -> tuple[float, float]:
 
     Both vanish exactly at maximal CHSH violation and only there.
     """
-    psi = check_state(psi, 2).reshape(4)
+    psi = _chsh_state(psi)
     a0, a1, b0, b1 = chsh_observables()
     eye = np.eye(2)
     s = 1.0 / np.sqrt(2.0)

@@ -33,17 +33,15 @@ GATE_MATRICES: dict[str, np.ndarray] = {
     "H": np.array([[_S, _S], [_S, -_S]]),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-    "CX": np.array(
-        [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0], [0, 0, 1.0, 0]]
-    ),
+    "CX": np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0], [0, 0, 1.0, 0]]),
     "CZ": np.diag([1.0, 1.0, 1.0, -1.0]),
-    "SWAP": np.array(
-        [[1.0, 0, 0, 0], [0, 0, 1.0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]]
-    ),
+    "SWAP": np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]]),
     "TOFFOLI": _TOFFOLI,
 }
 for _mat in GATE_MATRICES.values():
     _mat.setflags(write=False)
+# Every gate is a real symmetric involution (G^T = G = G^-1), so a circuit's unitary
+# transposes by reversing its gates: ``pair_circuit`` builds W = U1 U2^T as one circuit.
 
 GATE_ARITY = {name: mat.shape[0].bit_length() - 1 for name, mat in GATE_MATRICES.items()}
 
@@ -131,12 +129,22 @@ def parse_circuit(text: str) -> Circuit:
         gates.append(Gate(kind, targets))
     if n_qubits is None:
         raise CircuitParseError("missing 'qubits <n>' header", max(last_line, 1))
-    # every gate passed the rule above with its line number; skip the second pass
-    # that Circuit.__post_init__ makes for a circuit built directly
+    return _checked_circuit(n_qubits, tuple(gates))
+
+
+def _checked_circuit(n_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
+    """A Circuit of gates that passed the gate rule, without __post_init__'s second pass."""
     circuit = object.__new__(Circuit)
     object.__setattr__(circuit, "n_qubits", n_qubits)
-    object.__setattr__(circuit, "gates", tuple(gates))
+    object.__setattr__(circuit, "gates", gates)
     return circuit
+
+
+def pair_circuit(c1: Circuit, c2: Circuit) -> Circuit:
+    """The circuit whose unitary is W = U1 U2^T: circuit 2 reversed, then circuit 1."""
+    if c1.n_qubits != c2.n_qubits:
+        raise CircuitWidthError(f"circuit widths differ: {c1.n_qubits} vs {c2.n_qubits} qubits")
+    return _checked_circuit(c1.n_qubits, c2.gates[::-1] + c1.gates)
 
 
 @functools.lru_cache(maxsize=128)
@@ -148,7 +156,7 @@ def _row_action(kind: str, targets: tuple[int, ...], n: int) -> tuple[np.ndarray
     permutation, 2 for H); shorter rows are padded with zero coefficients.
     An entry holds at most 32 * 2^n bytes, so the cache at most 4096 * 2^n:
     32 MiB at n = 13, the widest raw comparison the size guard admits below
-    12 GiB of memory, whose two unitaries take 1 GiB.
+    16 GiB of memory, whose W takes 512 MiB.
     """
     mat = GATE_MATRICES[kind]
     width = int(np.count_nonzero(mat, axis=1).max())
@@ -197,10 +205,7 @@ def _cz_signs(n: int) -> np.ndarray:
     check_positive("qubit pair", n)
     idx = np.arange(1 << (2 * n))
     overlap = (idx >> n) & idx & ((1 << n) - 1)
-    parity = np.zeros_like(idx)
-    for i in range(n):
-        parity ^= (overlap >> i) & 1
-    return 1.0 - 2.0 * parity
+    return 1.0 - 2.0 * (np.bitwise_count(overlap) & 1)
 
 
 def _qubit_count(dim: int) -> int:
@@ -223,23 +228,22 @@ def embed_double(u: np.ndarray) -> np.ndarray:
     return _cz_signs(n)[:, None] * np.kron(u, np.eye(1 << n))
 
 
-def embedded_pair_state(u1: np.ndarray, u2: np.ndarray) -> WrapDiagonals:
-    """The embedded pair applied to the maximally entangled state, in O(8^n).
+def embedded_pair_state(w: np.ndarray) -> WrapDiagonals:
+    """The embedded pair of W = U1 U2^T applied to the maximally entangled state, in O(8^n).
 
     Equals ``apply_bilocal(embed_double(u1), embed_double(u2), max_entangled(d))``
     with d = 4^n, as its wrap-diagonal layout.  As embed_double(U) = diag(c) (U (x) I),
-    with c the CZ signs, the grid is diag(c) (W (x) I) diag(c), W = U1 U2^T / 2^n: only
-    the 2^n diagonals at offsets t * 2^n are nonzero, and row t at index p * 2^n + q
-    is c[p, q] * c[p + t, q] * W[p, p + t], indices mod 2^n.  Exact for complex U.
+    with c the CZ signs, the grid is diag(c) (W (x) I) diag(c) / 2^n: only the 2^n
+    diagonals at offsets t * 2^n are nonzero, and row t at index p * 2^n + q is
+    c[p, q] * c[p + t, q] * W[p, p + t] / 2^n, indices mod 2^n.  Exact for complex U.
 
-    Stacks of pairs, shape (..., 2^n, 2^n), give one layout whose rows have
+    A stack of W, shape (..., 2^n, 2^n), gives one layout whose rows have
     shape (..., 2^n, 4^n), each state equal to its pair's own bit for bit.
     """
-    u1 = np.asarray(u1)
-    u2 = np.asarray(u2)
-    n = _qubit_count(check_pair(u1, u2))
+    w = np.asarray(w)
+    n = _qubit_count(check_pair(w, w))
     dim = 1 << n
-    w = u1 @ u2.mT / dim  # sqrt(d) = dim
+    w = w / dim  # sqrt(d) = dim
     c = _cz_signs(n).reshape(dim, dim)
     p = np.arange(dim)
     shifted = (p[:, None] + p) % dim  # [t, p] -> p + t

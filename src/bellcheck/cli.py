@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .bell import bell_value_gamma, lemma2_exceedance
-from .circuit import Circuit, CircuitParseError, circuit_unitary, embedded_pair_state, parse_circuit
+from .circuit import (
+    Circuit, CircuitParseError, circuit_unitary, embedded_pair_state, pair_circuit, parse_circuit,
+)
 from .distance import (
     circuit_distance,
     distance_bounds_from_v,
@@ -29,8 +31,7 @@ from .distance import (
 from .sampling import ShotPlan, estimate_distance, plan_shots
 from .svgplot import emit_svg_scatter
 from .tensor import (
-    RngStream, apply_bilocal, check_params, check_positive, haar_orthogonal, max_entangled,
-    random_real_orthogonal, sample_blocks,
+    RngStream, check_params, check_positive, haar_orthogonal, random_real_orthogonal, sample_blocks,
 )
 
 SEED_ENV_VAR = "BELLCHECK_SEED"
@@ -91,7 +92,8 @@ def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples:
     """Refuse a request whose largest arrays cannot fit in physical memory.
 
     A comparison of n-qubit circuits (mode raw, embedded or sampled):
-    - raw holds two 2^n x 2^n unitaries and a 4^n-amplitude state;
+    - raw holds W = U1 U2^T and the state W / sqrt(d) with its working copies,
+      traced at 3.5 complex values per amplitude at n = 8 and 10 (counted as 4);
     - embedded holds the 8^n-entry layout of the embedded pair and its
       working copies, traced at 2.6 complex values per entry for gamma and
       4.6 for a whole sampled request at n = 7, m = 3 (counted as 3 and 5);
@@ -110,7 +112,7 @@ def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples:
         task, need = f"lemma2 at d={d} with {samples} samples", 64 * d * d + 8 * samples
     else:
         task = f"{n}-qubit {mode} comparison"
-        need = 16 * {"raw": 3 * 4**n, "embedded": 3 * 8**n, "sampled": 5 * 8**n}[mode]
+        need = 16 * {"raw": 4 * 4**n, "embedded": 3 * 8**n, "sampled": 5 * 8**n}[mode]
         if mode == "sampled":
             need += 2 * m * (24 * 4**n + 1024)
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -123,11 +125,11 @@ def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples:
 
 def _load_comparison(
     args: argparse.Namespace, mode: str
-) -> tuple[int, np.ndarray, np.ndarray, ShotPlan | None, int | None]:
-    """(n, U1, U2, plan, seed) of a comparison; plan and seed only in sampled mode.
+) -> tuple[int, np.ndarray, ShotPlan | None, int | None]:
+    """(n, W, plan, seed) of a comparison, W = U1 U2^T; plan and seed only in sampled mode.
 
     Both circuits are parsed, and the widths, m, the shot plan, the seed and the
-    size guard checked, before ``circuit_unitary`` runs: a refused request builds nothing.
+    size guard checked, before the one synthesis: a refused request builds nothing.
     """
     c1, c2 = _load_circuit(args.circuit_a), _load_circuit(args.circuit_b)
     n = c1.n_qubits
@@ -149,24 +151,24 @@ def _load_comparison(
             plan = plan_shots(args.epsilon, args.delta)
         seed = _resolve_seed(args)
     _refuse_oversized(mode, n=n, m=args.m)
-    return n, circuit_unitary(c1), circuit_unitary(c2), plan, seed
+    return n, circuit_unitary(pair_circuit(c1, c2)), plan, seed
 
 
 def cmd_compare_exact(args: argparse.Namespace) -> int:
     m = args.m
     mode = "embedded" if args.embedded else "raw"
-    n, u1, u2, _, _ = _load_comparison(args, mode)
+    n, w, _, _ = _load_comparison(args, mode)
     print(f"circuits: {args.circuit_a} vs {args.circuit_b} ({n} qubit(s))")
     if args.embedded:
         d = 4**n
-        v = bell_value_gamma(embedded_pair_state(u1, u2), d, m)
+        v = bell_value_gamma(embedded_pair_state(w), d, m)
         dist = distance_from_embedded_v(v, d, m)
         lower = upper = ""
     else:
-        d = u1.shape[0]
-        psi = apply_bilocal(u1, u2, max_entangled(d))
-        v = bell_value_gamma(psi, d, m)
-        dist = circuit_distance(u1, u2)
+        # (U1 (x) U2) applied to the maximally entangled state has the grid W / sqrt(d)
+        d = 2**n
+        v = bell_value_gamma(w.reshape(d * d) / np.sqrt(d), d, m)
+        dist = circuit_distance(w)
         bounds = distance_bounds_from_v(v, d, m)
         lower, upper = bounds.lower, bounds.upper
     i_prime = (v + m) / (d * m)
@@ -188,10 +190,10 @@ def cmd_compare_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_sampled(args: argparse.Namespace) -> int:
-    n, u1, u2, plan, seed = _load_comparison(args, "sampled")
+    n, w, plan, seed = _load_comparison(args, "sampled")
     if args.shots is None:
         print(f"planned shots: s = {plan.s} (epsilon={_fmt(args.epsilon)}, delta={_fmt(args.delta)})")
-    report = estimate_distance(u1, u2, args.m, plan, seed)
+    report = estimate_distance(w, args.m, plan, seed)
     print(f"circuits: {args.circuit_a} vs {args.circuit_b} ({n} qubit(s))")
     print(f"mode = embedded, d = {4**n}, m = {args.m}")
     print(f"s = {report.s}")
@@ -201,11 +203,8 @@ def cmd_compare_sampled(args: argparse.Namespace) -> int:
     tallies = ", ".join(f"{k}={v}" for k, v in report.setting_tallies.items())
     print(f"setting_tallies: {tallies}")
     if args.out:
-        row = [
-            args.circuit_a, args.circuit_b, "embedded", 4**n, args.m,
-            report.s, seed, "", report.x, report.distance_estimate,
-            "", "", "",
-        ]
+        row = [args.circuit_a, args.circuit_b, "embedded", 4**n, args.m, report.s, seed,
+               "", report.x, report.distance_estimate, "", "", ""]
         _write_csv(args.out, COMPARE_HEADER, [row])
     return 0
 
@@ -215,7 +214,6 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     rng = RngStream(seed)
     d, m = 4, 2
-    phi = max_entangled(d)
 
     def rows():
         for start, stop in sample_blocks(args.samples, d * d):
@@ -223,9 +221,10 @@ def cmd_fig1(args: argparse.Namespace) -> int:
             u1, u2 = pairs[:, 0], pairs[:, 1]
             if args.include_equal_pair and start == 0:
                 u2[0] = u1[0]
-            v = bell_value_gamma(apply_bilocal(u1, u2, phi), d, m)
+            w = u1 @ u2.mT
+            v = bell_value_gamma(w.reshape(-1, d * d) / np.sqrt(d), d, m)
             bounds = distance_bounds_from_v(v, d, m)
-            columns = zip(v, circuit_distance(u1, u2), bounds.lower, bounds.upper)
+            columns = zip(v, circuit_distance(w), bounds.lower, bounds.upper)
             yield from ([start + j, *cells] for j, cells in enumerate(columns))
 
     _write_csv(args.out, FIG1_HEADER, rows())
@@ -253,9 +252,9 @@ def cmd_fig3(args: argparse.Namespace) -> int:
                 rng.gen.standard_normal(out=gauss[j - start])
                 seeds[j - start] = rng.gen.integers(1 << 63)
             pairs = haar_orthogonal(gauss)
-            u1, u2 = pairs[:, 0], pairs[:, 1]
-            d_true = circuit_distance(u1, u2)
-            report = estimate_distance(u1, u2, m, plan, seeds)
+            w = pairs[:, 0] @ pairs[:, 1].mT
+            d_true = circuit_distance(w)
+            report = estimate_distance(w, m, plan, seeds)
             v_hat = d * m * report.x - m
             errors[start:stop] = report.distance_estimate - d_true
             columns = zip(v_hat, d_true, report.distance_estimate)
@@ -320,9 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="compare as-is and report sandwich bounds (default)")
     mode.add_argument("--embedded", dest="embedded", action="store_true",
                       help="apply the ancilla-doubling embedding for exact readout")
-    p.set_defaults(embedded=False)
     p.add_argument("--out", help="optional CSV row output path")
-    p.set_defaults(func=cmd_compare_exact)
+    p.set_defaults(embedded=False, func=cmd_compare_exact)
 
     p = sub.add_parser("compare-sampled", help="finite-shot distance estimate (embedded)")
     p.add_argument("circuit_a")

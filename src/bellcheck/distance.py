@@ -4,7 +4,8 @@ exact inversion available after the ancilla-doubling embedding.
 The distance is D(U1, U2) = sqrt(1 - |Tr(U1^T U2)/d|^2), with a plain
 transpose as printed; for real circuits this coincides with the
 conjugate-transpose convention, and for complex U the protocol certifies
-U2 U1^T proportional to the identity.
+U2 U1^T proportional to the identity.  As Tr(U1^T U2) = Tr(U1 U2^T), it is
+read from the trace of the pair's one matrix W = U1 U2^T.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ class DistanceBounds:
     upper: float | np.ndarray
 
 
-def circuit_distance(u1: np.ndarray, u2: np.ndarray) -> float | np.ndarray:
-    """sqrt(1 - |Tr(U1^T U2)/d|^2); zero iff equal up to a global phase.
+def circuit_distance(w: np.ndarray) -> float | np.ndarray:
+    """sqrt(1 - |Tr W / d|^2) of W = U1 U2^T, in O(d); zero iff U1 = U2 up to a phase.
 
-    Stacks of pairs, shape (..., d, d), give an array of shape (...).
+    A stack of W, shape (..., d, d), gives an array of shape (...).
     """
-    u1 = np.asarray(u1)
-    u2 = np.asarray(u2)
-    d = check_pair(u1, u2)
-    overlap = np.trace(np.swapaxes(u1, -1, -2) @ u2, axis1=-2, axis2=-1) / d
+    w = np.asarray(w)
+    d = check_pair(w, w)
+    overlap = np.trace(w, axis1=-2, axis2=-1) / d
     return _clamped_sqrt(1.0 - abs(overlap) ** 2)
 
 

@@ -42,9 +42,8 @@ def basis(d: int, m: int, setting: int, party: str) -> np.ndarray:
     check_params(d, m)
     _check_setting(m, setting)
     shift, sign = _phase_params(party, m, setting)
-    k = np.arange(d)[:, None]
-    a = np.arange(d)[None, :]
-    mat = np.exp(sign * 2j * np.pi * k * (a - shift) / d) / np.sqrt(d)
+    k = np.arange(d)
+    mat = np.exp(sign * 2j * np.pi * k[:, None] * (k - shift) / d) / np.sqrt(d)
     mat.setflags(write=False)
     return mat
 
@@ -146,11 +145,8 @@ def sequential_distribution(psi: np.ndarray, x: int, y: int, n: int, m: int) -> 
             p_branch = float(np.real(np.sum(child * child.conj())))
             if p_branch <= 0.0:
                 continue
-            collapsed = child / np.sqrt(p_branch)
-            if on_alice:
-                descend(collapsed, step + 1, value, b_val, prob * p_branch)
-            else:
-                descend(collapsed, step + 1, a_val, value, prob * p_branch)
+            a_next, b_next = (value, b_val) if on_alice else (a_val, value)
+            descend(child / np.sqrt(p_branch), step + 1, a_next, b_next, prob * p_branch)
 
     descend(psi.reshape((2,) * (2 * n)), 0, 0, 0, 1.0)
     return probs

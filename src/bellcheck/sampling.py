@@ -6,6 +6,7 @@ measure branch n's setting pair, and the score class of their outcome pair
 (a, b) gives the round value, both as ``bell.branch_laws`` states them.
 The round mean X is an unbiased estimate of I' and every round value lies in
 [-2, 2], which yields the s > 8*ln(1/delta)/epsilon^2 shot budget.
+``estimate_distance`` takes a pair of circuits as W = U1 U2^T.
 
 A round's value depends on (a, b) only through the branch's score class,
 a function of (a - b) mod d, so X and the per-branch tallies depend on the
@@ -156,15 +157,15 @@ def estimate_normalized_bell(
 
 
 def estimate_distance(
-    u1: np.ndarray, u2: np.ndarray, m: int, plan: ShotPlan, seed: int | np.ndarray
+    w: np.ndarray, m: int, plan: ShotPlan, seed: int | np.ndarray
 ) -> EstimationReport:
-    """Shot-sampled distance between two unitaries via the doubling embedding.
+    """Shot-sampled distance between two unitaries, from W = U1 U2^T, by the embedding.
 
-    Both inputs are embedded with ancillas, the embedded pair acts on the
+    Both unitaries are embedded with ancillas, the embedded pair acts on the
     maximally entangled state, and the sampled X converts to a distance
     exactly (up to shot noise) because the embedding pins the Bell value
-    to a function of the distance alone.  Stacks of pairs, shape
-    (..., 2^n, 2^n), take an array of seeds of shape (...), one per pair.
+    to a function of the distance alone.  A stack of W, shape
+    (..., 2^n, 2^n), takes an array of seeds of shape (...), one per pair.
     """
-    psi = embedded_pair_state(u1, u2)
+    psi = embedded_pair_state(w)
     return estimate_normalized_bell(psi, psi.rows.shape[-1], m, plan, seed)

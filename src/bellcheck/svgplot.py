@@ -100,47 +100,36 @@ def emit_svg_scatter(
     ]
     for tick in _ticks(x_lo, x_hi):
         x = px(tick)
-        parts.append(
+        parts += [
             f'<line x1="{x:.2f}" y1="{_HEIGHT - _MB}" x2="{x:.2f}" y2="{_HEIGHT - _MB + 5}" '
-            'stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
+            'stroke="#333333" stroke-width="1"/>',
             f'<text x="{x:.2f}" y="{_HEIGHT - _MB + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tick:.3g}</text>'
-        )
+            f'font-family="sans-serif" font-size="11">{tick:.3g}</text>',
+        ]
     for tick in _ticks(y_lo, y_hi):
         y = py(tick)
-        parts.append(
+        parts += [
             f'<line x1="{_ML - 5}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" '
-            'stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
+            'stroke="#333333" stroke-width="1"/>',
             f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tick:.3g}</text>'
-        )
-    parts.append(
+            f'font-family="sans-serif" font-size="11">{tick:.3g}</text>',
+        ]
+    parts += [
         f'<text x="{(_ML + _WIDTH - _MR) / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_col}</text>'
-    )
-    parts.append(
+        f'font-family="sans-serif" font-size="12">{x_col}</text>',
         f'<text x="16" y="{(_MT + _HEIGHT - _MB) / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {(_MT + _HEIGHT - _MB) / 2:.1f})">{y_col}</text>'
-    )
-    for x, y in zip(xs, ys):
-        parts.append(
-            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" '
-            f'fill="{_POINT_COLOR}" fill-opacity="0.7"/>'
-        )
+        f'transform="rotate(-90 16 {(_MT + _HEIGHT - _MB) / 2:.1f})">{y_col}</text>',
+    ]
+    parts += [f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" '
+              f'fill="{_POINT_COLOR}" fill-opacity="0.7"/>' for x, y in zip(xs, ys)]
     for k, (label, ox, oy) in enumerate(overlays):
         color = _OVERLAY_COLORS[k % len(_OVERLAY_COLORS)]
         points = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(ox, oy))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
+        parts += [
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>',
             f'<text x="{_WIDTH - _MR - 6}" y="{_MT + 16 + 14 * k}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
-        )
+            f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>',
+        ]
     parts.append("</svg>")
     Path(out_path).write_text("\n".join(parts) + "\n", encoding="utf-8")

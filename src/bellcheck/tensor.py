@@ -52,6 +52,12 @@ def check_norms(amplitudes: np.ndarray) -> None:
         raise ValueError("state is not normalized")
 
 
+def check_amplitudes(psi: np.ndarray, d: int) -> None:
+    """Reject unless the last axis holds the d*d amplitudes of a d x d bipartite state."""
+    if psi.shape[-1:] != (d * d,):
+        raise ValueError(f"state must have {d * d} amplitudes, got shape {psi.shape}")
+
+
 def check_state(psi: np.ndarray, d: int) -> np.ndarray:
     """A normalized d x d bipartite state as a complex array, or ValueError.
 
@@ -59,8 +65,7 @@ def check_state(psi: np.ndarray, d: int) -> np.ndarray:
     the stack must be normalized.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape[-1:] != (d * d,):
-        raise ValueError(f"state must have {d * d} amplitudes, got shape {psi.shape}")
+    check_amplitudes(psi, d)
     check_norms(psi)
     return psi
 
@@ -105,8 +110,7 @@ def apply_bilocal(m: np.ndarray, n: np.ndarray, psi: np.ndarray) -> np.ndarray:
     n = np.asarray(n)
     psi = np.asarray(psi)
     d = check_pair(m, n)
-    if psi.shape[-1:] != (d * d,):
-        raise ValueError(f"state must have {d * d} amplitudes, got shape {psi.shape}")
+    check_amplitudes(psi, d)
     out = m @ psi.reshape(*psi.shape[:-1], d, d) @ np.swapaxes(n, -1, -2)
     return out.reshape(*out.shape[:-2], d * d)
 

@@ -144,8 +144,9 @@ def per_pair_fig3(path, n: int, shots: int, samples: int, seed: int) -> float:
     def rows():
         for pair_id in range(samples):
             u1, u2, pair_seed = _fig3_point(seed, n, pair_id)
-            d_true = circuit_distance(u1, u2)
-            report = estimate_distance(u1, u2, m, plan, pair_seed)
+            w = u1 @ u2.T
+            d_true = circuit_distance(w)
+            report = estimate_distance(w, m, plan, pair_seed)
             v_hat = d * m * report.x - m
             errors[pair_id] = report.distance_estimate - d_true
             yield [pair_id, n, shots, v_hat, d_true, report.distance_estimate]

@@ -74,7 +74,7 @@ def test_criterion_02_strict_gap_converse():
         u1 = random_real_orthogonal(d, rng)
         u2 = random_real_orthogonal(d, rng)
         produced += 1
-        if circuit_distance(u1, u2) <= 0.01:
+        if circuit_distance(u1 @ u2.T) <= 0.01:
             continue
         v = bell_value_gamma(apply_bilocal(u1, u2, phi), d, m)
         gap = m * (d - 1) - v
@@ -96,7 +96,7 @@ def test_criterion_03_sandwich_and_tightness():
         u1 = random_real_orthogonal(d, rng)
         u2 = random_real_orthogonal(d, rng)
         v = bell_value_gamma(apply_bilocal(u1, u2, phi), d, m)
-        dist = circuit_distance(u1, u2)
+        dist = circuit_distance(u1 @ u2.T)
         bounds = distance_bounds_from_v(v, d, m)
         if not (bounds.lower - 1e-9 <= dist <= bounds.upper + 1e-9):
             violations += 1
@@ -120,7 +120,7 @@ def test_criterion_04_embedded_exactness():
             u2 = random_real_orthogonal(dim, rng)
             psi = apply_bilocal(embed_double(u1), embed_double(u2), phi)
             v = bell_value_gamma(psi, d, m)
-            worst = max(worst, abs(distance_from_embedded_v(v, d, m) - circuit_distance(u1, u2)))
+            worst = max(worst, abs(distance_from_embedded_v(v, d, m) - circuit_distance(u1 @ u2.T)))
     # planted case: (I, Z) must give exactly V = -m and D = 1
     psi = apply_bilocal(embed_double(np.eye(2)), embed_double(SIGMA_Z), max_entangled(4))
     v_planted = bell_value_gamma(psi, 4, m)
@@ -198,8 +198,8 @@ def test_criterion_09_estimator_convergence():
     for s in (100, 1000, 10_000):
         sq_errors = []
         for k, (u1, u2) in enumerate(pairs):
-            report = estimate_distance(u1, u2, m, ShotPlan(s=s), seed=3000 * s + k)
-            sq_errors.append((report.distance_estimate - circuit_distance(u1, u2)) ** 2)
+            report = estimate_distance(u1 @ u2.T, m, ShotPlan(s=s), seed=3000 * s + k)
+            sq_errors.append((report.distance_estimate - circuit_distance(u1 @ u2.T)) ** 2)
         rms[s] = float(np.sqrt(np.mean(sq_errors)))
     monotone = rms[100] > rms[1000] > rms[10_000]
     _report(9, "estimate scatter tightens with shots",

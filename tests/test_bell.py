@@ -70,7 +70,7 @@ class TestBellValueOperator:
         u1 = random_real_orthogonal(16, rng)
         u2 = random_real_orthogonal(16, rng)
         dense = apply_bilocal(embed_double(u1), embed_double(u2), max_entangled(d))
-        layout = embedded_pair_state(u1, u2)
+        layout = embedded_pair_state(u1 @ u2.T)
         assert abs(bell_value_operator(dense, d, m) - bell_value_gamma(layout, d, m)) < ATOL
 
     @pytest.mark.parametrize("d,m", [(2, 2), (4, 2), (4, 3), (8, 2)])
@@ -180,7 +180,7 @@ class TestWrapDiagonalLayout:
         u1 = random_real_orthogonal(dim, rng)
         u2 = random_real_orthogonal(dim, rng)
         dense = apply_bilocal(embed_double(u1), embed_double(u2), max_entangled(d))
-        layout = embedded_pair_state(u1, u2)
+        layout = embedded_pair_state(u1 @ u2.T)
         assert abs(bell_value_gamma(layout, d, m) - bell_value_gamma(dense, d, m)) < 1e-12
         want = class_histograms(dense, d, m)
         assert np.max(np.abs(branch_laws(layout, d, m) - want)) < 1e-12
@@ -265,23 +265,23 @@ class TestProtocolBranches:
     def test_layout_stack_equals_per_item(self, n):
         dim = 2**n
         pairs = random_real_orthogonal(dim, RngStream(124, n), (3, 4, 2))
-        stack = embedded_pair_state(pairs[..., 0, :, :], pairs[..., 1, :, :])
-        laws = branch_laws(stack, dim * dim, 2)
+        w = pairs[..., 0, :, :] @ pairs[..., 1, :, :].mT
+        laws = branch_laws(embedded_pair_state(w), dim * dim, 2)
         assert laws.shape == (3, 4, 4, dim * dim)
         for idx in np.ndindex(3, 4):
-            single = branch_laws(embedded_pair_state(*pairs[idx]), dim * dim, 2)
+            single = branch_laws(embedded_pair_state(w[idx]), dim * dim, 2)
             assert laws[idx].tobytes() == single.tobytes()
 
     def test_one_unnormalized_layout_rejects_the_stack(self):
         pairs = random_real_orthogonal(2, RngStream(125), (3, 4, 2))
-        stack = embedded_pair_state(pairs[..., 0, :, :], pairs[..., 1, :, :])
+        stack = embedded_pair_state(pairs[..., 0, :, :] @ pairs[..., 1, :, :].mT)
         stack.rows[2, 1] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match="not normalized"):
             branch_laws(stack, 4, 2)
 
     def test_norm_is_checked_per_state(self):
         # four states of norm 1/2 have Frobenius norm 1 together, and none is normalized
-        rows = np.tile(embedded_pair_state(np.eye(2), np.eye(2)).rows, (4, 1, 1))
+        rows = np.tile(embedded_pair_state(np.eye(2)).rows, (4, 1, 1))
         with pytest.raises(ValueError, match="not normalized"):
             branch_laws(WrapDiagonals(np.array([0, 2]), rows / 2), 4, 2)
         # four normalized states have Frobenius norm 2 together, and each is normalized

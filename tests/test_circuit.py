@@ -18,6 +18,7 @@ from bellcheck.circuit import (
     circuit_unitary,
     embed_double,
     embedded_pair_state,
+    pair_circuit,
     parse_circuit,
 )
 from bellcheck.distance import circuit_distance
@@ -242,6 +243,42 @@ class TestAgainstOracle:
         action.cache_clear()
 
 
+class TestPairCircuit:
+    """W = U1 U2^T is one synthesis: circuit 2's gates reversed, then circuit 1's."""
+
+    @pytest.mark.parametrize("kind", sorted(GATE_MATRICES))
+    def test_every_gate_is_a_symmetric_involution(self, kind):
+        # reversing a circuit transposes its unitary only for such gates: an S or T gate fails here
+        mat = GATE_MATRICES[kind]
+        assert_array_equal(mat, mat.T)
+        assert_allclose(mat @ mat, np.eye(len(mat)), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_synthesis_equals_the_product(self, n):
+        rng = RngStream(73, n)
+        for _ in range(20):
+            c1 = Circuit(n, random_gates(rng, n, int(rng.gen.integers(0, 40))))
+            c2 = Circuit(n, random_gates(rng, n, int(rng.gen.integers(0, 40))))
+            w = circuit_unitary(pair_circuit(c1, c2))
+            assert_allclose(w, circuit_unitary(c1) @ circuit_unitary(c2).T, rtol=0, atol=1e-12)
+
+    def test_gates_are_not_checked_again(self, monkeypatch):
+        c1 = parse_circuit("qubits 3\nH 0\nCX 0 1\nTOFFOLI 2 0 1\n")
+        c2 = parse_circuit("qubits 3\nSWAP 0 2\nZ 1\n")
+
+        def refuse(*args):
+            pytest.fail("a joined gate was checked again")
+
+        monkeypatch.setattr(circuit_module, "_check_gate", refuse)
+        joined = pair_circuit(c1, c2)
+        monkeypatch.undo()
+        assert joined == Circuit(3, c2.gates[::-1] + c1.gates)
+
+    def test_widths_must_match(self):
+        with pytest.raises(CircuitWidthError, match="circuit widths differ: 1 vs 2 qubits"):
+            pair_circuit(Circuit(1), Circuit(2))
+
+
 @pytest.fixture(scope="module")
 def bench_pairs():
     """``bench/pairs.py``, loaded from its path unedited: an integer simulator of its own."""
@@ -269,7 +306,7 @@ def test_matches_bench_integer_simulator(bench_pairs, tmp_path):
             assert_allclose(unitaries[-1], want, rtol=0, atol=1e-12)
         if pair.klass == "rewrite":
             rewrites += 1
-            assert circuit_distance(*unitaries) <= 1e-7
+            assert circuit_distance(unitaries[0] @ unitaries[1].T) <= 1e-7
     assert len(pairs) * 2 == 24 and rewrites == 4
 
 
@@ -325,8 +362,8 @@ class TestEmbedDouble:
             u1 = random_real_orthogonal(2**n, rng)
             u2 = random_real_orthogonal(2**n, rng)
             assert abs(
-                circuit_distance(embed_double(u1), embed_double(u2))
-                - circuit_distance(u1, u2)
+                circuit_distance(embed_double(u1) @ embed_double(u2).T)
+                - circuit_distance(u1 @ u2.T)
             ) < ATOL
 
     def test_rejects_non_power_of_two(self):
@@ -358,7 +395,7 @@ class TestEmbeddedPairState:
             u2 = draw(dim, rng)
             dense = apply_bilocal(embed_double(u1), embed_double(u2), max_entangled(d))
             want, _ = wrap_diagonals(dense, d)
-            got = embedded_pair_state(u1, u2)
+            got = embedded_pair_state(u1 @ u2.T)
             assert_array_equal(got.offsets, np.arange(dim) * dim)
             assert_allclose(got.rows, want.rows[got.offsets], rtol=0, atol=1e-12)
             omitted = np.setdiff1d(np.arange(d), got.offsets)
@@ -371,22 +408,23 @@ class TestEmbeddedPairState:
         dim = 2**n
         pairs = np.array([[draw(dim, rng) for _ in range(2)] for _ in range(12)])
         pairs = pairs.reshape(3, 4, 2, dim, dim)
-        got = embedded_pair_state(pairs[..., 0, :, :], pairs[..., 1, :, :])
+        w = pairs[..., 0, :, :] @ pairs[..., 1, :, :].mT
+        got = embedded_pair_state(w)
         assert got.rows.shape == (3, 4, dim, dim * dim)
         assert_array_equal(got.offsets, np.arange(dim) * dim)
         for idx in np.ndindex(3, 4):
-            single = embedded_pair_state(*pairs[idx])
+            single = embedded_pair_state(w[idx])
             assert got.rows[idx].tobytes() == single.rows.tobytes()
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            embedded_pair_state(np.eye(3), np.eye(3))
+            embedded_pair_state(np.eye(3))
         with pytest.raises(ValueError):
-            embedded_pair_state(np.eye(1), np.eye(1))
+            embedded_pair_state(np.eye(1))
         with pytest.raises(ValueError):
-            embedded_pair_state(np.zeros((2, 3)), np.zeros((2, 3)))
+            embedded_pair_state(np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            embedded_pair_state(np.eye(2), np.eye(4))
+            embedded_pair_state(np.zeros((2, 4)))
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -31,8 +31,8 @@ def wide_pair(tmp_path, n):
     a, b = tmp_path / "a.qc", tmp_path / "b.qc"
     a.write_text(body)
     b.write_text(body + f"CX 2 {n - 1}\n")
-    dist = circuit_distance(circuit_unitary(parse_circuit(a.read_text())),
-                            circuit_unitary(parse_circuit(b.read_text())))
+    dist = circuit_distance(circuit_unitary(parse_circuit(a.read_text()))
+                            @ circuit_unitary(parse_circuit(b.read_text())).T)
     return str(a), str(b), dist
 
 
@@ -211,6 +211,22 @@ class TestCompareExact:
         assert f"mode = embedded, d = {4**n}, m = 2" in out
         assert read_value(out, "D") == pytest.approx(dist, abs=1e-9)
 
+    def test_raw_size_guard_covers_the_traced_peak(self, tmp_path, capsys, monkeypatch):
+        # physical memory equal to the traced peak of a raw n = 8 comparison cannot hold it
+        a, b, _ = wide_pair(tmp_path, 8)
+        argv = ["compare-exact", a, b, "--raw"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        pages = {"SC_PHYS_PAGES": peak, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: 8-qubit raw comparison needs about ")
+
     def test_csv_row_output(self, circuits, tmp_path):
         out = tmp_path / "row.csv"
         main(["compare-exact", circuits["h"], circuits["z"], "--m", "2",
@@ -258,8 +274,8 @@ class TestCompareSampled:
 
     def test_ten_trillion_shots(self, circuits, capsys):
         # the cell counts take one draw per dyadic block: 29 draws hold 10^13 rounds
-        exact = 1 - circuit_distance(circuit_unitary(parse_circuit(HADAMARD)),
-                                     circuit_unitary(parse_circuit(PAULI_Z))) ** 2
+        exact = 1 - circuit_distance(circuit_unitary(parse_circuit(HADAMARD))
+                                     @ circuit_unitary(parse_circuit(PAULI_Z)).T) ** 2
         tracemalloc.start()
         try:
             start = time.perf_counter()
@@ -337,7 +353,7 @@ class TestFig3:
         for line in lines[1:]:
             pair_id, n, s, v_hat, d_true, d_est = line.split(",")
             u1, u2 = _fig3_point(13, int(n), int(pair_id))[:2]
-            assert float(d_true) == pytest.approx(circuit_distance(u1, u2), abs=1e-12)
+            assert float(d_true) == pytest.approx(circuit_distance(u1 @ u2.T), abs=1e-12)
 
     def test_invalid_shots_choice(self, tmp_path, capsys):
         rc = main(["fig3", "--n", "1", "--shots", "123", "--samples", "5",
@@ -394,7 +410,7 @@ def per_sample_fig1(path, samples, seed, include_equal_pair):
             u2 = u1
         v = bell_value_gamma(apply_bilocal(u1, u2, phi), d, m)
         bounds = distance_bounds_from_v(v, d, m)
-        rows.append([pair_id, v, circuit_distance(u1, u2), bounds.lower, bounds.upper])
+        rows.append([pair_id, v, circuit_distance(u1 @ u2.T), bounds.lower, bounds.upper])
     _write_csv(path, FIG1_HEADER, rows)
 
 

@@ -18,24 +18,24 @@ SIGMA_Z = np.diag([1.0, -1.0])
 
 class TestCircuitDistance:
     def test_identical_is_zero(self):
-        assert circuit_distance(np.eye(4), np.eye(4)) == 0.0
+        assert circuit_distance(np.eye(4)) == 0.0
 
     def test_global_sign_is_zero(self):
         # sqrt amplifies the ~1e-16 radicand error to ~1e-8 near zero
         rng = RngStream(121)
         u = random_real_orthogonal(4, rng)
-        assert circuit_distance(u, -u) < 1e-7
+        assert circuit_distance(u @ -u.T) < 1e-7
 
     def test_traceless_is_one(self):
-        assert circuit_distance(np.eye(2), SIGMA_Z) == 1.0
+        assert circuit_distance(np.eye(2) @ SIGMA_Z.T) == 1.0
 
     def test_identity_vs_hadamard(self):
         # trace oracle: Tr(H) = 1/sqrt2 - 1/sqrt2 = 0, so D = 1
-        assert circuit_distance(np.eye(2), GATE_MATRICES["H"]) == pytest.approx(1.0)
+        assert circuit_distance(np.eye(2) @ GATE_MATRICES["H"].T) == pytest.approx(1.0)
 
     def test_hadamard_vs_z(self):
         # trace oracle: Tr(H^T Z)/2 = 1/sqrt2, so D = sqrt(1 - 1/2)
-        d = circuit_distance(GATE_MATRICES["H"], GATE_MATRICES["Z"])
+        d = circuit_distance(GATE_MATRICES["H"] @ GATE_MATRICES["Z"].T)
         assert d == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_range(self):
@@ -43,21 +43,23 @@ class TestCircuitDistance:
         for _ in range(50):
             u1 = random_real_orthogonal(4, rng)
             u2 = random_real_orthogonal(4, rng)
-            assert 0.0 <= circuit_distance(u1, u2) <= 1.0
+            assert 0.0 <= circuit_distance(u1 @ u2.T) <= 1.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            circuit_distance(np.eye(2), np.eye(4))
+        # a mismatched pair has no W = U1 U2^T; a W that is not square is refused
+        with pytest.raises(ValueError, match="must be square"):
+            circuit_distance(np.ones((2, 4)))
 
     @pytest.mark.parametrize("dim", [2, 4, 16])
     def test_stack_equals_per_item(self, dim):
         rng = RngStream(125, dim)
         pairs = random_real_orthogonal(dim, rng, (20, 2))
         pairs[3, 1] = -pairs[3, 0]  # one pair at distance zero
-        dists = circuit_distance(pairs[:, 0], pairs[:, 1])
+        w = pairs[:, 0] @ pairs[:, 1].mT
+        dists = circuit_distance(w)
         assert dists.shape == (20,)
-        for j, (u1, u2) in enumerate(pairs):
-            single = circuit_distance(u1, u2)
+        for j in range(20):
+            single = circuit_distance(w[j])
             assert type(single) is float
             assert np.array_equal(dists[j], single)
 
@@ -99,7 +101,7 @@ class TestDistanceBounds:
             u1 = random_real_orthogonal(d, rng)
             u2 = random_real_orthogonal(d, rng)
             v = bell_value_gamma(apply_bilocal(u1, u2, phi), d, m)
-            dist = circuit_distance(u1, u2)
+            dist = circuit_distance(u1 @ u2.T)
             bounds = distance_bounds_from_v(v, d, m)
             assert bounds.lower - ATOL <= dist <= bounds.upper + ATOL
 
@@ -151,7 +153,7 @@ class TestEmbeddedDistance:
         v = bell_value_gamma(psi, 4, 2)
         assert abs(v - (-2.0)) < ATOL
         assert abs(distance_from_embedded_v(v, 4, 2) - 1.0) < ATOL
-        assert abs(circuit_distance(np.eye(2), SIGMA_Z) - 1.0) < 1e-12
+        assert abs(circuit_distance(np.eye(2) @ SIGMA_Z.T) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_exact_inversion_matches_trace(self, n):
@@ -165,7 +167,7 @@ class TestEmbeddedDistance:
             u2 = random_real_orthogonal(dim, rng)
             psi = apply_bilocal(embed_double(u1), embed_double(u2), phi)
             v = bell_value_gamma(psi, d, m)
-            assert abs(distance_from_embedded_v(v, d, m) - circuit_distance(u1, u2)) < ATOL
+            assert abs(distance_from_embedded_v(v, d, m) - circuit_distance(u1 @ u2.T)) < ATOL
 
     def test_stack_equals_per_item(self):
         d, m = 16, 2
@@ -211,7 +213,7 @@ class TestEquivalenceWitness:
         for _ in range(100):
             u1 = random_real_orthogonal(d, rng)
             u2 = random_real_orthogonal(d, rng)
-            if circuit_distance(u1, u2) <= 0.01:
+            if circuit_distance(u1 @ u2.T) <= 0.01:
                 continue
             v = bell_value_gamma(apply_bilocal(u1, u2, phi), d, m)
             assert v < m * (d - 1) - 1e-6

@@ -21,6 +21,7 @@ from bellcheck.tensor import (
 )
 
 NOT_SQUARE = "matrix must be square, got shape (2, 3)"
+NOT_SQUARE_W = "matrix must be square, got shape (2, 2, 4)"
 MISMATCH = "dimension mismatch: (2, 2) vs (4, 4)"
 NOT_NORMALIZED = "state is not normalized"
 M_ONE = "need d >= 2 and m >= 2, got d=4, m=1"
@@ -54,18 +55,20 @@ def _state_rows():
 
 
 def _rows():
-    bad, square = np.ones((2, 3)), np.eye(2)
+    bad, wide, square = np.ones((2, 3)), np.ones((2, 2, 4)), np.eye(2)
     psi = max_entangled(2)
     yield pytest.param(lambda: apply_bilocal(bad, bad, psi), NOT_SQUARE, id="square-bilocal")
-    yield pytest.param(lambda: circuit_distance(bad, bad), NOT_SQUARE, id="square-distance")
-    yield pytest.param(lambda: embedded_pair_state(bad, bad), NOT_SQUARE, id="square-pair")
+    yield pytest.param(lambda: circuit_distance(bad), NOT_SQUARE, id="square-distance")
+    yield pytest.param(lambda: embedded_pair_state(bad), NOT_SQUARE, id="square-pair")
     yield pytest.param(lambda: embed_double(bad), NOT_SQUARE, id="square-embed")
     yield pytest.param(lambda: apply_bilocal(square, np.eye(4), psi), MISMATCH, id="pair-bilocal")
-    yield pytest.param(lambda: circuit_distance(square, np.eye(4)), MISMATCH, id="pair-distance")
-    yield pytest.param(lambda: embedded_pair_state(square, np.eye(4)), MISMATCH, id="pair-pair")
+    # a pair enters as W = U1 U2^T, where a mismatch fails in the caller's matmul;
+    # what reaches these routines is a W that is not square
+    yield pytest.param(lambda: circuit_distance(wide), NOT_SQUARE_W, id="pair-distance")
+    yield pytest.param(lambda: embedded_pair_state(wide), NOT_SQUARE_W, id="pair-pair")
     yield from _state_rows()
     yield pytest.param(
-        lambda: estimate_distance(np.full((2, 2), np.nan), square, 2, ShotPlan(10), 1),
+        lambda: estimate_distance(np.full((2, 2), np.nan), 2, ShotPlan(10), 1),
         NOT_NORMALIZED, id="nan-unitary-sampled",
     )
     yield pytest.param(lambda: basis(4, 1, 1, ALICE), M_ONE, id="m1-basis")
@@ -94,7 +97,8 @@ def test_refusal_names_the_rule(call, message):
 @pytest.mark.parametrize("psi", [np.full((2, 4), 0.5), np.full((4, 4), 0.5)], ids=["2", "4"])
 def test_chsh_refuses_a_stack(psi):
     # each row is a normalized two-qubit state, but CHSH reads one state
-    with pytest.raises(ValueError):
+    message = f"CHSH reads one two-qubit state, got a stack of shape {psi.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         chsh_value(psi)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         chsh_saturation_residual(psi)

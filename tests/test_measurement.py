@@ -204,7 +204,7 @@ class TestWrapDiagonals:
         # the bool mask; an (R, d) int64 offset sum would add half the rows' size again
         rng = RngStream(153)
         u1, u2 = random_real_orthogonal(64, rng), random_real_orthogonal(64, rng)
-        state = embedded_pair_state(u1, u2)
+        state = embedded_pair_state(u1 @ u2.T)
         tracemalloc.start()
         try:
             layout, wrapped = wrap_diagonals(state, 4096)

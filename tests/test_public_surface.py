@@ -104,9 +104,10 @@ def test_every_module_level_import_is_read():
 
 
 # Phrases of the input rules that ``tensor.py`` states once for every entry point:
-# the norm, square matrices of one shape, counts of at least one, and (d, m).
-SHARED_RULE_PHRASES = ("not normalized", "must be square", "dimension mismatch", "at least one",
-                       "m >= 2")
+# the norm, the amplitude count, square matrices of one shape, counts of at least
+# one, and (d, m).
+SHARED_RULE_PHRASES = ("not normalized", "amplitudes", "must be square", "dimension mismatch",
+                       "at least one", "m >= 2")
 
 
 def raised_phrases(src: Path) -> dict[str, list[str]]:

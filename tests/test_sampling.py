@@ -184,11 +184,11 @@ class TestEstimateDistance:
     def test_equal_circuits_read_near_zero(self):
         rng = RngStream(141)
         u = random_real_orthogonal(2, rng)
-        report = estimate_distance(u, u, 2, ShotPlan(s=10_000), seed=9)
+        report = estimate_distance(u @ u.T, 2, ShotPlan(s=10_000), seed=9)
         assert report.distance_estimate <= 0.1
 
     def test_planted_orthogonal_pair_reads_near_one(self):
-        report = estimate_distance(np.eye(2), SIGMA_Z, 2, ShotPlan(s=10_000), seed=10)
+        report = estimate_distance(SIGMA_Z, 2, ShotPlan(s=10_000), seed=10)  # W = I Z^T
         assert abs(report.distance_estimate - 1.0) <= 0.05
 
     def test_error_shrinks_with_shots(self):
@@ -199,49 +199,51 @@ class TestEstimateDistance:
         for pair in range(30):
             u1 = random_real_orthogonal(2, rng)
             u2 = random_real_orthogonal(2, rng)
-            d_true = circuit_distance(u1, u2)
+            d_true = circuit_distance(u1 @ u2.T)
             for s in errors:
-                report = estimate_distance(u1, u2, 2, ShotPlan(s=s), seed=1000 + pair)
+                report = estimate_distance(u1 @ u2.T, 2, ShotPlan(s=s), seed=1000 + pair)
                 errors[s].append(report.distance_estimate - d_true)
         rms = {s: float(np.sqrt(np.mean(np.square(e)))) for s, e in errors.items()}
         assert rms[10_000] < rms[100]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            estimate_distance(np.eye(2), np.eye(4), 2, ShotPlan(s=10), seed=0)
+        # a mismatched pair has no W = U1 U2^T; a W that is not square is refused
+        with pytest.raises(ValueError, match="must be square"):
+            estimate_distance(np.ones((2, 4)), 2, ShotPlan(s=10), seed=0)
 
 
 class TestStacks:
     """A stack of pairs runs as its pairs would alone, bit for bit and seed for seed."""
 
     @pytest.fixture
-    def pairs(self):
-        return random_real_orthogonal(4, RngStream(143), (3, 4, 2))
+    def w(self):
+        pairs = random_real_orthogonal(4, RngStream(143), (3, 4, 2))
+        return pairs[..., 0, :, :] @ pairs[..., 1, :, :].mT
 
-    def test_cell_law_equals_per_item(self, pairs):
-        stack = RoundSampler(embedded_pair_state(pairs[..., 0, :, :], pairs[..., 1, :, :]), 16, 3)
+    def test_cell_law_equals_per_item(self, w):
+        stack = RoundSampler(embedded_pair_state(w), 16, 3)
         assert stack.cell_law.shape == (3, 4, 6, 16)
         for idx in np.ndindex(3, 4):
-            single = RoundSampler(embedded_pair_state(*pairs[idx]), 16, 3)
+            single = RoundSampler(embedded_pair_state(w[idx]), 16, 3)
             assert stack.cell_law[idx].tobytes() == single.cell_law.tobytes()
 
     @pytest.mark.parametrize("s", [1_000, 3 * DRAW_BLOCK + 5])
-    def test_estimate_equals_per_item(self, pairs, s):
+    def test_estimate_equals_per_item(self, w, s):
         seeds = np.arange(12, dtype=np.int64).reshape(3, 4) * 7919
         plan = ShotPlan(s=s)
-        stack = estimate_distance(pairs[..., 0, :, :], pairs[..., 1, :, :], 3, plan, seeds)
+        stack = estimate_distance(w, 3, plan, seeds)
         assert stack.x.shape == stack.distance_estimate.shape == (3, 4)
         for idx in np.ndindex(3, 4):
-            single = estimate_distance(*pairs[idx], 3, plan, int(seeds[idx]))
+            single = estimate_distance(w[idx], 3, plan, int(seeds[idx]))
             assert type(single.x) is float and type(single.distance_estimate) is float
             assert np.array_equal(stack.x[idx], single.x)
             assert np.array_equal(stack.distance_estimate[idx], single.distance_estimate)
             for label, tally in single.setting_tallies.items():
                 assert stack.setting_tallies[label][idx[0]][idx[1]] == tally
 
-    def test_stack_needs_one_seed_per_state(self, pairs):
+    def test_stack_needs_one_seed_per_state(self, w):
         with pytest.raises(ValueError):
-            estimate_distance(pairs[..., 0, :, :], pairs[..., 1, :, :], 3, ShotPlan(s=10), 5)
+            estimate_distance(w, 3, ShotPlan(s=10), 5)
 
 
 class TestCoverage:
@@ -371,10 +373,10 @@ def test_embedded_n4_peak_memory_below_one_dense_grid(run):
     rng = RngStream(156)
     u1 = random_real_orthogonal(16, rng)
     u2 = random_real_orthogonal(16, rng)
-    run(embedded_pair_state(u1, u2))  # warm the caches of the first call
+    run(embedded_pair_state(u1 @ u2.T))  # warm the caches of the first call
     tracemalloc.start()
     try:
-        run(embedded_pair_state(u1, u2))
+        run(embedded_pair_state(u1 @ u2.T))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -388,7 +390,7 @@ class TestInequivalentCoverage:
         rng = RngStream(155)
         u1 = random_real_orthogonal(4, rng)
         u2 = random_real_orthogonal(4, rng)
-        psi = embedded_pair_state(u1, u2)
+        psi = embedded_pair_state(u1 @ u2.T)
         d, m = 16, 2
         exact = exact_normalized_value(psi, d, m)
         assert 0.05 < exact < 0.95

@@ -7,9 +7,11 @@ return to one kernel call per sample fails here.  Four targets are retired,
 and their layers record no calls.  The sampler draws (branch, class) counts
 per block of rounds, so the per-round draw table and round evaluation are
 gone.  The observable powers and the dense outcome grids are test oracles
-in ``tests/oracles.py``: no Bell route calls them.  An exact comparison
-parses and synthesizes each of its two circuits once, so the circuit layers
-time the whole front end.
+in ``tests/oracles.py``: no Bell route calls them.  A comparison parses
+each of its two circuits once and synthesizes one matrix, W = U1 U2^T, from
+their joined circuit, so the circuit layers time the whole front end.  The
+figures read each pair through W as well, so ``fig1`` makes no
+``apply_bilocal`` call.
 """
 
 import importlib
@@ -83,6 +85,7 @@ def test_traced_sampled_comparison(spans, tmp_path, capsys):
     b.write_text("qubits 1\nZ 0\n")
     layers = traced_call(spans, ["compare-sampled", str(a), str(b), "--shots", "5000",
                                  "--seed", "5"])
+    assert layers["circuit.circuit_unitary"].calls == 1
     assert layers["sampling.estimate_distance"].calls == 1
     assert layers["sampling.RoundSampler.init"].calls == 1
     assert layers["sampling.draw_table"].calls == 0
@@ -95,17 +98,19 @@ def test_exact_comparison_builds_each_circuit_once(spans, tmp_path, capsys):
     a, b = tmp_path / "a.qc", tmp_path / "b.qc"
     a.write_text("qubits 4\nH 0\nCX 0 1\nTOFFOLI 1 2 3\nH 3\nSWAP 0 2\nCZ 3 1\n")
     b.write_text("qubits 4\nH 0\nCX 0 1\nTOFFOLI 1 2 3\nH 3\nSWAP 2 0\nCZ 1 3\nX 2\nX 2\n")
-    layers = traced_call(spans, ["compare-exact", str(a), str(b), "--embedded"])
-    assert layers["circuit.parse_circuit"].calls == 2
-    assert layers["circuit.circuit_unitary"].calls == 2
-    assert "verdict = EQUIVALENT\n" in capsys.readouterr().out
+    for mode in ("--embedded", "--raw"):
+        layers = traced_call(spans, ["compare-exact", str(a), str(b), mode])
+        assert layers["circuit.parse_circuit"].calls == 2
+        assert layers["circuit.circuit_unitary"].calls == 1
+        assert layers["tensor.apply_bilocal"].calls == 0
+        assert "verdict = EQUIVALENT\n" in capsys.readouterr().out
 
 
 def test_fig1_draws_and_evaluates_once(spans, tmp_path, capsys):
     layers = traced_call(spans, ["fig1", "--samples", "500", "--seed", "3",
                                  "--out", str(tmp_path / "fig1.csv")])
     assert layers["tensor.random_real_orthogonal"].calls == 1
-    assert layers["tensor.apply_bilocal"].calls == 1
+    assert layers["tensor.apply_bilocal"].calls == 0
     assert layers["bell.bell_value_gamma"].calls == 1
     assert layers["distance"].calls == 2  # circuit_distance and distance_bounds_from_v
 
