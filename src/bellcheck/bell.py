@@ -220,7 +220,7 @@ def lemma2_exceedance(
     bound = lemma2_bound(d, m, delta)
     values = np.empty(samples)
     for start, stop in sample_blocks(samples, d * d):
-        psi = random_real_unit_vector(d * d, rng, (stop - start,)).astype(complex)
+        psi = random_real_unit_vector(d * d, rng, (stop - start,))
         values[start:stop] = bell_value_gamma(psi, d, m)
     fraction = float(np.mean(values > bound))
     return bound, fraction, values

@@ -11,8 +11,9 @@ The round mean X is an unbiased estimate of I' and every round value lies in
 A round's value depends on (a, b) only through the branch's score class,
 a function of (a - b) mod d, so X and the per-branch tallies depend on the
 rounds only through the 2m x d counts of (branch, class) cells.  Those
-counts are drawn directly, not round by round: cell (n, c) has probability
-``bell.branch_laws``[n, c] / (2m), and the rounds come in dyadic blocks.
+counts are drawn directly by ``draw_counts``, not round by round: cell
+(n, c) has probability ``bell.branch_laws``[n, c] / (2m), and the rounds
+come in dyadic blocks.
 Block 0 covers rounds [0, DRAW_BLOCK) and block b >= 1 covers
 [DRAW_BLOCK * 2^(b-1), DRAW_BLOCK * 2^b).  Block b draws one multinomial
 over the cells from RngStream(seed, stream_id=b): of the block's size when
@@ -21,7 +22,7 @@ counts therefore have the law of s i.i.d. rounds at O(m d log s) cost, the
 counts of rounds [0, s) are a function of (seed, s), and every complete
 block of a run is shared by all longer runs.
 
-A stack of states, shape (...), has cell laws and counts of shape
+A stack of states, shape (...), has class laws and counts of shape
 (..., 2m, d) and takes one seed per state; each state's counts are drawn
 from its own seed, as they would be alone.
 """
@@ -29,7 +30,7 @@ from its own seed, as they would be alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,43 +94,27 @@ class EstimationReport:
     s: int
     x: float | np.ndarray
     distance_estimate: float | np.ndarray
-    setting_tallies: dict[str, int | list] = field(default_factory=dict)
+    setting_tallies: dict[str, int | list]
 
 
-class RoundSampler:
-    """Per-state law of single protocol rounds over their (branch, class) cells.
+def draw_counts(laws: np.ndarray, seed: int | np.ndarray, s: int) -> np.ndarray:
+    """(..., 2m, d) int64 counts of the (branch, class) cells over rounds [0, s).
 
-    ``cell_law``, shape (..., 2m, d), holds at [..., n, c] the probability
-    that a round takes branch n and lands in score class c: row n of
-    ``branch_laws`` over 2m.  Its size does not depend on the number of
-    rounds, and each state of a stack, shape (...), has the table it would
-    have alone, bit for bit.  ``labels[n]`` names branch n
-    (``branch_labels``) and ``scores[c]`` is the round value 2*alpha[c] of
-    class c.
+    ``laws`` is a ``branch_laws`` table, or a stack of them with an array of
+    seeds of shape (...), one per table; each table is drawn as it would be alone.
     """
-
-    def __init__(self, psi: np.ndarray | WrapDiagonals, d: int, m: int):
-        self.labels = branch_labels(m)
-        self.scores = 2.0 * alpha_table(d, m)
-        laws = branch_laws(psi, d, m)
-        # each table's own sum, not 2m, so numpy's check that pvals sum to 1 holds
-        self.cell_law = laws / laws.sum(axis=(-2, -1), keepdims=True)
-
-    def draw_counts(self, seed: int | np.ndarray, s: int) -> np.ndarray:
-        """(..., 2m, d) int64 counts of the cells over rounds [0, s), one draw per dyadic block.
-
-        A stack takes an array of seeds of its shape, one per state.
-        """
-        laws = self.cell_law.reshape(-1, math.prod(self.cell_law.shape[-2:]))
-        counts = np.zeros(laws.shape, dtype=np.int64)
-        for pvals, item, item_seed in zip(laws, counts, np.ravel(seed).tolist(), strict=True):
-            block, start, stop = 0, 0, DRAW_BLOCK
-            while start < s:
-                item += RngStream(item_seed, stream_id=block).gen.multinomial(
-                    min(stop, s) - start, pvals
-                )
-                block, start, stop = block + 1, stop, 2 * stop
-        return counts.reshape(self.cell_law.shape)
+    # each table's own sum, not 2m, so numpy's check that pvals sum to 1 holds
+    cell_law = laws / laws.sum(axis=(-2, -1), keepdims=True)
+    flat = cell_law.reshape(-1, math.prod(laws.shape[-2:]))
+    counts = np.zeros(flat.shape, dtype=np.int64)
+    for pvals, item, item_seed in zip(flat, counts, np.ravel(seed).tolist(), strict=True):
+        block, start, stop = 0, 0, DRAW_BLOCK
+        while start < s:
+            item += RngStream(item_seed, stream_id=block).gen.multinomial(
+                min(stop, s) - start, pvals
+            )
+            block, start, stop = block + 1, stop, 2 * stop
+    return counts.reshape(laws.shape)
 
 
 def estimate_normalized_bell(
@@ -141,9 +126,8 @@ def estimate_normalized_bell(
     distance estimate clamps into [0, 1].  A stack of states takes one seed
     per state and runs plan.s rounds on each.
     """
-    sampler = RoundSampler(psi, d, m)
-    counts = sampler.draw_counts(seed, plan.s)
-    x = np.vecdot(counts.sum(axis=-2), sampler.scores) / plan.s
+    counts = draw_counts(branch_laws(psi, d, m), seed, plan.s)
+    x = np.vecdot(counts.sum(axis=-2), 2.0 * alpha_table(d, m)) / plan.s
     x = float(x) if x.ndim == 0 else x
     tallies = counts.sum(axis=-1)
     return EstimationReport(
@@ -151,7 +135,7 @@ def estimate_normalized_bell(
         x=x,
         distance_estimate=normalized_to_distance(x),
         setting_tallies={
-            label: tallies[..., n].tolist() for n, label in enumerate(sampler.labels)
+            label: tallies[..., n].tolist() for n, label in enumerate(branch_labels(m))
         },
     )
 

@@ -36,6 +36,21 @@ def wide_pair(tmp_path, n):
     return str(a), str(b), dist
 
 
+def refused_at_traced_peak(argv, code, task, capsys, monkeypatch):
+    """A request that exits with ``code`` is refused once physical memory equals its traced peak."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    pages = {"SC_PHYS_PAGES": peak, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {task} needs about ")
+
+
 def read_value(out, name):
     return float(next(line for line in out.splitlines()
                       if line.startswith(f"{name} = ")).split("=")[1])
@@ -214,18 +229,14 @@ class TestCompareExact:
     def test_raw_size_guard_covers_the_traced_peak(self, tmp_path, capsys, monkeypatch):
         # physical memory equal to the traced peak of a raw n = 8 comparison cannot hold it
         a, b, _ = wide_pair(tmp_path, 8)
-        argv = ["compare-exact", a, b, "--raw"]
-        tracemalloc.start()
-        try:
-            assert main(argv) == 1
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
-        pages = {"SC_PHYS_PAGES": peak, "SC_PAGE_SIZE": 1}
-        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
-        assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: 8-qubit raw comparison needs about ")
+        refused_at_traced_peak(["compare-exact", a, b, "--raw"], 1,
+                               "8-qubit raw comparison", capsys, monkeypatch)
+
+    def test_embedded_size_guard_covers_the_traced_peak(self, tmp_path, capsys, monkeypatch):
+        # the embedded factor of 3 complex values per layout entry, against its n = 6 peak
+        a, b, _ = wide_pair(tmp_path, 6)
+        refused_at_traced_peak(["compare-exact", a, b, "--embedded"], 1,
+                               "6-qubit embedded comparison", capsys, monkeypatch)
 
     def test_csv_row_output(self, circuits, tmp_path):
         out = tmp_path / "row.csv"
@@ -271,6 +282,14 @@ class TestCompareSampled:
         assert rc == 0
         assert "mode = embedded, d = 4096, m = 2" in out
         assert abs(read_value(out, "X") - (1 - dist**2)) < 0.05
+
+    def test_sampled_size_guard_covers_the_traced_peak(self, tmp_path, capsys, monkeypatch):
+        # the sampled factor of 5 complex values per layout entry and its per-branch
+        # rows, against the n = 6 peak of a `sampled-n4`-shaped request
+        a, b, _ = wide_pair(tmp_path, 6)
+        refused_at_traced_peak(["compare-sampled", a, b, "--m", "3", "--shots", "239659",
+                                "--seed", "5"], 0,
+                               "6-qubit sampled comparison", capsys, monkeypatch)
 
     def test_ten_trillion_shots(self, circuits, capsys):
         # the cell counts take one draw per dyadic block: 29 draws hold 10^13 rounds

@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 from bellcheck.bell import (
+    alpha_table,
     bell_value_gamma,
+    branch_labels,
     branch_laws,
     normalized_bell_from_probabilities,
 )
@@ -14,8 +16,8 @@ from bellcheck.measurement import ALICE, BOB, basis
 from bellcheck.sampling import (
     DRAW_BLOCK,
     MAX_SHOTS,
-    RoundSampler,
     ShotPlan,
+    draw_counts,
     estimate_distance,
     estimate_normalized_bell,
     plan_shots,
@@ -35,17 +37,23 @@ def exact_normalized_value(psi, d, m):
     return (bell_value_gamma(psi, d, m) + m) / (d * m)
 
 
-def round_values(sampler, counts):
+def cell_law(psi, d, m):
+    """Probability of each (branch, class) cell of a round: each table over its own sum."""
+    laws = branch_laws(psi, d, m)
+    return laws / laws.sum(axis=(-2, -1), keepdims=True)
+
+
+def round_values(scores, counts):
     """The round values of a run, one per round, expanded from its cell counts."""
-    return np.repeat(np.tile(sampler.scores, len(sampler.labels)), counts.ravel())
+    return np.repeat(np.tile(scores, len(counts)), counts.ravel())
 
 
-def count_mean(sampler, counts):
+def count_mean(scores, counts):
     """Mean round value of a run and its standard error, from the cell counts alone."""
     per_class = counts.sum(axis=0)
     s = int(per_class.sum())
-    mean = float(per_class @ sampler.scores) / s
-    var = float(per_class @ (sampler.scores - mean) ** 2) / (s - 1)
+    mean = float(per_class @ scores) / s
+    var = float(per_class @ (scores - mean) ** 2) / (s - 1)
     return mean, np.sqrt(var / s)
 
 
@@ -93,24 +101,23 @@ class TestSampleRound:
         for d in (2, 4):
             z = rng_state.gen.standard_normal(d * d) + 1j * rng_state.gen.standard_normal(d * d)
             psi = z / np.linalg.norm(z)
-            sampler = RoundSampler(psi, d, 2)
-            counts = sampler.draw_counts(132, 500)
+            counts = draw_counts(branch_laws(psi, d, 2), 132, 500)
             # counts land only in the 2m x d cells, whose scores lie in [-2, 2]
             assert counts.shape == (4, d) and counts.dtype == np.int64
             assert np.all(counts >= 0) and counts.sum() == 500
-            assert np.all(np.abs(sampler.scores) <= 2.0)
+            assert np.all(np.abs(2.0 * alpha_table(d, 2)) <= 2.0)
 
     def test_unbiased_on_entangled_state(self):
         d, m = 4, 2
         psi = max_entangled(d)
-        sampler = RoundSampler(psi, d, m)
-        mean, _ = count_mean(sampler, sampler.draw_counts(133, 100_000))
+        counts = draw_counts(branch_laws(psi, d, m), 133, 100_000)
+        mean, _ = count_mean(2.0 * alpha_table(d, m), counts)
         assert abs(mean - 1.0) <= 0.01
 
     def test_unbiased_on_orthogonal_witness(self):
         psi = apply_bilocal(np.eye(2), SIGMA_Z, max_entangled(2))
-        sampler = RoundSampler(psi, 2, 2)
-        mean, _ = count_mean(sampler, sampler.draw_counts(134, 100_000))
+        counts = draw_counts(branch_laws(psi, 2, 2), 134, 100_000)
+        mean, _ = count_mean(2.0 * alpha_table(2, 2), counts)
         assert abs(mean) <= 0.01
 
     def test_mean_matches_probability_form(self):
@@ -121,8 +128,8 @@ class TestSampleRound:
         u2 = random_real_orthogonal(d, rng)
         psi = apply_bilocal(u1, u2, max_entangled(d))
         exact = normalized_bell_from_probabilities(branch_laws(psi, d, m), d, m)
-        sampler = RoundSampler(psi, d, m)
-        mean, se = count_mean(sampler, sampler.draw_counts(137, 200_000))
+        counts = draw_counts(branch_laws(psi, d, m), 137, 200_000)
+        mean, se = count_mean(2.0 * alpha_table(d, m), counts)
         assert abs(mean - exact) <= 4 * se + 1e-6
 
 
@@ -153,8 +160,8 @@ class TestEstimateNormalizedBell:
         psi = apply_bilocal(np.eye(2), SIGMA_Z, max_entangled(2))
         plan = ShotPlan(s=2000)
         report = estimate_normalized_bell(psi, 2, 2, plan, seed=7)
-        sampler = RoundSampler(psi, 2, 2)
-        values = round_values(sampler, sampler.draw_counts(7, plan.s))
+        counts = draw_counts(branch_laws(psi, 2, 2), 7, plan.s)
+        values = round_values(2.0 * alpha_table(2, 2), counts)
         assert values.size == plan.s
         assert report.x == pytest.approx(float(values.mean()), rel=0, abs=1e-12)
         assert report.distance_estimate == pytest.approx(np.sqrt(1 - min(1, max(0, report.x))))
@@ -164,15 +171,15 @@ class TestEstimateNormalizedBell:
         # from stream b: [0, B), [B, 2B), [2B, 4B), then the 2B + 7 rounds of [4B, 8B)
         psi = random_state(4, RngStream(139))
         m, s, seed = 2, 6 * DRAW_BLOCK + 7, 23
-        sampler = RoundSampler(psi, 4, m)
+        scores = 2.0 * alpha_table(4, m)
         sizes = [DRAW_BLOCK, DRAW_BLOCK, 2 * DRAW_BLOCK, 2 * DRAW_BLOCK + 7]
-        blocks = [RngStream(seed, stream_id=b).gen.multinomial(size, sampler.cell_law.ravel())
+        blocks = [RngStream(seed, stream_id=b).gen.multinomial(size, cell_law(psi, 4, m).ravel())
                   for b, size in enumerate(sizes)]
-        counts = sampler.draw_counts(seed, s)
+        counts = draw_counts(branch_laws(psi, 4, m), seed, s)
         assert np.array_equal(counts.ravel(), np.sum(blocks, axis=0))
         report = estimate_normalized_bell(psi, 4, m, ShotPlan(s=s), seed)
-        assert report.x == float(counts.sum(axis=0) @ sampler.scores / s)
-        assert report.x == pytest.approx(count_mean(sampler, counts)[0], rel=0, abs=1e-12)
+        assert report.x == float(counts.sum(axis=0) @ scores / s)
+        assert report.x == pytest.approx(count_mean(scores, counts)[0], rel=0, abs=1e-12)
 
     def test_close_to_exact_on_entangled_state(self):
         report = estimate_normalized_bell(max_entangled(4), 4, 2, ShotPlan(s=10_000), seed=3)
@@ -221,11 +228,11 @@ class TestStacks:
         return pairs[..., 0, :, :] @ pairs[..., 1, :, :].mT
 
     def test_cell_law_equals_per_item(self, w):
-        stack = RoundSampler(embedded_pair_state(w), 16, 3)
-        assert stack.cell_law.shape == (3, 4, 6, 16)
+        stack = cell_law(embedded_pair_state(w), 16, 3)
+        assert stack.shape == (3, 4, 6, 16)
         for idx in np.ndindex(3, 4):
-            single = RoundSampler(embedded_pair_state(w[idx]), 16, 3)
-            assert stack.cell_law[idx].tobytes() == single.cell_law.tobytes()
+            single = cell_law(embedded_pair_state(w[idx]), 16, 3)
+            assert stack[idx].tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("s", [1_000, 3 * DRAW_BLOCK + 5])
     def test_estimate_equals_per_item(self, w, s):
@@ -260,28 +267,27 @@ class TestCoverage:
 
 
 class TestDrawTable:
-    """The dyadic block draws of ``RoundSampler.draw_counts``."""
+    """The dyadic block draws of ``draw_counts``."""
 
     @pytest.mark.parametrize("k", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1])
     def test_prefix_stable(self, k):
         # a run's complete blocks are the first blocks of every longer run: past the
         # last block boundary, a run only adds counts, in every one of the 96 cells
         m, s, seed = 3, 200_000, 29
-        sampler = RoundSampler(random_state(16, RngStream(151)), 16, m)
+        laws = branch_laws(random_state(16, RngStream(151)), 16, m)
         boundary = DRAW_BLOCK if k >= DRAW_BLOCK else 0
-        shared = sampler.draw_counts(seed, boundary)
+        shared = draw_counts(laws, seed, boundary)
         assert shared.sum() == boundary
-        short = sampler.draw_counts(seed, k)
+        short = draw_counts(laws, seed, k)
         assert short.sum() == k
-        for longer in (short, sampler.draw_counts(seed, s)):
+        for longer in (short, draw_counts(laws, seed, s)):
             assert np.all(longer - shared >= 0)
         if k == boundary:
             assert np.array_equal(short, shared)
 
     def test_ranges_and_branch_balance(self):
         m, s = 3, 120_000
-        sampler = RoundSampler(max_entangled(4), 4, m)
-        counts = sampler.draw_counts(31, s).sum(axis=1)
+        counts = draw_counts(branch_laws(max_entangled(4), 4, m), 31, s).sum(axis=1)
         assert counts.shape == (2 * m,) and np.all(counts > 0)
         expected = s / (2 * m)
         assert np.all(np.abs(counts - expected) < 5 * np.sqrt(expected))
@@ -290,10 +296,10 @@ class TestDrawTable:
     def test_block_counts_follow_the_cell_law(self, s):
         # chi-square goodness of fit of one run's counts against s times the cell law
         d, m = 4, 3
-        sampler = RoundSampler(random_state(d, RngStream(152)), d, m)
-        law = sampler.cell_law.ravel()
+        psi = random_state(d, RngStream(152))
+        law = cell_law(psi, d, m).ravel()
         assert law.min() > 1e-3  # every expected count is far above 5
-        counts = sampler.draw_counts(157, s).ravel()
+        counts = draw_counts(branch_laws(psi, d, m), 157, s).ravel()
         result = stats.chisquare(counts, s * law)
         assert result.pvalue > 1e-3
 
@@ -312,29 +318,29 @@ def wrapped_eigenstate(d, m):
 
 
 class TestAliasTables:
-    """The cell law of ``RoundSampler`` against the class laws it is built from."""
+    """The cell law that ``draw_counts`` draws from against the class laws it is built from."""
 
     @pytest.mark.parametrize("d,m", [(8, 2), (16, 3), (64, 5)])
     def test_point_mass_and_zero_classes(self, d, m):
         # a cell of probability zero never receives a round
-        sampler = RoundSampler(wrapped_eigenstate(d, m), d, m)
-        zero = sampler.cell_law < 1e-20
-        assert np.isclose(sampler.cell_law[-1].max(), 1.0 / (2 * m))
+        law = cell_law(wrapped_eigenstate(d, m), d, m)
+        zero = law < 1e-20
+        assert np.isclose(law[-1].max(), 1.0 / (2 * m))
         assert np.sum(zero[-1]) == d - 1
-        counts = sampler.draw_counts(158, 3 * DRAW_BLOCK)
+        counts = draw_counts(branch_laws(wrapped_eigenstate(d, m), d, m), 158, 3 * DRAW_BLOCK)
         assert counts.sum() == 3 * DRAW_BLOCK and not np.any(counts[zero])
 
     @pytest.mark.parametrize("m", [2, 3, 7])
     def test_labels_and_scores_match_the_branch_oracle(self, m):
         # the wrapped branch (1, m) keeps the label A{m+1}B{m}; X is printed to 12 digits
         d = 8
-        sampler = RoundSampler(max_entangled(d), d, m)
+        labels, scores = branch_labels(m), 2.0 * alpha_table(d, m)
         branches = protocol_branches(d, m)
-        assert sampler.labels == [b.label for b in branches]
-        assert sampler.labels[-1] == f"A{m + 1}B{m}"
+        assert labels == [b.label for b in branches]
+        assert labels[-1] == f"A{m + 1}B{m}"
         for branch in branches:
-            assert sampler.scores.dtype == branch.class_scores.dtype
-            assert sampler.scores.tobytes() == branch.class_scores.tobytes()
+            assert scores.dtype == branch.class_scores.dtype
+            assert scores.tobytes() == branch.class_scores.tobytes()
 
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_each_branch_reproduces_its_class_law(self, d):
@@ -343,10 +349,10 @@ class TestAliasTables:
         eigen = wrapped_eigenstate(d, m)
         branches = protocol_branches(d, m)
         for psi in (random_state(d, rng), max_entangled(d), eigen):
-            sampler = RoundSampler(psi, d, m)
-            assert abs(sampler.cell_law.sum() - 1.0) < 1e-12
+            law = cell_law(psi, d, m)
+            assert abs(law.sum() - 1.0) < 1e-12
             for n, branch in enumerate(branches):
-                got = 2 * m * sampler.cell_law[n]
+                got = 2 * m * law[n]
                 assert np.max(np.abs(got - class_law(psi, branch, d, m))) < 1e-12
         wrapped_law = class_law(eigen, branches[-1], d, m)
         assert np.isclose(wrapped_law.max(), 1.0) and np.sum(wrapped_law < 1e-20) == d - 1
@@ -354,11 +360,10 @@ class TestAliasTables:
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_expected_round_value_is_exact(self, d, m):
-        # a round lands in cell (n, c) with probability cell_law[n, c] and scores scores[c]
+        # a round lands in cell (n, c) with probability cell_law[n, c] and scores 2*alpha[c]
         rng = RngStream(156, 10 * d + m)
         for psi in (random_state(d, rng), max_entangled(d), wrapped_eigenstate(d, m)):
-            sampler = RoundSampler(psi, d, m)
-            expected = float(np.sum(sampler.cell_law @ sampler.scores))
+            expected = float(np.sum(cell_law(psi, d, m) @ (2.0 * alpha_table(d, m))))
             from_laws = normalized_bell_from_probabilities(branch_laws(psi, d, m), d, m)
             assert abs(expected - from_laws) < 1e-12
             assert abs(expected - exact_normalized_value(psi, d, m)) < 1e-12
@@ -366,7 +371,7 @@ class TestAliasTables:
 
 @pytest.mark.parametrize("run", [
     lambda psi: bell_value_gamma(psi, 256, 2),
-    lambda psi: RoundSampler(psi, 256, 3).draw_counts(5, 239_659),
+    lambda psi: draw_counts(branch_laws(psi, 256, 3), 5, 239_659),
 ], ids=["gamma", "sampler"])
 def test_embedded_n4_peak_memory_below_one_dense_grid(run):
     # the 16^4-amplitude grid would take 1 MiB; the embedded pair never forms it

@@ -3,10 +3,12 @@
 ``bench/spans.py`` wraps each function its ``LAYERS`` table names.  These
 tests load it from its path, unedited, so a renamed target fails here and
 not only in a benchmark run.  They also pin the batched figure kernels: a
-return to one kernel call per sample fails here.  Four targets are retired,
+return to one kernel call per sample fails here.  Five targets are retired,
 and their layers record no calls.  The sampler draws (branch, class) counts
 per block of rounds, so the per-round draw table and round evaluation are
-gone.  The observable powers and the dense outcome grids are test oracles
+gone, and so is the sampler class: ``estimate_distance`` passes the
+``branch_laws`` of its state to ``draw_counts``, and its layer takes their
+time.  The observable powers and the dense outcome grids are test oracles
 in ``tests/oracles.py``: no Bell route calls them.  A comparison parses
 each of its two circuits once and synthesizes one matrix, W = U1 U2^T, from
 their joined circuit, so the circuit layers time the whole front end.  The
@@ -45,6 +47,8 @@ RETIRED_TARGETS = {
     # the per-round sampler that the count draw replaced
     "bellcheck.sampling.draw_table",
     "bellcheck.sampling.RoundSampler.evaluate",
+    # the sampler class, replaced by branch_laws and one draw_counts call
+    "bellcheck.sampling.RoundSampler.__init__",
     # literal definitions that only tests read, now in tests/oracles.py
     "bellcheck.measurement.observable_power",
     "bellcheck.measurement.outcome_distribution",
@@ -57,8 +61,9 @@ def test_every_layer_target_exists(spans):
         home = importlib.import_module(layer.module)
         for target in layer.targets:
             owner_name, _, attr = target.rpartition(".")
-            owner = getattr(home, owner_name) if owner_name else home
-            found = callable(vars(owner).get(attr))
+            # a retired method may have lost its class as well
+            owner = getattr(home, owner_name, None) if owner_name else home
+            found = owner is not None and callable(vars(owner).get(attr))
             if f"{layer.module}.{target}" in RETIRED_TARGETS:
                 assert not found, f"{layer.module}.{target} is retired but still there"
                 retired.add(f"{layer.module}.{target}")
@@ -87,7 +92,7 @@ def test_traced_sampled_comparison(spans, tmp_path, capsys):
                                  "--seed", "5"])
     assert layers["circuit.circuit_unitary"].calls == 1
     assert layers["sampling.estimate_distance"].calls == 1
-    assert layers["sampling.RoundSampler.init"].calls == 1
+    assert layers["sampling.RoundSampler.init"].calls == 0
     assert layers["sampling.draw_table"].calls == 0
     assert layers["sampling.RoundSampler.evaluate"].calls == 0
     tallies = capsys.readouterr().out.split("setting_tallies: ")[1].split(", ")
@@ -130,7 +135,7 @@ def test_fig3_estimates_once_per_block(spans, tmp_path, capsys):
     blocks = math.ceil(40 / (tensor.BLOCK_AMPLITUDES // 8**3))
     assert blocks == 3
     assert layers["sampling.estimate_distance"].calls == blocks
-    assert layers["sampling.RoundSampler.init"].calls == blocks
+    assert layers["sampling.RoundSampler.init"].calls == 0
     assert layers["distance"].calls == 2 * blocks  # circuit_distance and normalized_to_distance
 
 
