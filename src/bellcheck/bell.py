@@ -118,7 +118,8 @@ def branch_laws(psi: np.ndarray | WrapDiagonals, d: int, m: int) -> np.ndarray:
     layout, wrapped = wrap_diagonals(psi, d)
     laws = np.empty((*layout.rows.shape[:-2], 2 * m, d))
     ramp = np.empty(d, dtype=complex)
-    upper, lower, f = (np.empty_like(layout.rows) for _ in range(3))
+    # complex work arrays: a real layout's rows stay real until the ramp multiplies them
+    upper, lower, f = (np.empty(layout.rows.shape, dtype=complex) for _ in range(3))
     for r in (0, 1):
         ramp[:] = np.arange(d)
         ramp *= 2j * np.pi * (_phase_params(ALICE, m, 1 + r)[0] - _phase_params(BOB, m, 1)[0]) / d

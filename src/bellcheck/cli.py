@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -46,20 +47,46 @@ COMPARE_HEADER = [
 ]
 
 
-def _fmt(value) -> str:
-    """Locale-independent cell formatting: 12 significant digits for floats."""
+def _cell_format(value) -> str:
+    """The locale-independent %-format of one printed or CSV cell: text as it is,
+    integers in full, and every other number to 12 significant digits."""
     if isinstance(value, str):
-        return value
+        return "%s"
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+        return "%d"
+    return "%.12g"
 
 
-def _write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write each row as it arrives, so memory does not grow with the row count."""
+def _fmt(value) -> str:
+    """One cell as text, by ``_cell_format``."""
+    return _cell_format(value) % (value,)
+
+
+def _quote(text: str) -> str:
+    """A CSV text cell: quoted, with inner quotes doubled, when it holds a comma,
+    a double quote or a line break (RFC 4180); else as it is."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write each row as it arrives, so memory does not grow with the row count.
+
+    Every row has the cell types of the first, which fix one %-template
+    (``_cell_format``) for the call; only text cells pass through ``_quote``.
+    """
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
-        out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        first = next(rows, None)
+        if first is None:
+            return
+        template = ",".join(map(_cell_format, first)) + "\n"
+        rows = itertools.chain([first], rows)
+        if any(isinstance(cell, str) for cell in first):
+            rows = ([_quote(c) if isinstance(c, str) else c for c in row] for row in rows)
+        out.writelines(template % tuple(row) for row in rows)
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -91,12 +118,16 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples: int = 0) -> None:
     """Refuse a request whose largest arrays cannot fit in physical memory.
 
+    Every gate is real, so W = U1 U2^T and the states built from it stay real
+    arrays.  Each factor below is a traced peak (tracemalloc, one cold request)
+    and the larger factor the guard counts.
+
     A comparison of n-qubit circuits (mode raw, embedded or sampled):
-    - raw holds W = U1 U2^T and the state W / sqrt(d) with its working copies,
-      traced at 3.5 complex values per amplitude at n = 8 and 10 (counted as 4);
+    - raw holds W and the state W / sqrt(d) with its working copies, traced
+      at 2.5 complex values per amplitude at n = 8 and 2.1 at n = 10 (counted as 4);
     - embedded holds the 8^n-entry layout of the embedded pair and its
-      working copies, traced at 2.6 complex values per entry for gamma and
-      4.6 for a whole sampled request at n = 7, m = 3 (counted as 3 and 5);
+      working copies, traced at 1.1 complex values per entry for gamma and
+      3.6 for a whole sampled request at n = 7, m = 3 (counted as 3 and 5);
     - sampled also holds, per each of its 2m branches at d = 4^n, the rows of
       the (2m, d) class-law, cell-law and count tables and the branch's
       label and tally, traced at 24 d + 82 bytes at n = 1, m = 4,000 (counted
@@ -104,9 +135,10 @@ def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples:
       counts are drawn directly, and ``ShotPlan`` refuses a shot count
       int64 cannot hold.
 
-    lemma2 holds one d^2-amplitude state and its working copies, traced at
-    3.1 complex values per amplitude (counted as 4; a block of smaller
-    states holds at most 2^13 amplitudes), and 8 bytes of ``values`` per sample.
+    lemma2 holds one real d^2-amplitude state and its working copies, traced
+    at 1.6 complex values per amplitude at d = 1024 (counted as 4; a block of
+    smaller states holds at most 2^13 amplitudes), and 8 bytes of ``values``
+    per sample.
     """
     if mode == "lemma2":
         task, need = f"lemma2 at d={d} with {samples} samples", 64 * d * d + 8 * samples
@@ -225,7 +257,7 @@ def cmd_fig1(args: argparse.Namespace) -> int:
             v = bell_value_gamma(w.reshape(-1, d * d) / np.sqrt(d), d, m)
             bounds = distance_bounds_from_v(v, d, m)
             columns = zip(v, circuit_distance(w), bounds.lower, bounds.upper)
-            yield from ([start + j, *cells] for j, cells in enumerate(columns))
+            yield from ((start + j, *cells) for j, cells in enumerate(columns))
 
     _write_csv(args.out, FIG1_HEADER, rows())
     print(f"wrote {args.samples} pairs to {args.out} (d={d}, m={m}, seed={seed})")
@@ -258,7 +290,8 @@ def cmd_fig3(args: argparse.Namespace) -> int:
             v_hat = d * m * report.x - m
             errors[start:stop] = report.distance_estimate - d_true
             columns = zip(v_hat, d_true, report.distance_estimate)
-            yield from ([start + j, args.n, args.shots, *cells] for j, cells in enumerate(columns))
+            yield from ((start + j, args.n, args.shots, *cells)
+                        for j, cells in enumerate(columns))
 
     _write_csv(args.out, FIG3_HEADER, rows())
     rms = float(np.sqrt(np.mean(np.square(errors))))

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import check_norms, check_params, check_positive, check_state
+from .tensor import as_amplitudes, check_norms, check_params, check_positive, check_state
 
 ALICE = "alice"
 BOB = "bob"
@@ -64,12 +64,13 @@ def wrap_diagonals(state: np.ndarray | WrapDiagonals, d: int) -> tuple[WrapDiago
     A dense stack of states, shape (..., d*d), becomes one layout with rows
     of shape (..., d, d), and a layout's rows may hold a stack of states,
     shape (..., R, d), over one set of offsets; the (R, d) mask broadcasts
-    against them.  Every state in a stack must be normalized.
+    against them.  Every state in a stack must be normalized.  Rows are
+    float for a real state and complex for a complex one (``as_amplitudes``).
     """
     k = np.arange(d)
     if isinstance(state, WrapDiagonals):
         offsets = np.asarray(state.offsets)
-        rows = np.asarray(state.rows, dtype=complex)
+        rows = as_amplitudes(state.rows)
         if (offsets.ndim != 1 or offsets.dtype.kind not in "iu"
                 or rows.shape[-2:] != (offsets.size, d)
                 or len({r for r in offsets.tolist() if 0 <= r < d}) != offsets.size):

@@ -11,6 +11,8 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Overlay = tuple[str, Sequence[float], Sequence[float]]
 
 _WIDTH, _HEIGHT = 640, 480
@@ -19,38 +21,54 @@ _POINT_COLOR = "#4477aa"
 _OVERLAY_COLORS = ("#cc3311", "#ee7733", "#009988", "#997700")
 
 
-def _read_columns(csv_path: str | Path, x_col: str, y_col: str) -> tuple[list[float], list[float]]:
+def _read_columns(
+    csv_path: str | Path, x_col: str, y_col: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The plotted columns as arrays of finite floats, read by ``csv.DictReader``'s
+    rules: blank rows are skipped, a missing cell reads as None and a repeated
+    header name reads its last column."""
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for col in (x_col, y_col):
             if col not in header:
                 raise ValueError(f"column {col!r} not in {csv_path} (columns: {header})")
+        ix, iy = (len(header) - 1 - header[::-1].index(col) for col in (x_col, y_col))
         xs: list[float] = []
         ys: list[float] = []
-        for number, row in enumerate(reader, start=1):
-            xs.append(_finite_cell(row, x_col, number, csv_path))
-            ys.append(_finite_cell(row, y_col, number, csv_path))
-    return xs, ys
+        for number, row in enumerate(filter(None, reader), start=1):
+            try:
+                x, y = float(row[ix]), float(row[iy])
+            except (IndexError, ValueError):
+                x = y = math.nan
+            if not (math.isfinite(x) and math.isfinite(y)):
+                _refuse_row(row, ((x_col, ix), (y_col, iy)), number, csv_path)
+            xs.append(x)
+            ys.append(y)
+    return np.array(xs, dtype=float), np.array(ys, dtype=float)
 
 
-def _finite_cell(row: dict, col: str, number: int, csv_path: str | Path) -> float:
-    """A plotted cell as a finite float, or ValueError naming its data row (from 1) and column."""
-    try:
-        value = float(row[col])
-    except (TypeError, ValueError):  # a missing cell reads as None
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(
-            f"{csv_path}: row {number}, column {col!r}: {row[col]!r} is not a finite number"
-        )
-    return value
+def _refuse_row(
+    row: list[str], columns: Iterable[tuple[str, int]], number: int, csv_path: str | Path
+) -> None:
+    """ValueError naming the first of ``columns`` (name, index) whose cell is not
+    a finite number, with its data row (from 1)."""
+    for col, index in columns:
+        cell = row[index] if index < len(row) else None
+        try:
+            value = float(cell)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{csv_path}: row {number}, column {col!r}: {cell!r} is not a finite number"
+            )
 
 
-def _padded_range(values: list[float]) -> tuple[float, float]:
-    if not values:
+def _padded_range(values: np.ndarray) -> tuple[float, float]:
+    if not values.size:
         return 0.0, 1.0
-    lo, hi = min(values), max(values)
+    lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
         return lo - 0.5, hi + 0.5
     pad = 0.04 * (hi - lo)
@@ -76,19 +94,17 @@ def emit_svg_scatter(
     with axes and no points.
     """
     xs, ys = _read_columns(csv_path, x_col, y_col)
-    overlays = list(overlays)
-    all_x = list(xs)
-    all_y = list(ys)
-    for _, ox, oy in overlays:
-        all_x.extend(float(v) for v in ox)
-        all_y.extend(float(v) for v in oy)
-    x_lo, x_hi = _padded_range(all_x)
-    y_lo, y_hi = _padded_range(all_y)
+    overlays = [(label, np.asarray(ox, dtype=float), np.asarray(oy, dtype=float))
+                for label, ox, oy in overlays]
+    x_lo, x_hi = _padded_range(np.concatenate([xs, *(ox for _, ox, _ in overlays)]))
+    y_lo, y_hi = _padded_range(np.concatenate([ys, *(oy for _, _, oy in overlays)]))
 
-    def px(v: float) -> float:
+    # pixel coordinates of a float or, with the same operations in the same order,
+    # of a float array
+    def px(v):
         return _ML + (v - x_lo) / (x_hi - x_lo) * (_WIDTH - _ML - _MR)
 
-    def py(v: float) -> float:
+    def py(v):
         return _HEIGHT - _MB - (v - y_lo) / (y_hi - y_lo) * (_HEIGHT - _MT - _MB)
 
     parts = [
@@ -121,11 +137,11 @@ def emit_svg_scatter(
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {(_MT + _HEIGHT - _MB) / 2:.1f})">{y_col}</text>',
     ]
-    parts += [f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" '
-              f'fill="{_POINT_COLOR}" fill-opacity="0.7"/>' for x, y in zip(xs, ys)]
+    circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{_POINT_COLOR}" fill-opacity="0.7"/>'
+    parts += [circle % point for point in zip(px(xs).tolist(), py(ys).tolist())]
     for k, (label, ox, oy) in enumerate(overlays):
         color = _OVERLAY_COLORS[k % len(_OVERLAY_COLORS)]
-        points = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(ox, oy))
+        points = " ".join("%.2f,%.2f" % point for point in zip(px(ox).tolist(), py(oy).tolist()))
         parts += [
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>',
             f'<text x="{_WIDTH - _MR - 6}" y="{_MT + 16 + 14 * k}" text-anchor="end" '

@@ -1,8 +1,8 @@
-"""Dense complex linear algebra on bipartite registers plus seeded randomness.
+"""Dense linear algebra on bipartite registers plus seeded randomness.
 
-Conventions: states are 1-D complex arrays.  A bipartite state with local
-dimension d is indexed by k*d + j (first subsystem k, second subsystem j),
-so ``psi.reshape(d, d)`` is the coefficient grid with rows indexed by the
+Conventions: states are 1-D float or complex arrays.  A bipartite state with
+local dimension d is indexed by k*d + j (first subsystem k, second subsystem
+j), so ``psi.reshape(d, d)`` is the coefficient grid with rows indexed by the
 first subsystem.  For any matrices M, N that grid transforms as
 ``M @ grid @ N.T`` under M (x) N, which is how every bilocal operation here
 avoids materializing d^2 x d^2 matrices.
@@ -58,13 +58,24 @@ def check_amplitudes(psi: np.ndarray, d: int) -> None:
         raise ValueError(f"state must have {d * d} amplitudes, got shape {psi.shape}")
 
 
+def as_amplitudes(values) -> np.ndarray:
+    """``values`` as float64 when real and complex128 when complex.
+
+    Real states stay real, so no complex copy is made of them; an array
+    that already has its dtype is returned as it is.
+    """
+    values = np.asarray(values)
+    return values.astype(complex if np.iscomplexobj(values) else float, copy=False)
+
+
 def check_state(psi: np.ndarray, d: int) -> np.ndarray:
-    """A normalized d x d bipartite state as a complex array, or ValueError.
+    """A normalized d x d bipartite state as a float or complex array
+    (``as_amplitudes``), or ValueError.
 
     Leading axes hold a stack of states, shape (..., d*d); every state in
     the stack must be normalized.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = as_amplitudes(psi)
     check_amplitudes(psi, d)
     check_norms(psi)
     return psi

@@ -204,6 +204,46 @@ class TestWrapDiagonalLayout:
         assert np.max(np.abs(branch_laws(layout, d, m) - want)) < 1e-12
 
 
+class TestRealStates:
+    """A real state is read as float64 and gives the values of its complex cast."""
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_dense_states(self, d, m):
+        psi = random_real_unit_vector(d * d, RngStream(116, d), (3,))
+        for state in (psi, psi[0]):
+            cast = state.astype(complex)
+            assert np.max(np.abs(bell_value_gamma(state, d, m)
+                                 - bell_value_gamma(cast, d, m))) < 1e-12
+            assert np.max(np.abs(branch_laws(state, d, m) - branch_laws(cast, d, m))) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_embedded_layouts(self, n, m):
+        dim = 2**n
+        pairs = random_real_orthogonal(dim, RngStream(117, n), (3, 2))
+        layout = embedded_pair_state(pairs[:, 0] @ pairs[:, 1].mT)
+        assert layout.rows.dtype == np.float64
+        cast = WrapDiagonals(layout.offsets, layout.rows.astype(complex))
+        d = dim * dim
+        assert np.max(np.abs(bell_value_gamma(layout, d, m)
+                             - bell_value_gamma(cast, d, m))) < 1e-12
+        assert np.max(np.abs(branch_laws(layout, d, m) - branch_laws(cast, d, m))) < 1e-12
+
+    def test_gamma_peak_on_an_embedded_layout(self):
+        # n = 6 (8^6 entries): the real layout and one real temporary, about 1.1 complex
+        # values per entry; a complex copy of the rows made it 2.6
+        pair = random_real_orthogonal(64, RngStream(118), (2,))
+        w = pair[0] @ pair[1].T
+        tracemalloc.start()
+        try:
+            bell_value_gamma(embedded_pair_state(w), 4096, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 16 * 8**6
+
+
 class TestProtocolBranches:
     def test_layout_in_i_r_order(self):
         branches = protocol_branches(4, 3)
@@ -475,7 +515,7 @@ def per_sample_lemma2_values(d, m, samples, rng):
     """Reference for ``lemma2_exceedance``: one state drawn and evaluated at a time."""
     values = np.empty(samples)
     for idx in range(samples):
-        psi = random_real_unit_vector(d * d, rng).astype(complex)
+        psi = random_real_unit_vector(d * d, rng)
         values[idx] = bell_value_gamma(psi, d, m)
     return values
 

@@ -1,3 +1,6 @@
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +14,7 @@ import pytest
 import bellcheck
 from bellcheck import tensor
 from bellcheck.bell import bell_value_gamma
-from bellcheck.cli import FIG1_HEADER, LEMMA2_HEADER, _write_csv, main
+from bellcheck.cli import FIG1_HEADER, LEMMA2_HEADER, _fmt, _write_csv, main
 from bellcheck.circuit import circuit_unitary, parse_circuit
 from bellcheck.distance import circuit_distance, distance_bounds_from_v
 from bellcheck.tensor import (
@@ -19,6 +22,7 @@ from bellcheck.tensor import (
 )
 from oracles import _fig3_point, per_pair_fig3
 
+DATA = Path(__file__).parent / "data"
 HADAMARD = "qubits 1\nH 0\n"
 PAULI_Z = "qubits 1\nZ 0\n"
 # trailing Z X Z X block realizes a -I factor: a pure global sign
@@ -246,6 +250,23 @@ class TestCompareExact:
         assert lines[0].startswith("circuit_a,circuit_b,mode,d,m")
         assert "INEQUIVALENT" in lines[1]
 
+    def test_csv_row_with_a_comma_in_a_path(self, tmp_path, capsys):
+        # the path is one quoted cell, so every later cell reads back under its own name
+        (tmp_path / "q").mkdir()
+        a, b = tmp_path / "q" / "a,1.qc", tmp_path / "q" / "b.qc"
+        a.write_text(HADAMARD)
+        b.write_text(PAULI_Z)
+        out = tmp_path / "o.csv"
+        assert main(["compare-exact", str(a), str(b), "--embedded", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        with open(out, newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["circuit_a"] == str(a) and row["verdict"] == "INEQUIVALENT"
+        assert float(row["V"]) == read_value(printed, "V")
+        assert float(row["D"]) == read_value(printed, "D")
+        assert main(["plot", str(out), "--x", "V", "--y", "D",
+                     "--out", str(tmp_path / "o.svg")]) == 0
+
 
 class TestCompareSampled:
     def test_plan_echoed(self, circuits, capsys):
@@ -283,13 +304,15 @@ class TestCompareSampled:
         assert "mode = embedded, d = 4096, m = 2" in out
         assert abs(read_value(out, "X") - (1 - dist**2)) < 0.05
 
-    def test_sampled_size_guard_covers_the_traced_peak(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_sampled_size_guard_covers_the_traced_peak(self, n, tmp_path, capsys, monkeypatch):
         # the sampled factor of 5 complex values per layout entry and its per-branch
-        # rows, against the n = 6 peak of a `sampled-n4`-shaped request
-        a, b, _ = wide_pair(tmp_path, 6)
+        # rows, against the peak of a `sampled-n4`-shaped request; at n = 5 the fixed
+        # cost of a request is a larger share of the peak
+        a, b, _ = wide_pair(tmp_path, n)
         refused_at_traced_peak(["compare-sampled", a, b, "--m", "3", "--shots", "239659",
                                 "--seed", "5"], 0,
-                               "6-qubit sampled comparison", capsys, monkeypatch)
+                               f"{n}-qubit sampled comparison", capsys, monkeypatch)
 
     def test_ten_trillion_shots(self, circuits, capsys):
         # the cell counts take one draw per dyadic block: 29 draws hold 10^13 rounds
@@ -438,7 +461,7 @@ def per_sample_lemma2(path, d, m, samples, seed):
     rng = RngStream(seed)
     rows = []
     for idx in range(samples):
-        psi = random_real_unit_vector(d * d, rng).astype(complex)
+        psi = random_real_unit_vector(d * d, rng)
         rows.append([idx, bell_value_gamma(psi, d, m)])
     _write_csv(path, LEMMA2_HEADER, rows)
 
@@ -514,6 +537,63 @@ def test_figure_memory_does_not_grow_with_samples(argv, tmp_path, capsys):
     assert peak < 4 * 2**20
 
 
+def old_fmt(value):
+    """The per-cell formatting rule that ``_cell_format`` restates as %-formats."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
+class TestWriteCsv:
+    # one row of each cell type _write_csv formats, and a second with the same types
+    MIXED = [
+        ["", "text", 7, np.int64(-12), 2**40 + 3, 2**63 - 1, np.float64(0.1), -0.0,
+         1e-300, 1e300, math.nan, math.inf, np.float64(-math.inf)],
+        ["x", "", -3, np.int64(2**62), 0, -(2**63), np.float64(-1 / 3), 0.0,
+         5e-324, -1.7976931348623157e308, -math.nan, -math.inf, np.float64(math.nan)],
+    ]
+
+    def test_rows_equal_a_per_cell_join(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        header = [f"c{j}" for j in range(len(self.MIXED[0]))]
+        _write_csv(path, header, iter(self.MIXED))
+        want = ",".join(header) + "\n"
+        want += "".join(",".join(map(old_fmt, row)) + "\n" for row in self.MIXED)
+        assert path.read_text(encoding="utf-8") == want
+        assert [_fmt(cell) for row in self.MIXED for cell in row] == [
+            old_fmt(cell) for row in self.MIXED for cell in row
+        ]
+
+    def test_twelve_digits_on_random_float_bit_patterns(self):
+        bits = np.random.default_rng(5).integers(0, 2**64, 20_000, dtype=np.uint64)
+        values = bits.view(np.float64).tolist() + [-0.0, 5e-324, 2.2250738585072014e-308]
+        assert [_fmt(v) for v in values] == [format(v, ".12g") for v in values]
+
+    def test_header_only_when_no_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        _write_csv(path, LEMMA2_HEADER, [])
+        assert path.read_text(encoding="utf-8") == "sample_id,V\n"
+
+    def test_text_cells_are_quoted_as_the_csv_module_does(self, tmp_path):
+        # a comma, a double quote or a line break quotes the cell, inner quotes doubled
+        rows = [["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", 3, 0.5],
+                ["", ",", '"', "\r\n", "x", "y", -1, math.inf]]
+        header = [f"c{j}" for j in range(8)]
+        path = tmp_path / "text.csv"
+        _write_csv(path, header, rows)
+        want = ",".join(header) + "\n"
+        for row in rows:
+            # the module's own "\r\n" row ending makes it quote a lone "\r" as well
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\r\n").writerow(map(old_fmt, row))
+            want += buffer.getvalue()[:-2] + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1:] == [[old_fmt(c) for c in row] for row in rows]
+
+
 class TestPlot:
     def test_scatter_with_bound_overlays(self, tmp_path, capsys):
         csv_path = tmp_path / "fig1.csv"
@@ -560,6 +640,43 @@ class TestPlot:
         rc = main(["plot", str(csv_path), "--x", "V", "--y", "D",
                    "--out", str(tmp_path / "x.svg"), "--overlay", "bounds"])
         assert rc == 2
+
+    def test_fig1_svg_bytes_are_pinned(self, tmp_path, capsys):
+        # 500 points and both bound overlays, against bytes the per-point renderer wrote
+        csv_path, svg_path = tmp_path / "fig1.csv", tmp_path / "fig1.svg"
+        assert main(["fig1", "--samples", "500", "--seed", "41", "--include-equal-pair",
+                     "--out", str(csv_path)]) == 0
+        assert main(["plot", str(csv_path), "--x", "V", "--y", "D", "--out", str(svg_path),
+                     "--overlay", "bounds", "--d", "4", "--m", "2"]) == 0
+        assert svg_path.read_bytes() == (DATA / "fig1_500_seed41.svg").read_bytes()
+
+    def test_reads_like_dict_reader(self, tmp_path, capsys):
+        # a quoted cell holding a comma, a blank line and a repeated header name (whose
+        # last column is read) plot as the values csv.DictReader reads
+        text = 'name,V,D,V\n"a,b",9,0.5,1.5\n\n"c",9,0.25,-2\nd,9,0.75,0.125\n'
+        csv_path, plain = tmp_path / "tricky.csv", tmp_path / "plain.csv"
+        csv_path.write_text(text, encoding="utf-8")
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            cells = [(row["V"], row["D"]) for row in csv.DictReader(fh)]
+        assert cells == [("1.5", "0.5"), ("-2", "0.25"), ("0.125", "0.75")]
+        plain.write_text("V,D\n" + "".join(f"{v},{d}\n" for v, d in cells), encoding="utf-8")
+        svgs = []
+        for source in (csv_path, plain):
+            out = tmp_path / f"{source.stem}.svg"
+            assert main(["plot", str(source), "--x", "V", "--y", "D", "--out", str(out)]) == 0
+            svgs.append(out.read_bytes())
+        assert svgs[0] == svgs[1] and svgs[0].count(b"<circle") == 3
+
+    def test_short_row_names_its_missing_cell(self, tmp_path, capsys):
+        # a row without its D cell reads D as None, as csv.DictReader fills it
+        csv_path = tmp_path / "short.csv"
+        csv_path.write_text("V,D\n1,0.5\n\n2\n", encoding="utf-8")
+        out = tmp_path / "short.svg"
+        assert main(["plot", str(csv_path), "--x", "V", "--y", "D", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}: row 2, column 'D': None is not a finite number\n"
+        )
+        assert not out.exists()
 
 
 class TestEntryPoints:

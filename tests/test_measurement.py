@@ -18,7 +18,9 @@ from bellcheck.measurement import (
     sequential_distribution,
     wrap_diagonals,
 )
-from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
+from bellcheck.tensor import (
+    RngStream, apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector,
+)
 from oracles import observable_power, outcome_distribution
 
 ATOL = 1e-9
@@ -199,9 +201,26 @@ class TestWrapDiagonals:
         _, wrapped = wrap_diagonals(WrapDiagonals(np.array([0, 255], dtype=np.uint8), rows), d)
         assert_array_equal(wrapped.sum(axis=1), [0, 255])
 
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_rows_keep_the_input_dtype(self, dense):
+        # real rows stay float64 and are not copied; complex rows are complex128
+        d = 4
+        # amplitudes of +-1/4: normalized in single precision too
+        real = np.where(random_real_unit_vector(d * d, RngStream(154)) < 0, -0.25, 0.25)
+        for state, dtype in [(real, np.float64), (real.astype(np.float32), np.float64),
+                             (real * 1j, np.complex128),
+                             ((real * 1j).astype(np.complex64), np.complex128)]:
+            if not dense:
+                state = WrapDiagonals(np.arange(d), state.reshape(d, d))
+            layout, _ = wrap_diagonals(state, d)
+            assert layout.rows.dtype == dtype
+        layout, _ = wrap_diagonals(WrapDiagonals(np.arange(d), real.reshape(d, d)), d)
+        assert np.shares_memory(layout.rows, real)
+
     def test_peak_memory_is_the_returned_arrays(self):
-        # n = 6 embedded layout (d = 4096, 64 real rows): the complex copy of the rows and
-        # the bool mask; an (R, d) int64 offset sum would add half the rows' size again
+        # n = 6 embedded layout (d = 4096, 64 real rows): the real rows pass through
+        # uncopied, so the peak is the bool mask; a copy of the rows or an (R, d) int64
+        # offset sum would each add eight times the mask's size
         rng = RngStream(153)
         u1, u2 = random_real_orthogonal(64, rng), random_real_orthogonal(64, rng)
         state = embedded_pair_state(u1 @ u2.T)
@@ -211,7 +230,7 @@ class TestWrapDiagonals:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * (layout.rows.nbytes + wrapped.nbytes)
+        assert peak < 2 * wrapped.nbytes
 
     def test_rejects_bad_layouts(self):
         d = 4
