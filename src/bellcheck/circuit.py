@@ -78,14 +78,14 @@ class Circuit:
 
 def _check_gate(kind: str, targets: tuple[int, ...], n_qubits: int, line: int | None = None):
     """The one gate rule: a known kind, its arity, distinct indices inside the register."""
-    if kind not in GATE_MATRICES:
+    arity = GATE_ARITY.get(kind)
+    if arity is None:
         raise CircuitParseError(f"unknown gate {kind!r}", line)
-    arity = GATE_ARITY[kind]
     if len(targets) != arity:
         raise CircuitParseError(f"{kind} takes {arity} qubit index(es), got {len(targets)}", line)
     if min(targets) < 0:  # every gate has at least one index
         raise CircuitParseError(f"negative qubit index in {targets}", line)
-    if len(set(targets)) != len(targets):
+    if len(set(targets)) != arity:
         raise CircuitParseError(f"repeated qubit index in {targets}", line)
     if max(targets) >= n_qubits:
         raise CircuitWidthError(
@@ -102,13 +102,11 @@ def parse_circuit(text: str) -> Circuit:
     """
     n_qubits: int | None = None
     gates: list[Gate] = []
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if n_qubits is None:
             if tokens[0] != "qubits" or len(tokens) != 2:
                 raise CircuitParseError("expected 'qubits <n>' header", line_no)
@@ -122,13 +120,13 @@ def parse_circuit(text: str) -> Circuit:
             continue
         kind = tokens[0]
         try:
-            targets = tuple(int(tok) for tok in tokens[1:])
+            targets = tuple(map(int, tokens[1:]))
         except ValueError:
             raise CircuitParseError("qubit indices must be integers", line_no) from None
         _check_gate(kind, targets, n_qubits, line_no)
         gates.append(Gate(kind, targets))
     if n_qubits is None:
-        raise CircuitParseError("missing 'qubits <n>' header", max(last_line, 1))
+        raise CircuitParseError("missing 'qubits <n>' header", max(len(lines), 1))
     return _checked_circuit(n_qubits, tuple(gates))
 
 
@@ -155,8 +153,8 @@ def _row_action(kind: str, targets: tuple[int, ...], n: int) -> tuple[np.ndarray
     w is the most nonzeros in a row of the gate's matrix (1 for a signed
     permutation, 2 for H); shorter rows are padded with zero coefficients.
     An entry holds at most 32 * 2^n bytes, so the cache at most 4096 * 2^n:
-    32 MiB at n = 13, the widest raw comparison the size guard admits below
-    16 GiB of memory, whose W takes 512 MiB.
+    64 MiB at n = 14, the widest comparison (embedded; raw stops at n = 13)
+    the size guard admits below 16 GiB of memory, whose W takes 2 GiB.
     """
     mat = GATE_MATRICES[kind]
     width = int(np.count_nonzero(mat, axis=1).max())
@@ -195,7 +193,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         else:
             rows = u[src]
             rows *= coef[:, :, None]
-            rows.sum(axis=0, out=u)
+            np.add(rows[0], rows[1], out=u)  # an H row sums two rows
             del rows  # free the 2 d^2 gather now: the peak stays at 3 d^2
             perm, sign = identity, ones
     return u[perm] * sign[:, None]

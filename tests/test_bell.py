@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from bellcheck.bell import (
     alpha_table,
+    bell_value_embedded,
     bell_value_gamma,
     bell_value_operator,
     branch_laws,
@@ -22,7 +23,9 @@ from bellcheck.measurement import (
     WrapDiagonals,
     wrap_diagonals,
 )
-from bellcheck.circuit import embed_double, embedded_pair_state
+from bellcheck.circuit import (
+    GATE_ARITY, circuit_unitary, embed_double, embedded_pair_state, pair_circuit, parse_circuit,
+)
 from bellcheck import tensor
 from bellcheck.tensor import (
     RngStream,
@@ -143,6 +146,78 @@ class TestBellValueGamma:
             psi = random_real_unit_vector(d * d, rng).astype(complex)
             v = bell_value_gamma(psi, d, m)
             assert -m - ATOL <= v <= m * (d - 1) + ATOL
+
+
+def rewrite_pair(rng, n, count=40):
+    """W of a circuit against itself with one H H or X X pair inserted: equal, with rounding."""
+    kinds = [kind for kind, arity in GATE_ARITY.items() if arity <= n]
+    lines = []
+    for _ in range(count):
+        kind = kinds[int(rng.gen.integers(len(kinds)))]
+        targets = rng.gen.choice(n, size=GATE_ARITY[kind], replace=False)
+        lines.append(" ".join([kind, *map(str, targets)]))
+    cut = int(rng.gen.integers(count + 1))
+    rewritten = lines[:cut] + [f"{kinds[cut % 2]} 0"] * 2 + lines[cut:]
+    c1, c2 = (parse_circuit("\n".join([f"qubits {n}", *body])) for body in (lines, rewritten))
+    return circuit_unitary(pair_circuit(c1, c2))
+
+
+class TestBellValueEmbedded:
+    """The trace route, m |Tr W|^2 - m, against gamma on the embedded pair's layout."""
+
+    @staticmethod
+    def assert_agrees(w, m, printed=True):
+        dim = w.shape[-1]
+        trace_v = bell_value_embedded(w, m)
+        gamma_v = bell_value_gamma(embedded_pair_state(w), dim * dim, m)
+        assert type(trace_v) is float
+        assert abs(trace_v - gamma_v) < 1e-12 * max(1.0, abs(gamma_v))  # V reaches m (4^n - 1)
+        if printed:
+            assert "%.12g" % trace_v == "%.12g" % gamma_v
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_orthogonal_w(self, n):
+        # compare-exact's default m = 2 prints the same V by either route
+        rng = RngStream(106, n)
+        for w in random_real_orthogonal(2**n, rng, (30,)):
+            self.assert_agrees(w, 2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_orthogonal_w_at_larger_m(self, n):
+        # V = m (Tr W)^2 - m cancels digits when V is small, so the two routes,
+        # a few ulps apart, can straddle a 12-digit rounding boundary: at
+        # m = 5, n = 1 this seed prints 0.0120553552391 against 0.012055355239
+        rng = RngStream(106, 10 * n + 5)
+        for w in random_real_orthogonal(2**n, rng, (15,)):
+            self.assert_agrees(w, 5, printed=False)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_plus_and_minus_identity(self, n, sign):
+        # the maximal value m (d - 1), d = 4^n, exactly
+        w = sign * np.eye(2**n)
+        self.assert_agrees(w, 3)
+        assert bell_value_embedded(w, 3) == 3 * (4**n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rewrite_style_equal_pairs(self, n):
+        rng = RngStream(107, n)
+        for _ in range(5):
+            w = rewrite_pair(rng, n)
+            self.assert_agrees(w, 2)
+            assert 2 * (4**n - 1) - bell_value_embedded(w, 2) < 1e-6
+
+    def test_stack_equals_per_item(self):
+        stack = random_real_orthogonal(8, RngStream(108), (3, 4))
+        values = bell_value_embedded(stack, 2)
+        assert values.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert values[idx] == bell_value_embedded(stack[idx], 2)
+
+    @pytest.mark.parametrize("w,m", [(np.eye(2), 1), (np.ones((2, 4)), 2)])
+    def test_input_rules(self, w, m):
+        with pytest.raises(ValueError):
+            bell_value_embedded(w, m)
 
 
 def class_histograms(psi, d, m):

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import bellcheck
-from bellcheck import tensor
-from bellcheck.bell import bell_value_gamma
-from bellcheck.cli import FIG1_HEADER, LEMMA2_HEADER, _fmt, _write_csv, main
+from bellcheck import cli, svgplot, tensor
+from bellcheck.bell import bell_value_embedded, bell_value_gamma
+from bellcheck.cli import EQUIVALENCE_GAP, FIG1_HEADER, LEMMA2_HEADER, _fmt, _write_csv, main
 from bellcheck.circuit import circuit_unitary, parse_circuit
 from bellcheck.distance import circuit_distance, distance_bounds_from_v
 from bellcheck.tensor import (
@@ -40,15 +40,34 @@ def wide_pair(tmp_path, n):
     return str(a), str(b), dist
 
 
+def run_python(*args):
+    """A fresh interpreter run with ``args``; it imports the same bellcheck as this
+    process, installed or not."""
+    src = str(Path(bellcheck.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+COLD_PEAK = """
+import sys, tracemalloc
+from bellcheck.cli import main
+tracemalloc.start()
+code = main(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)
+"""
+
+
 def refused_at_traced_peak(argv, code, task, capsys, monkeypatch):
-    """A request that exits with ``code`` is refused once physical memory equals its traced peak."""
-    tracemalloc.start()
-    try:
-        assert main(argv) == code
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
+    """A request that exits with ``code`` is refused once physical memory equals its traced peak.
+
+    The peak is traced cold, in a fresh process from the first call on, so it
+    holds what a request builds once (the parser, the gate actions, numpy's
+    first calls) as well as what grows with its size.
+    """
+    proc = run_python("-c", COLD_PEAK, *argv)
+    exit_code, peak = map(int, proc.stderr.split()[-2:])
+    assert exit_code == code
     pages = {"SC_PHYS_PAGES": peak, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     assert main(argv) == 2
@@ -237,10 +256,46 @@ class TestCompareExact:
                                "8-qubit raw comparison", capsys, monkeypatch)
 
     def test_embedded_size_guard_covers_the_traced_peak(self, tmp_path, capsys, monkeypatch):
-        # the embedded factor of 3 complex values per layout entry, against its n = 6 peak
+        # the embedded factor of 2 complex values per amplitude and the fixed cost of a
+        # request, against its n = 6 peak, where the fixed cost is most of it
         a, b, _ = wide_pair(tmp_path, 6)
         refused_at_traced_peak(["compare-exact", a, b, "--embedded"], 1,
                                "6-qubit embedded comparison", capsys, monkeypatch)
+
+    def test_embedded_n10_fits_in_one_gib(self, tmp_path, capsys, monkeypatch):
+        # V is read from Tr W, so no 8^n-entry layout is counted: 48 GiB before
+        a, b, dist = wide_pair(tmp_path, 10)
+        pages = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        assert main(["compare-exact", a, b, "--embedded"]) == 1
+        out = capsys.readouterr().out
+        assert f"mode = embedded, d = {4**10}, m = 2" in out
+        assert read_value(out, "D") == pytest.approx(dist, abs=1e-9)
+
+    def test_embedded_equal_pair_at_n11_reads_equivalent(self, tmp_path, capsys, monkeypatch):
+        # rounding leaves an equal pair's V short of m(d - 1) by about m d eps per H
+        # gate: for these 242 gates, 40 of them H, at n = 11 and m = 128, by more than
+        # EQUIVALENCE_GAP; D reads 0, and so must the verdict
+        rng = np.random.default_rng(11)
+        lines = ["qubits 11"]
+        for _ in range(20):
+            q = rng.permutation(11)
+            lines += [f"H {q[0]}", f"CX {q[1]} {q[2]}", f"TOFFOLI {q[3]} {q[4]} {q[5]}",
+                      f"SWAP {q[6]} {q[7]}", f"CZ {q[8]} {q[9]}", f"X {q[10]}"]
+        a, b = tmp_path / "a.qc", tmp_path / "b.qc"
+        a.write_text("\n".join(lines) + "\n")
+        b.write_text("\n".join(lines) + "\nX 0\nX 0\n")
+        values = []
+
+        def recording(w, m):
+            values.append(bell_value_embedded(w, m))
+            return values[-1]
+
+        monkeypatch.setattr(cli, "bell_value_embedded", recording)
+        assert main(["compare-exact", str(a), str(b), "--embedded", "--m", "128"]) == 0
+        assert 128 * (4**11 - 1) - values[0] > EQUIVALENCE_GAP
+        out = capsys.readouterr().out
+        assert "D = 0\n" in out and "verdict = EQUIVALENT" in out
 
     def test_csv_row_output(self, circuits, tmp_path):
         out = tmp_path / "row.csv"
@@ -650,6 +705,41 @@ class TestPlot:
                      "--overlay", "bounds", "--d", "4", "--m", "2"]) == 0
         assert svg_path.read_bytes() == (DATA / "fig1_500_seed41.svg").read_bytes()
 
+    def test_pixel_maps_equal_the_scalar_expressions(self, tmp_path, monkeypatch):
+        # the .2f text cannot see a last-ulp change, so the unrounded array maps of the
+        # points and the overlay are compared with the per-point scalar expressions
+        rng = np.random.default_rng(44)
+        xs, ys = rng.normal(0.3, 2.0, 300).tolist(), rng.uniform(-1.0, 7.0, 300).tolist()
+        ox = np.linspace(-5.0, 9.0, 77)
+        oy = np.cos(ox) * 3.0
+        csv_path = tmp_path / "points.csv"
+        csv_path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+        mapped = []
+
+        def recording_zip(*columns):
+            mapped.append(columns)
+            return zip(*columns)
+
+        monkeypatch.setattr(svgplot, "zip", recording_zip, raising=False)
+        svgplot.emit_svg_scatter(csv_path, "x", "y", tmp_path / "points.svg",
+                                 overlays=[("curve", ox, oy)])
+        monkeypatch.undo()
+        x_lo, x_hi = svgplot._padded_range(np.concatenate([xs, ox]))
+        y_lo, y_hi = svgplot._padded_range(np.concatenate([ys, oy]))
+
+        def px(v):
+            return svgplot._ML + (v - x_lo) / (x_hi - x_lo) * (svgplot._WIDTH - svgplot._ML
+                                                               - svgplot._MR)
+
+        def py(v):
+            return svgplot._HEIGHT - svgplot._MB - (v - y_lo) / (y_hi - y_lo) * (
+                svgplot._HEIGHT - svgplot._MT - svgplot._MB)
+
+        assert len(mapped) == 2
+        for (got_x, got_y), (vx, vy) in zip(mapped, [(xs, ys), (ox, oy)]):
+            assert np.array(got_x).tobytes() == np.array([px(float(v)) for v in vx]).tobytes()
+            assert np.array(got_y).tobytes() == np.array([py(float(v)) for v in vy]).tobytes()
+
     def test_reads_like_dict_reader(self, tmp_path, capsys):
         # a quoted cell holding a comma, a blank line and a repeated header name (whose
         # last column is read) plot as the values csv.DictReader reads
@@ -766,12 +856,13 @@ class TestEntryPoints:
         assert "compare-exact" in capsys.readouterr().out
 
     def test_module_invocation(self):
-        # the child imports the same bellcheck as this process, installed or not
-        src = str(Path(bellcheck.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bellcheck", "--help"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_python("-m", "bellcheck", "--help")
         assert proc.returncode == 0
         assert "compare-exact" in proc.stdout
+
+    def test_svgplot_loads_only_for_plot(self):
+        # a compare-* cold start neither compiles nor runs the SVG renderer
+        code = "import sys, bellcheck.cli; print('bellcheck.svgplot' in sys.modules)"
+        proc = run_python("-c", code)
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"
