@@ -6,12 +6,14 @@ index, so an n-qubit basis index reads b(0) b(1) ... b(n-1) left to right.
 All supported gates have real matrices, hence every circuit unitary here is
 real orthogonal.
 
-Synthesis acts on the rows of the d x d matrix.  Each gate's row action is
-read once from its matrix in ``GATE_MATRICES``: row i of the product takes
-a weighted sum of one row (X, Z, CX, CZ, SWAP, TOFFOLI: a signed
-permutation) or two rows (H: a butterfly) of the matrix before it.  Signed
-permutations compose in O(d) without touching the matrix, so a circuit
-costs O(d^2) per H and O(d) per other gate.
+Synthesis acts on the rows of the d x d matrix, named by signed row
+indices: j < d is row j, and j >= d is row j - d negated.  Each gate's row
+action is read once from its matrix in ``GATE_MATRICES``: row i of the
+product is one signed row (X, Z, CX, CZ, SWAP, TOFFOLI: a signed
+permutation) or the sum of two signed rows over sqrt(2) (H: a butterfly)
+of the matrix before it.  Signed permutations compose with one gather of
+2d signed indices without touching the matrix, so a circuit costs O(d^2)
+per H and O(d) per other gate.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .measurement import WrapDiagonals
 from .tensor import check_pair, check_positive
 
 _S = 1.0 / np.sqrt(2.0)
+_SIGN = np.array([1.0, -1.0])  # the factor of a signed row index, by its sign bit
+_H_SCALE = _S * _SIGN
 
 _TOFFOLI = np.eye(8)
 _TOFFOLI[[6, 7]] = _TOFFOLI[[7, 6]]
@@ -76,20 +80,20 @@ class Circuit:
             _check_gate(gate.kind, gate.targets, self.n_qubits)
 
 
-def _check_gate(kind: str, targets: tuple[int, ...], n_qubits: int, line: int | None = None):
+def _check_gate(kind: str, targets: tuple[int, ...], n_qubits: int):
     """The one gate rule: a known kind, its arity, distinct indices inside the register."""
     arity = GATE_ARITY.get(kind)
     if arity is None:
-        raise CircuitParseError(f"unknown gate {kind!r}", line)
+        raise CircuitParseError(f"unknown gate {kind!r}")
     if len(targets) != arity:
-        raise CircuitParseError(f"{kind} takes {arity} qubit index(es), got {len(targets)}", line)
+        raise CircuitParseError(f"{kind} takes {arity} qubit index(es), got {len(targets)}")
     if min(targets) < 0:  # every gate has at least one index
-        raise CircuitParseError(f"negative qubit index in {targets}", line)
+        raise CircuitParseError(f"negative qubit index in {targets}")
     if len(set(targets)) != arity:
-        raise CircuitParseError(f"repeated qubit index in {targets}", line)
+        raise CircuitParseError(f"repeated qubit index in {targets}")
     if max(targets) >= n_qubits:
         raise CircuitWidthError(
-            f"qubit index {max(targets)} outside register of {n_qubits} qubits", line
+            f"qubit index {max(targets)} outside register of {n_qubits} qubits"
         )
 
 
@@ -99,6 +103,12 @@ def parse_circuit(text: str) -> Circuit:
     Grammar: optional ``#`` comments anywhere; first meaningful line is
     ``qubits <n>``; each following line is a mnemonic plus 0-based qubit
     indices, controls before targets (``CX c t``; ``TOFFOLI c1 c2 t``).
+
+    Each distinct gate line is checked and built once per process:
+    ``_gate_line`` keeps the ``Gate`` of the last 1024 distinct (tokens,
+    width) keys, about 430 bytes each (0.44 MB when full).  A rejected line
+    is never cached, and its error carries the line number of the text being
+    parsed.
     """
     n_qubits: int | None = None
     gates: list[Gate] = []
@@ -118,16 +128,24 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError(f"qubit count must be >= 1, got {declared}", line_no)
             n_qubits = declared
             continue
-        kind = tokens[0]
         try:
-            targets = tuple(map(int, tokens[1:]))
-        except ValueError:
-            raise CircuitParseError("qubit indices must be integers", line_no) from None
-        _check_gate(kind, targets, n_qubits, line_no)
-        gates.append(Gate(kind, targets))
+            gates.append(_gate_line(tuple(tokens), n_qubits))
+        except CircuitParseError as exc:
+            raise type(exc)(str(exc), line_no) from None
     if n_qubits is None:
         raise CircuitParseError("missing 'qubits <n>' header", max(len(lines), 1))
     return _checked_circuit(n_qubits, tuple(gates))
+
+
+@functools.lru_cache(maxsize=1024)
+def _gate_line(tokens: tuple[str, ...], n_qubits: int) -> Gate:
+    """The checked ``Gate`` of one gate line's tokens; errors carry no line number."""
+    try:
+        targets = tuple(map(int, tokens[1:]))
+    except ValueError:
+        raise CircuitParseError("qubit indices must be integers") from None
+    _check_gate(tokens[0], targets, n_qubits)
+    return Gate(tokens[0], targets)
 
 
 def _checked_circuit(n_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
@@ -146,57 +164,69 @@ def pair_circuit(c1: Circuit, c2: Circuit) -> Circuit:
 
 
 @functools.lru_cache(maxsize=128)
-def _row_action(kind: str, targets: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (w, 2^n) arrays ``src``, ``coef``: row i of (gate @ M) is
-    sum_j coef[j, i] * M[src[j, i]].
+def _row_action(kind: str, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """Read-only (w, 2^(n+1)) signed row indices ``act`` of the gate on n qubits:
+    signed row j of (gate @ M) is signed row act[0, j] of M (w = 1: X, Z, CX,
+    CZ, SWAP, TOFFOLI), or signed rows act[0, j] + act[1, j] of M over sqrt(2)
+    (w = 2: H).  Signed row j >= d = 2^n is row j - d negated, so column
+    j + d is column j XOR d.
 
-    w is the most nonzeros in a row of the gate's matrix (1 for a signed
-    permutation, 2 for H); shorter rows are padded with zero coefficients.
-    An entry holds at most 32 * 2^n bytes, so the cache at most 4096 * 2^n:
-    64 MiB at n = 14, the widest comparison (embedded; raw stops at n = 13)
-    the size guard admits below 16 GiB of memory, whose W takes 2 GiB.
+    w is the count of nonzeros in each row of the gate's matrix, each of them
+    +-1/sqrt(w).  An entry holds 16 w 2^n <= 32 * 2^n bytes, so the cache at
+    most 4096 * 2^n: 64 MiB at n = 14, the widest comparison (embedded; raw
+    stops at n = 13) the size guard admits below 16 GiB of memory, whose W
+    takes 2 GiB.
     """
-    mat = GATE_MATRICES[kind]
-    width = int(np.count_nonzero(mat, axis=1).max())
-    cols = np.argsort(mat == 0, axis=1, kind="stable")[:, :width].T  # nonzero columns first
-    places = len(targets) - 1 - np.arange(len(targets))  # targets[0] is the gate's top bit
-    shifts = n - 1 - np.array(targets)  # each target's bit in the full index
-    spread = ((np.arange(len(mat))[:, None] >> places) & 1) @ (1 << shifts)
-    rows = np.arange(1 << n)
-    local = ((rows[:, None] >> shifts) & 1) @ (1 << places)  # the gate's row of each row
-    picked = cols[:, local]
-    src = (rows & ~spread[-1]) | spread[picked]
-    coef = mat[local, picked]
-    src.setflags(write=False)
-    coef.setflags(write=False)
-    return src, coef
+    d = 1 << n
+    spread = [0]  # spread[r]: the bits in the full index of the gate's local index r
+    for t in targets:  # targets[0] is the gate's top bit
+        spread = [s | b for s in spread for b in (0, 1 << (n - 1 - t))]
+    # Local row r reads local column c: the full source index is i XOR spread[r ^ c],
+    # plus the sign bit d when the entry is negative.
+    masks = [
+        [spread[r ^ c] | (d if v < 0 else 0) for c, v in enumerate(row) if v]
+        for r, row in enumerate(GATE_MATRICES[kind].tolist())
+    ]
+    # One axis per bit of a signed index (axis 0 the sign bit, axis 1 + q qubit q),
+    # so the mask table broadcasts over every bit the gate does not touch.
+    shape = [1] * (n + 1)
+    for t in targets:
+        shape[1 + t] = 2
+    by_qubit = sorted(range(len(targets)), key=targets.__getitem__)
+    table = np.array(masks).T.reshape(-1, *[2] * len(targets))
+    table = table.transpose(0, *[1 + q for q in by_qubit]).reshape(-1, *shape)
+    act = (np.arange(2 * d).reshape([2] * (n + 1)) ^ table).reshape(len(table), 2 * d)
+    act.setflags(write=False)
+    return act
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full matrix of the circuit, gates composed in application order.
 
-    Signed-permutation gates fold into one pending signed permutation
-    (row i of the pending product is sign[i] * row perm[i] of ``u``); an H
-    gate folds the pending pair into its two source rows, writes the
-    butterfly into ``u`` and resets the pair, and the end applies it once.
+    Signed-permutation gates fold into one pending map ``pend`` of the 2d
+    signed row indices (signed row j of the pending product is signed row
+    pend[j] of ``u``), one gather ``pend[act]`` per gate.  An H gate reads
+    its two signed source rows through ``pend``, scales them by +-1/sqrt(2),
+    writes their sum into ``u`` and resets ``pend``; the end applies it once.
     """
-    dim = 2**circuit.n_qubits
+    n = circuit.n_qubits
+    dim = 1 << n
     u = np.eye(dim)
-    identity, ones = np.arange(dim), np.ones(dim)
-    perm, sign = identity, ones
+    identity = np.arange(2 * dim)
+    pend = identity
     for gate in circuit.gates:
-        src, coef = _row_action(gate.kind, gate.targets, circuit.n_qubits)
-        coef = coef * sign[src]
-        src = perm[src]
-        if len(src) == 1:
-            perm, sign = src[0], coef[0]
+        act = _row_action(gate.kind, gate.targets, n)
+        if len(act) == 1:
+            pend = pend[act[0]]
         else:
-            rows = u[src]
-            rows *= coef[:, :, None]
+            src = pend[act][:, :dim]  # indexing by the strided half of act is slower
+            rows = u[src & (dim - 1)]
+            rows *= _H_SCALE[src >> n][:, :, None]
             np.add(rows[0], rows[1], out=u)  # an H row sums two rows
             del rows  # free the 2 d^2 gather now: the peak stays at 3 d^2
-            perm, sign = identity, ones
-    return u[perm] * sign[:, None]
+            pend = identity
+    pend = pend[:dim]
+    return u[pend & (dim - 1)] * _SIGN[pend >> n][:, None]
 
 
 def _cz_signs(n: int) -> np.ndarray:

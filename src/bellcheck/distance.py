@@ -17,6 +17,7 @@ import numpy as np
 from .tensor import check_pair, check_params
 
 _RANGE_PAD = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,8 @@ def circuit_distance(w: np.ndarray) -> float | np.ndarray:
 
 
 def _check_v_range(v: np.ndarray, d: int, m: int) -> None:
-    inside = (-m - _RANGE_PAD <= v) & (v <= m * (d - 1) + _RANGE_PAD)
-    if not np.all(inside):
+    inside = (v >= -m - _RANGE_PAD) & (v <= m * (d - 1) + _RANGE_PAD)
+    if not inside.all():
         raise ValueError(
             f"Bell value {v[~inside][0]} outside the physical range [{-m}, {m * (d - 1)}]"
         )
@@ -48,7 +49,7 @@ def _check_v_range(v: np.ndarray, d: int, m: int) -> None:
 
 def _clamped_sqrt(radicand):
     """sqrt of the radicand clamped to [0, 1]: a float for a scalar, else an array."""
-    root = np.sqrt(np.clip(radicand, 0.0, 1.0))
+    root = np.sqrt(np.minimum(np.maximum(radicand, 0.0), 1.0))
     return float(root) if root.ndim == 0 else root
 
 
@@ -82,7 +83,7 @@ def distance_from_embedded_v(v, d: int, m: int) -> float | np.ndarray:
     v = np.asarray(v, dtype=float)
     _check_v_range(v, d, m)
     radicand = 1.0 - (v + m) / (m * d)
-    return _clamped_sqrt(np.where(radicand < d * np.finfo(float).eps, 0.0, radicand))
+    return _clamped_sqrt(np.where(radicand < d * _EPS, 0.0, radicand))
 
 
 def normalized_to_distance(i_prime) -> float | np.ndarray:

@@ -15,7 +15,7 @@ import bellcheck
 from bellcheck import cli, svgplot, tensor
 from bellcheck.bell import bell_value_embedded, bell_value_gamma
 from bellcheck.cli import EQUIVALENCE_GAP, FIG1_HEADER, LEMMA2_HEADER, _fmt, _write_csv, main
-from bellcheck.circuit import circuit_unitary, parse_circuit
+from bellcheck.circuit import _row_action, circuit_unitary, parse_circuit
 from bellcheck.distance import circuit_distance, distance_bounds_from_v
 from bellcheck.tensor import (
     RngStream, apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector,
@@ -826,11 +826,13 @@ class TestEntryPoints:
 
         monkeypatch.setattr("bellcheck.cli.circuit_unitary", must_not_run)
         wide = tmp_path / "wide.qc"
-        wide.write_text("qubits 24\nH 0\n")
+        wide.write_text("qubits 24\nH 0\nCX 0 23\n")
+        actions = _row_action.cache_info()
         rc = main([argv[0], str(wide), str(wide), *argv[1:]])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: 24-qubit ") and err.count("\n") == 1
+        assert _row_action.cache_info() == actions  # no gate action was built
 
     @pytest.mark.parametrize("argv", [
         ["fig1", "--samples", "-3"],
