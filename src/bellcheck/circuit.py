@@ -28,7 +28,6 @@ from .tensor import check_pair, check_positive
 
 _S = 1.0 / np.sqrt(2.0)
 _SIGN = np.array([1.0, -1.0])  # the factor of a signed row index, by its sign bit
-_H_SCALE = _S * _SIGN
 
 _TOFFOLI = np.eye(8)
 _TOFFOLI[[6, 7]] = _TOFFOLI[[7, 6]]
@@ -80,20 +79,20 @@ class Circuit:
             _check_gate(gate.kind, gate.targets, self.n_qubits)
 
 
-def _check_gate(kind: str, targets: tuple[int, ...], n_qubits: int):
+def _check_gate(kind: str, targets: tuple[int, ...], n_qubits: int, line: int | None = None):
     """The one gate rule: a known kind, its arity, distinct indices inside the register."""
     arity = GATE_ARITY.get(kind)
     if arity is None:
-        raise CircuitParseError(f"unknown gate {kind!r}")
+        raise CircuitParseError(f"unknown gate {kind!r}", line)
     if len(targets) != arity:
-        raise CircuitParseError(f"{kind} takes {arity} qubit index(es), got {len(targets)}")
+        raise CircuitParseError(f"{kind} takes {arity} qubit index(es), got {len(targets)}", line)
     if min(targets) < 0:  # every gate has at least one index
-        raise CircuitParseError(f"negative qubit index in {targets}")
+        raise CircuitParseError(f"negative qubit index in {targets}", line)
     if len(set(targets)) != arity:
-        raise CircuitParseError(f"repeated qubit index in {targets}")
+        raise CircuitParseError(f"repeated qubit index in {targets}", line)
     if max(targets) >= n_qubits:
         raise CircuitWidthError(
-            f"qubit index {max(targets)} outside register of {n_qubits} qubits"
+            f"qubit index {max(targets)} outside register of {n_qubits} qubits", line
         )
 
 
@@ -103,12 +102,6 @@ def parse_circuit(text: str) -> Circuit:
     Grammar: optional ``#`` comments anywhere; first meaningful line is
     ``qubits <n>``; each following line is a mnemonic plus 0-based qubit
     indices, controls before targets (``CX c t``; ``TOFFOLI c1 c2 t``).
-
-    Each distinct gate line is checked and built once per process:
-    ``_gate_line`` keeps the ``Gate`` of the last 1024 distinct (tokens,
-    width) keys, about 430 bytes each (0.44 MB when full).  A rejected line
-    is never cached, and its error carries the line number of the text being
-    parsed.
     """
     n_qubits: int | None = None
     gates: list[Gate] = []
@@ -128,24 +121,16 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError(f"qubit count must be >= 1, got {declared}", line_no)
             n_qubits = declared
             continue
+        kind = tokens[0]
         try:
-            gates.append(_gate_line(tuple(tokens), n_qubits))
-        except CircuitParseError as exc:
-            raise type(exc)(str(exc), line_no) from None
+            targets = tuple(map(int, tokens[1:]))
+        except ValueError:
+            raise CircuitParseError("qubit indices must be integers", line_no) from None
+        _check_gate(kind, targets, n_qubits, line_no)
+        gates.append(Gate(kind, targets))
     if n_qubits is None:
         raise CircuitParseError("missing 'qubits <n>' header", max(len(lines), 1))
     return _checked_circuit(n_qubits, tuple(gates))
-
-
-@functools.lru_cache(maxsize=1024)
-def _gate_line(tokens: tuple[str, ...], n_qubits: int) -> Gate:
-    """The checked ``Gate`` of one gate line's tokens; errors carry no line number."""
-    try:
-        targets = tuple(map(int, tokens[1:]))
-    except ValueError:
-        raise CircuitParseError("qubit indices must be integers") from None
-    _check_gate(tokens[0], targets, n_qubits)
-    return Gate(tokens[0], targets)
 
 
 def _checked_circuit(n_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
@@ -213,6 +198,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     dim = 1 << n
     u = np.eye(dim)
     identity = np.arange(2 * dim)
+    h_scale = _S * np.repeat(_SIGN, dim)  # an H gate's factor on each signed row index
     pend = identity
     for gate in circuit.gates:
         act = _row_action(gate.kind, gate.targets, n)
@@ -220,13 +206,13 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
             pend = pend[act[0]]
         else:
             src = pend[act][:, :dim]  # indexing by the strided half of act is slower
-            rows = u[src & (dim - 1)]
-            rows *= _H_SCALE[src >> n][:, :, None]
+            rows = np.take(u, src, axis=0, mode="wrap")  # signed row j is row j mod d
+            rows *= h_scale[src][:, :, None]
             np.add(rows[0], rows[1], out=u)  # an H row sums two rows
             del rows  # free the 2 d^2 gather now: the peak stays at 3 d^2
             pend = identity
     pend = pend[:dim]
-    return u[pend & (dim - 1)] * _SIGN[pend >> n][:, None]
+    return np.take(u, pend, axis=0, mode="wrap") * _SIGN[pend >> n][:, None]
 
 
 def _cz_signs(n: int) -> np.ndarray:

@@ -91,50 +91,17 @@ class TestParse:
             parse_circuit("qubits 2\nX a")
 
     def test_each_gate_checked_once(self, monkeypatch):
-        # each distinct (line, width) is checked at most once per process, and Circuit
-        # makes no second pass; comments and spacing are not part of a line
-        checked = []
+        lines = []
         check_gate = circuit_module._check_gate
 
-        def counting_check(kind, targets, n_qubits):
-            checked.append((kind, targets, n_qubits))
-            check_gate(kind, targets, n_qubits)
+        def counting_check(kind, targets, n_qubits, line=None):
+            lines.append(line)
+            check_gate(kind, targets, n_qubits, line)
 
         monkeypatch.setattr(circuit_module, "_check_gate", counting_check)
-        circuit_module._gate_line.cache_clear()
-        text = "qubits 3\nH 0\n# note\nCX 0 1\nTOFFOLI 2 0 1\nZ 2\n  H 0 # again\nCX  0  1\n"
-        parsed = parse_circuit(text)
-        first = [("H", (0,), 3), ("CX", (0, 1), 3), ("TOFFOLI", (2, 0, 1), 3), ("Z", (2,), 3)]
-        assert checked == first
-        assert parse_circuit(text) == parsed and checked == first
-        parse_circuit(text.replace("qubits 3", "qubits 4"))
-        assert checked == first + [(kind, targets, 4) for kind, targets, _ in first]
+        parsed = parse_circuit("qubits 3\nH 0\n# note\nCX 0 1\nTOFFOLI 2 0 1\nZ 2\n")
+        assert lines == [2, 4, 5, 6]
         assert parsed == Circuit(3, parsed.gates)
-        circuit_module._gate_line.cache_clear()
-
-    def test_bad_line_reports_its_own_line(self):
-        # a rejected line is never cached: each text reports where it holds the line
-        for text, line in [("qubits 2\nX a", 2), ("qubits 2\nH 0\n\n# c\nX a", 5)]:
-            with pytest.raises(CircuitParseError) as err:
-                parse_circuit(text)
-            assert err.value.line == line
-            assert str(err.value) == f"line {line}: qubit indices must be integers"
-
-    def test_width_is_part_of_the_line_key(self):
-        assert parse_circuit("qubits 3\nCX 0 2").gates == (Gate("CX", (0, 2)),)
-        with pytest.raises(CircuitWidthError) as err:
-            parse_circuit("qubits 2\nH 1\nCX 0 2")
-        assert err.value.line == 3
-
-    def test_line_cache_is_bounded(self):
-        lines = circuit_module._gate_line
-        lines.cache_clear()
-        width = lines.cache_info().maxsize + 1
-        parse_circuit(f"qubits {width}\n" + "".join(f"X {q}\n" for q in range(width)))
-        info = lines.cache_info()
-        assert info.misses == width
-        assert info.currsize <= info.maxsize
-        lines.cache_clear()
 
 
 class TestGateRule:
