@@ -5,7 +5,8 @@ random-state concentration experiment, and render CSV files to SVG.
 Exit codes: 0 success (or verdict EQUIVALENT), 1 verdict INEQUIVALENT,
 2 usage, input or any other error.  Every randomized command echoes its
 seed, so any output can be replayed; the BELLCHECK_SEED environment
-variable supplies a default seed when --seed is omitted.
+variable supplies a default seed when --seed is omitted.  A compare command
+prints each value of its --out row (COMPARE_HEADER); the mode's other cells are blank.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import itertools
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -188,40 +189,43 @@ def _load_comparison(
     return n, circuit_unitary(pair_circuit(c1, c2)), plan, seed
 
 
+def _show_comparison(args: argparse.Namespace, n: int, mode: str, d: int, record: dict,
+                     labels: Mapping[str, str] = {}, notes: Sequence[str] = ()) -> None:
+    """Print a comparison, then write it to ``--out`` as one row built by column name.
+
+    ``record`` maps the ``COMPARE_HEADER`` columns its mode gives to their values, printed
+    in its order as ``name = value`` (``labels`` renames a name); the other cells are blank.
+    ``notes`` print last: every line is out before ``--out`` is opened."""
+    lines = [f"circuits: {args.circuit_a} vs {args.circuit_b} ({n} qubit(s))",
+             f"mode = {mode}, d = {d}, m = {args.m}"]
+    lines += [f"{labels.get(column, column)} = {_fmt(value)}" for column, value in record.items()]
+    print(*lines, *notes, sep="\n")
+    if args.out:
+        row = {"circuit_a": args.circuit_a, "circuit_b": args.circuit_b,
+               "mode": mode, "d": d, "m": args.m, **record}
+        _write_csv(args.out, COMPARE_HEADER, [[row.get(column, "") for column in COMPARE_HEADER]])
+
+
 def cmd_compare_exact(args: argparse.Namespace) -> int:
     m = args.m
     mode = "embedded" if args.embedded else "raw"
     n, w, _, _ = _load_comparison(args, mode)
-    print(f"circuits: {args.circuit_a} vs {args.circuit_b} ({n} qubit(s))")
     if args.embedded:
         d = 4**n
         v = bell_value_embedded(w, m)
-        dist = distance_from_embedded_v(v, d, m)
-        lower = upper = ""
+        record = {"D": distance_from_embedded_v(v, d, m)}
     else:
         # (U1 (x) U2) applied to the maximally entangled state has the grid W / sqrt(d)
         d = 2**n
         v = bell_value_gamma(w.reshape(d * d) / np.sqrt(d), d, m)
-        dist = circuit_distance(w)
         bounds = distance_bounds_from_v(v, d, m)
-        lower, upper = bounds.lower, bounds.upper
-    i_prime = (v + m) / (d * m)
+        record = {"D": circuit_distance(w), "lower": bounds.lower, "upper": bounds.upper}
+    record = {"V": v, "I_prime": (v + m) / (d * m), **record}
     # an embedded D of 0 is V within rounding of m(d - 1): that residue grows as m d,
     # past the absolute gap at large n, and must not read INEQUIVALENT
-    equivalent = m * (d - 1) - v < EQUIVALENCE_GAP or (args.embedded and dist == 0.0)
-    verdict = "EQUIVALENT" if equivalent else "INEQUIVALENT"
-    print(f"mode = {mode}, d = {d}, m = {m}")
-    print(f"V = {_fmt(v)}")
-    print(f"I_prime = {_fmt(i_prime)}")
-    print(f"D = {_fmt(dist)}")
-    if not args.embedded:
-        print(f"lower = {_fmt(lower)}")
-        print(f"upper = {_fmt(upper)}")
-    print(f"verdict = {verdict}")
-    if args.out:
-        row = [args.circuit_a, args.circuit_b, mode, d, m, "", "",
-               v, i_prime, dist, lower, upper, verdict]
-        _write_csv(args.out, COMPARE_HEADER, [row])
+    equivalent = m * (d - 1) - v < EQUIVALENCE_GAP or (args.embedded and record["D"] == 0.0)
+    record["verdict"] = "EQUIVALENT" if equivalent else "INEQUIVALENT"
+    _show_comparison(args, n, mode, d, record)
     return 0 if equivalent else 1
 
 
@@ -230,18 +234,12 @@ def cmd_compare_sampled(args: argparse.Namespace) -> int:
     if args.shots is None:
         print(f"planned shots: s = {plan.s} (epsilon={_fmt(args.epsilon)}, delta={_fmt(args.delta)})")
     report = estimate_distance(w, args.m, plan, seed)
-    print(f"circuits: {args.circuit_a} vs {args.circuit_b} ({n} qubit(s))")
-    print(f"mode = embedded, d = {4**n}, m = {args.m}")
-    print(f"s = {report.s}")
-    print(f"seed = {seed}")
-    print(f"X = {_fmt(report.x)}")
-    print(f"distance_estimate = {_fmt(report.distance_estimate)}")
     tallies = ", ".join(f"{k}={v}" for k, v in report.setting_tallies.items())
-    print(f"setting_tallies: {tallies}")
-    if args.out:
-        row = [args.circuit_a, args.circuit_b, "embedded", 4**n, args.m, report.s, seed,
-               "", report.x, report.distance_estimate, "", "", ""]
-        _write_csv(args.out, COMPARE_HEADER, [row])
+    _show_comparison(
+        args, n, "embedded", 4**n,
+        {"s": report.s, "seed": seed, "I_prime": report.x, "D": report.distance_estimate},
+        labels={"I_prime": "X", "D": "distance_estimate"}, notes=[f"setting_tallies: {tallies}"],
+    )
     return 0
 
 

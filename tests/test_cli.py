@@ -14,7 +14,9 @@ import pytest
 import bellcheck
 from bellcheck import cli, svgplot, tensor
 from bellcheck.bell import bell_value_embedded, bell_value_gamma
-from bellcheck.cli import EQUIVALENCE_GAP, FIG1_HEADER, LEMMA2_HEADER, _fmt, _write_csv, main
+from bellcheck.cli import (
+    COMPARE_HEADER, EQUIVALENCE_GAP, FIG1_HEADER, LEMMA2_HEADER, _fmt, _write_csv, main,
+)
 from bellcheck.circuit import _row_action, circuit_unitary, parse_circuit
 from bellcheck.distance import circuit_distance, distance_bounds_from_v
 from bellcheck.tensor import (
@@ -305,21 +307,32 @@ class TestCompareExact:
         assert lines[0].startswith("circuit_a,circuit_b,mode,d,m")
         assert "INEQUIVALENT" in lines[1]
 
-    def test_csv_row_with_a_comma_in_a_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,code,columns,labels", [
+        (["compare-exact", "--raw"], 1, "V I_prime D lower upper verdict", {}),
+        (["compare-exact", "--embedded"], 1, "V I_prime D verdict", {}),
+        (["compare-sampled", "--shots", "100", "--seed", "3"], 0, "s seed I_prime D",
+         {"I_prime": "X", "D": "distance_estimate"}),
+    ], ids=["raw", "embedded", "sampled"])
+    def test_csv_row_with_a_comma_in_a_path(self, argv, code, columns, labels, tmp_path,
+                                            capsys):
         # the path is one quoted cell, so every later cell reads back under its own name
         (tmp_path / "q").mkdir()
         a, b = tmp_path / "q" / "a,1.qc", tmp_path / "q" / "b.qc"
         a.write_text(HADAMARD)
         b.write_text(PAULI_Z)
         out = tmp_path / "o.csv"
-        assert main(["compare-exact", str(a), str(b), "--embedded", "--out", str(out)]) == 1
-        printed = capsys.readouterr().out
+        assert main([argv[0], str(a), str(b), *argv[1:], "--out", str(out)]) == code
+        printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                       if " = " in line)
         with open(out, newline="", encoding="utf-8") as fh:
             (row,) = csv.DictReader(fh)
-        assert row["circuit_a"] == str(a) and row["verdict"] == "INEQUIVALENT"
-        assert float(row["V"]) == read_value(printed, "V")
-        assert float(row["D"]) == read_value(printed, "D")
-        assert main(["plot", str(out), "--x", "V", "--y", "D",
+        assert (row["circuit_a"], row["circuit_b"]) == (str(a), str(b))
+        assert printed["mode"] == f"{row['mode']}, d = {row['d']}, m = {row['m']}"
+        # each value the mode gives is printed as its cell reads, and only the rest are blank
+        for column in COMPARE_HEADER[5:]:
+            expected = printed[labels.get(column, column)] if column in columns.split() else ""
+            assert row[column] == expected, column
+        assert main(["plot", str(out), "--x", "I_prime", "--y", "D",
                      "--out", str(tmp_path / "o.svg")]) == 0
 
 
@@ -814,6 +827,23 @@ class TestEntryPoints:
         err = capsys.readouterr().err
         assert rc == 2
         assert err == "error: MemoryError\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["compare-exact", "--raw"],
+        ["compare-exact", "--embedded"],
+        ["compare-sampled", "--shots", "10", "--seed", "1"],
+    ], ids=["raw", "embedded", "sampled"])
+    def test_failed_out_write_follows_the_whole_result(self, argv, circuits, tmp_path, capsys):
+        # every line, setting_tallies too, is printed before --out is opened
+        argv = [argv[0], circuits["h"], circuits["z"], *argv[1:]]
+        code = main(argv)
+        expected = capsys.readouterr().out
+        out = tmp_path / "no-such-dir" / "o.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == expected and expected.count("\n") >= 6 and code in (0, 1)
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["compare-exact", "--raw"],
