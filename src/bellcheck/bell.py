@@ -25,8 +25,7 @@ from .measurement import (
     ALICE, BOB, WrapDiagonals, _phase_params, basis, chsh_observables, wrap_diagonals,
 )
 from .tensor import (
-    RngStream, check_pair, check_params, check_positive, check_state, random_real_unit_vector,
-    sample_blocks,
+    RngStream, check_params, check_positive, check_state, random_real_unit_vector, sample_blocks,
 )
 
 
@@ -64,20 +63,6 @@ def bell_value_gamma(psi: np.ndarray | WrapDiagonals, d: int, m: int) -> float |
     upper = np.where(wrapped, 0, layout.rows).sum(axis=-1)
     lower = np.where(wrapped, layout.rows, 0).sum(axis=-1)
     v = m * (np.sum(np.abs(upper) ** 2, axis=-1) + np.sum(np.abs(lower) ** 2, axis=-1)) - m
-    return float(v) if v.ndim == 0 else v
-
-
-def bell_value_embedded(w: np.ndarray, m: int) -> float | np.ndarray:
-    """Bell value of the embedded pair of W = U1 U2^T, m |Tr W|^2 - m, in O(2^n).
-
-    Equals ``bell_value_gamma(embedded_pair_state(w), 4**n, m)`` without the
-    8^n-entry layout: the CZ signs cancel the wrap sums of every layout row
-    but row 0, whose entries sum to Tr W.  A stack of W gives an array.
-    """
-    w = np.asarray(w)
-    dim = check_pair(w, w)
-    check_params(dim * dim, m)
-    v = m * np.abs(np.trace(w, axis1=-2, axis2=-1)) ** 2 - m
     return float(v) if v.ndim == 0 else v
 
 

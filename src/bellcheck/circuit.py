@@ -14,6 +14,11 @@ permutation) or the sum of two signed rows over sqrt(2) (H: a butterfly)
 of the matrix before it.  Signed permutations compose with one gather of
 2d signed indices without touching the matrix, so a circuit costs O(d^2)
 per H and O(d) per other gate.
+
+Without the 1/sqrt(2) of each H the sums stay integers: ``integer_unitary``
+gives W = S 2^(-h/2) with S an integer matrix, so the Bell value and distance
+read from S are exact rationals.  Toffoli-rich circuits of thousands of gates
+outgrow int64 and go on as Python ints, which run slower.
 """
 
 from __future__ import annotations
@@ -158,9 +163,8 @@ def _row_action(kind: str, targets: tuple[int, ...], n: int) -> np.ndarray:
 
     w is the count of nonzeros in each row of the gate's matrix, each of them
     +-1/sqrt(w).  An entry holds 16 w 2^n <= 32 * 2^n bytes, so the cache at
-    most 4096 * 2^n: 64 MiB at n = 14, the widest comparison (embedded; raw
-    stops at n = 13) the size guard admits below 16 GiB of memory, whose W
-    takes 2 GiB.
+    most 4096 * 2^n: 64 MiB at n = 14, the widest comparison the size guard
+    admits below 16 GiB of memory, whose S takes 2 GiB.
     """
     d = 1 << n
     spread = [0]  # spread[r]: the bits in the full index of the gate's local index r
@@ -185,21 +189,25 @@ def _row_action(kind: str, targets: tuple[int, ...], n: int) -> np.ndarray:
     return act
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full matrix of the circuit, gates composed in application order.
+def _synthesize(circuit: Circuit, exact: bool) -> tuple[np.ndarray, int]:
+    """(S, h) with S = W 2^(h/2): the float W and h = 0, or, when ``exact``, an integer S.
 
     Signed-permutation gates fold into one pending map ``pend`` of the 2d
     signed row indices (signed row j of the pending product is signed row
     pend[j] of ``u``), one gather ``pend[act]`` per gate.  An H gate reads
-    its two signed source rows through ``pend``, scales them by +-1/sqrt(2),
-    writes their sum into ``u`` and resets ``pend``; the end applies it once.
+    its two signed source rows through ``pend``, scales them by +-1/sqrt(2)
+    (or +-1, counted in h), writes their sum into ``u`` and resets ``pend``;
+    the end applies it once.  |S| <= 2^(h/2), so a diagonal of S sums to at
+    most 2^(n + h/2): past 2n + h = 124, near the int64 range, exact rows
+    halve while every entry is even, and go on as Python ints if one is odd.
     """
     n = circuit.n_qubits
     dim = 1 << n
-    u = np.eye(dim)
+    sign = np.array([1, -1]) if exact else _SIGN  # a signed row index's factor, by its sign bit
+    u = np.eye(dim, dtype=sign.dtype)
+    h_scale = np.repeat(sign, dim) if exact else _S * np.repeat(sign, dim)
     identity = np.arange(2 * dim)
-    h_scale = _S * np.repeat(_SIGN, dim)  # an H gate's factor on each signed row index
-    pend = identity
+    pend, h = identity, 0
     for gate in circuit.gates:
         act = _row_action(gate.kind, gate.targets, n)
         if len(act) == 1:
@@ -211,8 +219,23 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
             np.add(rows[0], rows[1], out=u)  # an H row sums two rows
             del rows  # free the 2 d^2 gather now: the peak stays at 3 d^2
             pend = identity
+            h += exact
+            while 2 * n + h > 124 and not (u & 1).any():
+                u, h = u >> 1, h - 2
+            if 2 * n + h > 124:
+                u = u.astype(object, copy=False)
     pend = pend[:dim]
-    return np.take(u, pend, axis=0, mode="wrap") * _SIGN[pend >> n][:, None]
+    return np.take(u, pend, axis=0, mode="wrap") * sign[pend >> n][:, None], h
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Full matrix W of the circuit, gates composed in application order."""
+    return _synthesize(circuit, exact=False)[0]
+
+
+def integer_unitary(circuit: Circuit) -> tuple[np.ndarray, int]:
+    """(S, h) with W = S 2^(-h/2) the circuit's matrix: S int64, or Python ints past int64."""
+    return _synthesize(circuit, exact=True)
 
 
 def _cz_signs(n: int) -> np.ndarray:

@@ -21,20 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .bell import bell_value_embedded, bell_value_gamma, lemma2_exceedance
-from .circuit import Circuit, CircuitParseError, circuit_unitary, pair_circuit, parse_circuit
-from .distance import (
-    circuit_distance,
-    distance_bounds_from_v,
-    distance_from_embedded_v,
+from .bell import bell_value_gamma, lemma2_exceedance
+from .circuit import (
+    Circuit, CircuitParseError, circuit_unitary, integer_unitary, pair_circuit, parse_circuit,
 )
+from .distance import circuit_distance, distance_bounds_from_v, distance_from_embedded_v
 from .sampling import ShotPlan, estimate_distance, plan_shots
 from .tensor import (
     RngStream, check_params, check_positive, haar_orthogonal, random_real_orthogonal, sample_blocks,
 )
 
 SEED_ENV_VAR = "BELLCHECK_SEED"
-EQUIVALENCE_GAP = 1e-6
 
 FIG1_HEADER = ["pair_id", "V", "D", "lower", "upper"]
 FIG3_HEADER = ["pair_id", "n", "s", "V_hat", "D_true", "D_est"]
@@ -124,11 +121,9 @@ def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples:
     A comparison of n-qubit circuits (mode raw, embedded or sampled) has a
     fixed cost (the parser, the gate actions, numpy's first calls), traced at
     0.39 MB at n = 6 (counted as 1 MiB), and then:
-    - raw holds W and the state W / sqrt(d) with its working copies, traced
-      at 2.3 complex values per amplitude at n = 8 and 2.1 at n = 10 (counted as 4);
-    - embedded holds W and the synthesis temporaries, and reads V from Tr W,
-      traced at 1.8 complex values per amplitude at n = 8 and 1.5 at n = 10
-      (counted as 2);
+    - raw and embedded hold the integer matrix S and the synthesis temporaries,
+      and read V from the diagonal sums of S, traced at 1.8 complex values per
+      amplitude at n = 8 and 1.5 at n = 10 (counted as 2);
     - sampled holds the 8^n-entry layout of the embedded pair and its working
       copies, traced at 3.6 complex values per entry at n = 7, m = 3 (counted
       as 5), and per each of its 2m branches at d = 4^n, the rows of
@@ -147,7 +142,7 @@ def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples:
         task, need = f"lemma2 at d={d} with {samples} samples", 64 * d * d + 8 * samples
     else:
         task = f"{n}-qubit {mode} comparison"
-        need = 2**20 + 16 * {"raw": 4 * 4**n, "embedded": 2 * 4**n, "sampled": 5 * 8**n}[mode]
+        need = 2**20 + 16 * (5 * 8**n if mode == "sampled" else 2 * 4**n)
         if mode == "sampled":
             need += 2 * m * (24 * 4**n + 1024)
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -160,11 +155,11 @@ def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples:
 
 def _load_comparison(
     args: argparse.Namespace, mode: str
-) -> tuple[int, np.ndarray, ShotPlan | None, int | None]:
-    """(n, W, plan, seed) of a comparison, W = U1 U2^T; plan and seed only in sampled mode.
+) -> tuple[int, Circuit, ShotPlan | None, int | None]:
+    """(n, pair, plan, seed): ``pair`` is the circuit of W = U1 U2^T; plan, seed only if sampled.
 
     Both circuits are parsed, and the widths, m, the shot plan, the seed and the
-    size guard checked, before the one synthesis: a refused request builds nothing.
+    size guard checked, before the caller's one synthesis: a refused request builds nothing.
     """
     c1, c2 = _load_circuit(args.circuit_a), _load_circuit(args.circuit_b)
     n = c1.n_qubits
@@ -186,7 +181,7 @@ def _load_comparison(
             plan = plan_shots(args.epsilon, args.delta)
         seed = _resolve_seed(args)
     _refuse_oversized(mode, n=n, m=args.m)
-    return n, circuit_unitary(pair_circuit(c1, c2)), plan, seed
+    return n, pair_circuit(c1, c2), plan, seed
 
 
 def _show_comparison(args: argparse.Namespace, n: int, mode: str, d: int, record: dict,
@@ -209,28 +204,27 @@ def _show_comparison(args: argparse.Namespace, n: int, mode: str, d: int, record
 def cmd_compare_exact(args: argparse.Namespace) -> int:
     m = args.m
     mode = "embedded" if args.embedded else "raw"
-    n, w, _, _ = _load_comparison(args, mode)
-    if args.embedded:
-        d = 4**n
-        v = bell_value_embedded(w, m)
-        record = {"D": distance_from_embedded_v(v, d, m)}
-    else:
-        # (U1 (x) U2) applied to the maximally entangled state has the grid W / sqrt(d)
-        d = 2**n
-        v = bell_value_gamma(w.reshape(d * d) / np.sqrt(d), d, m)
-        bounds = distance_bounds_from_v(v, d, m)
-        record = {"D": circuit_distance(w), "lower": bounds.lower, "upper": bounds.upper}
-    record = {"V": v, "I_prime": (v + m) / (d * m), **record}
-    # an embedded D of 0 is V within rounding of m(d - 1): that residue grows as m d,
-    # past the absolute gap at large n, and must not read INEQUIVALENT
-    equivalent = m * (d - 1) - v < EQUIVALENCE_GAP or (args.embedded and record["D"] == 0.0)
+    n, pair, _, _ = _load_comparison(args, mode)
+    s, h = integer_unitary(pair)  # W = S 2^(-h/2): Tr(W, o)^2 / 4^n = Tr(S, o)^2 / scale
+    d = 4**n if args.embedded else 2**n
+    scale, trace = 2**h * 4**n, int(np.trace(s))
+    # I' = sum over diagonals o of Tr(W, o)^2 / 4^n: the embedded CZ signs cancel every
+    # layout row but the trace's, and the raw grid W / sqrt(d) puts diagonal o on row o mod d
+    squares = sum(int(np.trace(s, o)) ** 2 for o in range(1 - d, d)) if mode == "raw" else trace**2
+    # exact integer ratios, each rounded once; D^2 = 1 - trace^2 / scale is 0 iff equivalent
+    v = m * (d * squares - scale) / scale
+    bounds = {} if args.embedded else vars(distance_bounds_from_v(v, d, m))  # lower, upper
+    record = {"V": v, "I_prime": squares / scale,
+              "D": ((scale - trace**2) / scale) ** 0.5, **bounds}
+    equivalent = trace**2 == scale
     record["verdict"] = "EQUIVALENT" if equivalent else "INEQUIVALENT"
     _show_comparison(args, n, mode, d, record)
     return 0 if equivalent else 1
 
 
 def cmd_compare_sampled(args: argparse.Namespace) -> int:
-    n, w, plan, seed = _load_comparison(args, "sampled")
+    n, pair, plan, seed = _load_comparison(args, "sampled")
+    w = circuit_unitary(pair)
     if args.shots is None:
         print(f"planned shots: s = {plan.s} (epsilon={_fmt(args.epsilon)}, delta={_fmt(args.delta)})")
     report = estimate_distance(w, args.m, plan, seed)
@@ -347,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compare-exact", help="exact Bell value, distance, and verdict")
+    p = sub.add_parser("compare-exact", help="exact Bell value, distance, and verdict in integer "
+                       "arithmetic (slower for Toffoli-rich circuits of thousands of gates)")
     p.add_argument("circuit_a")
     p.add_argument("circuit_b")
     p.add_argument("--m", type=int, default=2, help="number of measurement settings (>= 2)")

@@ -17,7 +17,6 @@ import numpy as np
 from .tensor import check_pair, check_params
 
 _RANGE_PAD = 1e-9
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,8 @@ def distance_bounds_from_v(v, d: int, m: int) -> DistanceBounds:
 def distance_from_embedded_v(v, d: int, m: int) -> float | np.ndarray:
     """Exact distance sqrt(1 - (V + m)/(m d)) after the doubling embedding.
 
-    Valid only for embedded comparisons, where d = 4^n.  A radicand below
-    d * eps is rounding residue of V, not a distance, and reads as 0.  An
-    array of values gives an array; any value out of range rejects it.
+    Valid only for embedded comparisons, where d = 4^n.  An array of values
+    gives an array; any value out of range rejects it.
     """
     check_params(d, m)
     n2 = d.bit_length() - 1
@@ -82,8 +80,7 @@ def distance_from_embedded_v(v, d: int, m: int) -> float | np.ndarray:
         raise ValueError(f"embedded protocol dimension must be a power of 4, got {d}")
     v = np.asarray(v, dtype=float)
     _check_v_range(v, d, m)
-    radicand = 1.0 - (v + m) / (m * d)
-    return _clamped_sqrt(np.where(radicand < d * _EPS, 0.0, radicand))
+    return _clamped_sqrt(1.0 - (v + m) / (m * d))
 
 
 def normalized_to_distance(i_prime) -> float | np.ndarray:

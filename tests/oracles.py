@@ -5,6 +5,7 @@ Each oracle computes a quantity the long way, so the fast code in
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -14,7 +15,9 @@ from bellcheck.cli import FIG3_HEADER, _write_csv
 from bellcheck.distance import circuit_distance
 from bellcheck.measurement import ALICE, BOB, basis
 from bellcheck.sampling import ShotPlan, estimate_distance
-from bellcheck.tensor import RngStream, check_state, random_real_orthogonal
+from bellcheck.tensor import (
+    RngStream, check_pair, check_params, check_state, random_real_orthogonal,
+)
 
 
 def cz_layer(n: int) -> np.ndarray:
@@ -44,6 +47,29 @@ def oracle_circuit_unitary(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         u = _apply_gate(u, GATE_MATRICES[gate.kind], gate.targets, circuit.n_qubits)
     return u
+
+
+def bell_value_embedded(w: np.ndarray, m: int) -> float | np.ndarray:
+    """Bell value of the embedded pair of W = U1 U2^T, m |Tr W|^2 - m, in O(2^n).
+
+    Equals ``bell_value_gamma(embedded_pair_state(w), 4**n, m)`` without the
+    8^n-entry layout: the CZ signs cancel the wrap sums of every layout row
+    but row 0, whose entries sum to Tr W.  A stack of W gives an array.
+    """
+    w = np.asarray(w)
+    dim = check_pair(w, w)
+    check_params(dim * dim, m)
+    v = m * np.abs(np.trace(w, axis1=-2, axis2=-1)) ** 2 - m
+    return float(v) if v.ndim == 0 else v
+
+
+def scaled_integer_unitary(s: np.ndarray, h: int) -> np.ndarray:
+    """W = S 2^(-h/2) as floats from ``integer_unitary``'s (S, h), S int64 or Python ints.
+
+    Each entry is S / 2^floor(h/2) rounded once, then divided by sqrt(2) if h is odd.
+    """
+    halve = np.vectorize(lambda entry: float(Fraction(int(entry), 1 << h // 2)), otypes=[float])
+    return halve(s) / np.sqrt(2.0) ** (h % 2)
 
 
 def observable_power(d: int, m: int, setting: int, power: int, party: str) -> np.ndarray:

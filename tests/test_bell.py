@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from bellcheck.bell import (
     alpha_table,
-    bell_value_embedded,
     bell_value_gamma,
     bell_value_operator,
     branch_laws,
@@ -35,7 +34,8 @@ from bellcheck.tensor import (
     random_real_unit_vector,
 )
 from oracles import (
-    observable_power, oracle_operator_sum, outcome_distribution, protocol_branches,
+    bell_value_embedded, observable_power, oracle_operator_sum, outcome_distribution,
+    protocol_branches,
 )
 
 ATOL = 1e-9
@@ -163,7 +163,10 @@ def rewrite_pair(rng, n, count=40):
 
 
 class TestBellValueEmbedded:
-    """The trace route, m |Tr W|^2 - m, against gamma on the embedded pair's layout."""
+    """The float trace formula, m |Tr W|^2 - m, against gamma on the embedded pair's layout.
+
+    ``compare-exact`` reads the same sum exactly from the integer synthesis;
+    this reference ties the formula to the layout it shortcuts."""
 
     @staticmethod
     def assert_agrees(w, m, printed=True):

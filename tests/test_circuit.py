@@ -18,13 +18,14 @@ from bellcheck.circuit import (
     circuit_unitary,
     embed_double,
     embedded_pair_state,
+    integer_unitary,
     pair_circuit,
     parse_circuit,
 )
 from bellcheck.distance import circuit_distance
 from bellcheck.measurement import wrap_diagonals
 from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
-from oracles import cz_layer, oracle_circuit_unitary
+from oracles import cz_layer, oracle_circuit_unitary, scaled_integer_unitary
 
 PAIRS_PATH = Path(__file__).resolve().parents[1] / "bench" / "pairs.py"
 
@@ -127,6 +128,9 @@ class TestCircuitUnitary:
     def test_hadamard(self):
         u = circuit_unitary(parse_circuit("qubits 1\nH 0"))
         assert_allclose(u, np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-15)
+        s, h = integer_unitary(parse_circuit("qubits 1\nH 0"))
+        assert s.dtype == np.int64 and h == 1
+        assert_array_equal(s, [[1, 1], [1, -1]])
 
     def test_z_squared_is_identity(self):
         u = circuit_unitary(parse_circuit("qubits 1\nZ 0\nZ 0"))
@@ -179,6 +183,9 @@ class TestCircuitUnitary:
             u = circuit_unitary(circuit)
             assert_array_equal(u, oracle_circuit_unitary(circuit))
             assert set(np.unique(u)) <= {-1.0, 0.0, 1.0}
+            s, h = integer_unitary(circuit)
+            assert h == 0
+            assert_array_equal(s, u)
 
     def test_random_circuits_are_real_orthogonal(self):
         rng = RngStream(51)
@@ -205,7 +212,8 @@ class TestAgainstOracle:
 
     The old loop's 2 x 2 products run through BLAS, which may fuse the
     multiply-add, so circuits with H agree to rounding; signed permutations
-    are exact on both sides.
+    are exact on both sides.  The integer synthesis S 2^(-h/2) agrees with
+    the float one to rounding.
     """
 
     @staticmethod
@@ -215,6 +223,7 @@ class TestAgainstOracle:
             assert_allclose(got, want, rtol=0, atol=1e-12)
         else:
             assert_array_equal(got, want)
+        assert_allclose(scaled_integer_unitary(*integer_unitary(circuit)), got, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_random_circuits(self, n):
@@ -319,6 +328,10 @@ def test_matches_bench_integer_simulator(bench_pairs, tmp_path):
             unitaries.append(circuit_unitary(circuit))
             want = bench_pairs.oracle_unitary(gates, circuit.n_qubits)
             assert_allclose(unitaries[-1], want, rtol=0, atol=1e-12)
+            s, h = integer_unitary(circuit)  # below 2n + h = 124: no halving
+            want_s, want_h = bench_pairs.simulate(gates, circuit.n_qubits)
+            assert h == want_h
+            assert_array_equal(s, want_s)
         if pair.klass == "rewrite":
             rewrites += 1
             assert circuit_distance(unitaries[0] @ unitaries[1].T) <= 1e-7

@@ -13,16 +13,17 @@ import pytest
 
 import bellcheck
 from bellcheck import cli, svgplot, tensor
-from bellcheck.bell import bell_value_embedded, bell_value_gamma
-from bellcheck.cli import (
-    COMPARE_HEADER, EQUIVALENCE_GAP, FIG1_HEADER, LEMMA2_HEADER, _fmt, _write_csv, main,
+from bellcheck.bell import bell_value_gamma
+from bellcheck.cli import COMPARE_HEADER, FIG1_HEADER, LEMMA2_HEADER, _fmt, _write_csv, main
+from bellcheck.circuit import (
+    GATE_ARITY, _row_action, circuit_unitary, embedded_pair_state, integer_unitary, pair_circuit,
+    parse_circuit,
 )
-from bellcheck.circuit import _row_action, circuit_unitary, parse_circuit
 from bellcheck.distance import circuit_distance, distance_bounds_from_v
 from bellcheck.tensor import (
     RngStream, apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector,
 )
-from oracles import _fig3_point, per_pair_fig3
+from oracles import _fig3_point, per_pair_fig3, scaled_integer_unitary
 
 DATA = Path(__file__).parent / "data"
 HADAMARD = "qubits 1\nH 0\n"
@@ -74,6 +75,42 @@ def refused_at_traced_peak(argv, code, task, capsys, monkeypatch):
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {task} needs about ")
+
+
+def random_lines(rng, n, count, kinds=tuple(GATE_ARITY)):
+    """``count`` gate lines drawn uniformly from ``kinds`` on n qubits."""
+    usable = [kind for kind in kinds if GATE_ARITY[kind] <= n]
+    lines = []
+    for _ in range(count):
+        kind = usable[int(rng.integers(len(usable)))]
+        lines.append(" ".join([kind, *map(str, rng.choice(n, GATE_ARITY[kind], replace=False))]))
+    return lines
+
+
+def write_pair(tmp_path, n, lines_a, lines_b):
+    """Two n-qubit circuit files of the given gate lines; their paths."""
+    paths = []
+    for name, lines in (("a.qc", lines_a), ("b.qc", lines_b)):
+        (tmp_path / name).write_text("\n".join([f"qubits {n}", *lines]) + "\n")
+        paths.append(str(tmp_path / name))
+    return paths
+
+
+def joined_circuit(a, b):
+    """The circuit of W = U1 U2^T for two circuit files."""
+    return pair_circuit(parse_circuit(Path(a).read_text()), parse_circuit(Path(b).read_text()))
+
+
+def recorded_syntheses(monkeypatch):
+    """The (S, h) of every ``integer_unitary`` call that ``compare-exact`` makes from now on."""
+    syntheses = []
+
+    def recording(circuit):
+        syntheses.append(integer_unitary(circuit))
+        return syntheses[-1]
+
+    monkeypatch.setattr(cli, "integer_unitary", recording)
+    return syntheses
 
 
 def read_value(out, name):
@@ -274,10 +311,10 @@ class TestCompareExact:
         assert f"mode = embedded, d = {4**10}, m = 2" in out
         assert read_value(out, "D") == pytest.approx(dist, abs=1e-9)
 
-    def test_embedded_equal_pair_at_n11_reads_equivalent(self, tmp_path, capsys, monkeypatch):
-        # rounding leaves an equal pair's V short of m(d - 1) by about m d eps per H
-        # gate: for these 242 gates, 40 of them H, at n = 11 and m = 128, by more than
-        # EQUIVALENCE_GAP; D reads 0, and so must the verdict
+    def test_embedded_equal_pair_at_n11_reads_equivalent(self, tmp_path, capsys):
+        # float synthesis left this equal pair's V short of m(d - 1) by about m d eps
+        # per H gate (242 gates, 40 of them H, at n = 11 and m = 128), more than any
+        # fixed gap; the integer synthesis reads the maximum exactly
         rng = np.random.default_rng(11)
         lines = ["qubits 11"]
         for _ in range(20):
@@ -287,17 +324,81 @@ class TestCompareExact:
         a, b = tmp_path / "a.qc", tmp_path / "b.qc"
         a.write_text("\n".join(lines) + "\n")
         b.write_text("\n".join(lines) + "\nX 0\nX 0\n")
-        values = []
-
-        def recording(w, m):
-            values.append(bell_value_embedded(w, m))
-            return values[-1]
-
-        monkeypatch.setattr(cli, "bell_value_embedded", recording)
         assert main(["compare-exact", str(a), str(b), "--embedded", "--m", "128"]) == 0
-        assert 128 * (4**11 - 1) - values[0] > EQUIVALENCE_GAP
         out = capsys.readouterr().out
+        assert "V = 536870784\n" in out  # 128 (4^11 - 1)
         assert "D = 0\n" in out and "verdict = EQUIVALENT" in out
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_printed_v_matches_gamma_on_the_float_state(self, n, tmp_path, capsys):
+        # the exact readout against the gamma route on each mode's state from float W
+        rng = np.random.default_rng(126 + n)
+        for j in range(6):
+            lines_a = random_lines(rng, n, int(rng.integers(5, 40)))
+            lines_b = (lines_a + ["X 0", "X 0"] if j % 3 == 0 else lines_a[:-1] if j % 3 == 1
+                       else random_lines(rng, n, int(rng.integers(5, 40))))
+            a, b = write_pair(tmp_path, n, lines_a, lines_b)
+            w = circuit_unitary(joined_circuit(a, b))
+            for mode, state, d in (("--embedded", embedded_pair_state(w), 4**n),
+                                   ("--raw", w.reshape(-1) / np.sqrt(2**n), 2**n)):
+                main(["compare-exact", a, b, mode, "--m", "3"])
+                want = bell_value_gamma(state, d, 3)
+                got = read_value(capsys.readouterr().out, "V")
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (j, mode)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equal_pairs_read_zero(self, n, tmp_path, capsys):
+        # a circuit against itself with an H H pair inserted: D and both bounds read 0 exactly
+        rng = np.random.default_rng(226 + n)
+        lines = random_lines(rng, n, 40)
+        cut = int(rng.integers(41))
+        q = int(rng.integers(n))
+        a, b = write_pair(tmp_path, n, lines, lines[:cut] + [f"H {q}", f"H {q}"] + lines[cut:])
+        for mode in ("--raw", "--embedded"):
+            assert main(["compare-exact", a, b, mode]) == 0
+            out = capsys.readouterr().out
+            assert "D = 0\n" in out and "verdict = EQUIVALENT\n" in out
+            if mode == "--raw":
+                assert "lower = 0\n" in out and "upper = 0\n" in out
+
+    def test_clifford_pair_past_the_int64_bound_halves(self, tmp_path, capsys, monkeypatch):
+        # a Clifford W has entries 0 or +-2^(-k/2), k <= n, so S is even past h = k + 1:
+        # past 2n + h = 124 the rows halve and stay int64
+        n = 3
+        rng = np.random.default_rng(127)
+        lines = random_lines(rng, n, 500, ("H", "X", "Z", "CX", "CZ", "SWAP"))
+        assert 2 * n + 2 * sum(line.startswith("H ") for line in lines) > 124
+        a, b = write_pair(tmp_path, n, lines, lines + ["X 0", "X 0"])
+        syntheses = recorded_syntheses(monkeypatch)
+        for mode in ("--raw", "--embedded"):
+            assert main(["compare-exact", a, b, mode]) == 0
+            assert "D = 0\n" in capsys.readouterr().out
+        w = circuit_unitary(joined_circuit(a, b))
+        for s, h in syntheses:
+            assert s.dtype == np.int64 and 2 * n + h <= 124
+            assert np.abs(scaled_integer_unitary(s, h) - w).max() < 1e-12
+
+    def test_toffoli_rich_circuit_reaches_python_ints(self, tmp_path, capsys, monkeypatch):
+        # 20,000 gates drawn uniformly over the seven kinds: an odd entry stays past
+        # 2n + h = 124, and the rows go on as Python ints
+        n = 3
+        rng = np.random.default_rng(128)
+        lines = random_lines(rng, n, 20000)
+        syntheses = recorded_syntheses(monkeypatch)
+        for lines_b in (lines + ["X 0", "X 0"], lines[:-10]):
+            a, b = write_pair(tmp_path, n, lines, lines_b)
+            w = circuit_unitary(joined_circuit(a, b))
+            for mode in ("--raw", "--embedded"):
+                code = main(["compare-exact", a, b, mode])
+                out = capsys.readouterr().out
+                s, h = syntheses[-1]
+                assert s.dtype == object
+                assert np.abs(scaled_integer_unitary(s, h) - w).max() < 1e-12
+                if lines_b[-1] == "X 0":
+                    assert code == 0 and "D = 0\n" in out
+                else:
+                    assert code == 1
+                    assert read_value(out, "D") == pytest.approx(circuit_distance(w), abs=1e-9)
 
     def test_csv_row_output(self, circuits, tmp_path):
         out = tmp_path / "row.csv"
@@ -797,11 +898,12 @@ class TestEntryPoints:
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         if code == 2:
-            # every refusal comes before synthesis
+            # every refusal comes before synthesis, float or integer
             def must_not_run(circuit):
-                pytest.fail("circuit_unitary ran for a refused request")
+                pytest.fail("a synthesis ran for a refused request")
 
             monkeypatch.setattr("bellcheck.cli.circuit_unitary", must_not_run)
+            monkeypatch.setattr("bellcheck.cli.integer_unitary", must_not_run)
         rc = main([arg.format(**files) for arg in argv])
         captured = capsys.readouterr()
         assert rc == code
@@ -823,10 +925,12 @@ class TestEntryPoints:
             raise MemoryError()
 
         monkeypatch.setattr("bellcheck.cli.circuit_unitary", out_of_memory)
-        rc = main(["compare-exact", circuits["h"], circuits["z"], "--m", "2"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err == "error: MemoryError\n"
+        monkeypatch.setattr("bellcheck.cli.integer_unitary", out_of_memory)
+        for argv in (["compare-exact"], ["compare-sampled", "--shots", "10", "--seed", "1"]):
+            rc = main([*argv, circuits["h"], circuits["z"]])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err == "error: MemoryError\n"
 
     @pytest.mark.parametrize("argv", [
         ["compare-exact", "--raw"],
@@ -852,9 +956,10 @@ class TestEntryPoints:
     ])
     def test_oversized_width_refused_before_allocation(self, argv, tmp_path, capsys, monkeypatch):
         def must_not_run(circuit):
-            pytest.fail("circuit_unitary ran for a width that cannot fit")
+            pytest.fail("a synthesis ran for a width that cannot fit")
 
         monkeypatch.setattr("bellcheck.cli.circuit_unitary", must_not_run)
+        monkeypatch.setattr("bellcheck.cli.integer_unitary", must_not_run)
         wide = tmp_path / "wide.qc"
         wide.write_text("qubits 24\nH 0\nCX 0 23\n")
         actions = _row_action.cache_info()

@@ -11,11 +11,11 @@ gone, and so is the sampler class: ``estimate_distance`` passes the
 time.  The observable powers and the dense outcome grids are test oracles
 in ``tests/oracles.py``: no Bell route calls them.  A comparison parses
 each of its two circuits once and synthesizes one matrix, W = U1 U2^T, from
-their joined circuit, so the circuit layers time the whole front end.  An
-embedded comparison reads V from Tr W, so it makes no ``bell_value_gamma``
-call and builds no embedded pair; a raw one makes one gamma call.  The
-figures read each pair through W as well, so ``fig1`` makes no
-``apply_bilocal`` call.
+their joined circuit.  An exact comparison, raw or embedded, reads V from
+the diagonal sums of one integer synthesis (``integer_unitary``, which
+``LAYERS`` does not name), so it makes no ``circuit_unitary`` or
+``bell_value_gamma`` call and builds no embedded pair.  The figures read
+each pair through W as well, so ``fig1`` makes no ``apply_bilocal`` call.
 """
 
 import importlib
@@ -105,27 +105,30 @@ def test_exact_comparison_builds_each_circuit_once(spans, tmp_path, capsys, monk
     a, b = tmp_path / "a.qc", tmp_path / "b.qc"
     a.write_text("qubits 4\nH 0\nCX 0 1\nTOFFOLI 1 2 3\nH 3\nSWAP 0 2\nCZ 3 1\n")
     b.write_text("qubits 4\nH 0\nCX 0 1\nTOFFOLI 1 2 3\nH 3\nSWAP 2 0\nCZ 1 3\nX 2\nX 2\n")
-    # the embedded readout is Tr W: it builds no embedded pair, wherever that is imported
-    layouts = []
-    original = bellcheck.circuit.embedded_pair_state
+    # count each call wherever the function is imported
+    calls = {"embedded_pair_state": [], "integer_unitary": []}
+    for target, seen in calls.items():
+        original = getattr(bellcheck.circuit, target)
 
-    def counting(*args, **kwargs):
-        layouts.append(args)
-        return original(*args, **kwargs)
+        def counting(*args, original=original, seen=seen, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "bellcheck" or name.startswith("bellcheck."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    for mode, gamma_calls in (("--embedded", 0), ("--raw", 1)):
+        for name, module in list(sys.modules.items()):
+            if name == "bellcheck" or name.startswith("bellcheck."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+    for mode in ("--embedded", "--raw"):
         layers = traced_call(spans, ["compare-exact", str(a), str(b), mode])
         assert layers["circuit.parse_circuit"].calls == 2
-        assert layers["circuit.circuit_unitary"].calls == 1
+        assert len(calls["integer_unitary"]) == 1
+        assert layers["circuit.circuit_unitary"].calls == 0
         assert layers["tensor.apply_bilocal"].calls == 0
-        assert layers["bell.bell_value_gamma"].calls == gamma_calls
-        assert layouts == []
+        assert layers["bell.bell_value_gamma"].calls == 0
+        assert calls["embedded_pair_state"] == []
         assert "verdict = EQUIVALENT\n" in capsys.readouterr().out
+        calls["integer_unitary"].clear()
 
 
 def test_fig1_draws_and_evaluates_once(spans, tmp_path, capsys):
