@@ -17,22 +17,24 @@ per H and O(d) per other gate.
 
 Without the 1/sqrt(2) of each H the sums stay integers: ``integer_unitary``
 gives W = S 2^(-h/2) with S an integer matrix, so the Bell value and distance
-read from S are exact rationals.  Toffoli-rich circuits of thousands of gates
-outgrow int64 and go on as Python ints, which run slower.
+read from S are exact rationals.  S is int64 while 2n + h <= 124, and past
+that while halving keeps it there (every entry even: always for Clifford
+circuits); a circuit whose TOFFOLI gates leave an odd entry past it, so with
+at least 125 - 2n H gates, goes on as Python ints, several times slower.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measurement import WrapDiagonals
-from .tensor import check_pair, check_positive
+from .tensor import check_memory, check_pair, check_positive
 
 _S = 1.0 / np.sqrt(2.0)
-_SIGN = np.array([1.0, -1.0])  # the factor of a signed row index, by its sign bit
 
 _TOFFOLI = np.eye(8)
 _TOFFOLI[[6, 7]] = _TOFFOLI[[7, 6]]
@@ -196,36 +198,58 @@ def _synthesize(circuit: Circuit, exact: bool) -> tuple[np.ndarray, int]:
     signed row indices (signed row j of the pending product is signed row
     pend[j] of ``u``), one gather ``pend[act]`` per gate.  An H gate reads
     its two signed source rows through ``pend``, scales them by +-1/sqrt(2)
-    (or +-1, counted in h), writes their sum into ``u`` and resets ``pend``;
-    the end applies it once.  |S| <= 2^(h/2), so a diagonal of S sums to at
-    most 2^(n + h/2): past 2n + h = 124, near the int64 range, exact rows
-    halve while every entry is even, and go on as Python ints if one is odd.
+    (exact: negates those with the sign bit and counts the 1/sqrt(2) in h),
+    writes their sum into ``u`` and resets ``pend``; the end applies it once.
+    |S| <= 2^(h/2), so a diagonal of S sums to at most 2^(n + h/2): past
+    2n + h = 124, near the int64 range, exact rows halve while every entry
+    is even, and go on as Python ints, which need no halving, once one is odd.
     """
     n = circuit.n_qubits
     dim = 1 << n
-    sign = np.array([1, -1]) if exact else _SIGN  # a signed row index's factor, by its sign bit
-    u = np.eye(dim, dtype=sign.dtype)
-    h_scale = np.repeat(sign, dim) if exact else _S * np.repeat(sign, dim)
+    u = np.eye(dim, dtype=np.int64 if exact else np.float64)
     identity = np.arange(2 * dim)
+    h_scale = _S * np.repeat([1.0, -1.0], dim)  # an H gate's factor on each signed row index
     pend, h = identity, 0
-    for gate in circuit.gates:
+    for i, gate in enumerate(circuit.gates):
         act = _row_action(gate.kind, gate.targets, n)
         if len(act) == 1:
             pend = pend[act[0]]
         else:
             src = pend[act][:, :dim]  # indexing by the strided half of act is slower
             rows = np.take(u, src, axis=0, mode="wrap")  # signed row j is row j mod d
-            rows *= h_scale[src][:, :, None]
+            if exact:  # Python ints: new ints only for the negated rows
+                np.negative(rows, out=rows, where=src[:, :, None] >= dim)
+            else:
+                rows *= h_scale[src][:, :, None]
             np.add(rows[0], rows[1], out=u)  # an H row sums two rows
             del rows  # free the 2 d^2 gather now: the peak stays at 3 d^2
             pend = identity
             h += exact
-            while 2 * n + h > 124 and not (u & 1).any():
-                u, h = u >> 1, h - 2
-            if 2 * n + h > 124:
-                u = u.astype(object, copy=False)
+            while 2 * n + h > 124 and u.dtype != object:  # int64 near its range
+                if (u & 1).any():
+                    _check_python_ints(n, h + sum(g.kind == "H" for g in circuit.gates[i + 1:]))
+                    u = u.astype(object)
+                else:
+                    u, h = u >> 1, h - 2
     pend = pend[:dim]
-    return np.take(u, pend, axis=0, mode="wrap") * sign[pend >> n][:, None], h
+    u = np.take(u, pend, axis=0, mode="wrap")
+    np.negative(u, out=u, where=pend[:, None] >= dim)
+    return u, h
+
+
+def _check_python_ints(n: int, h: int) -> None:
+    """Refuse Python-int rows of an n-qubit S that cannot fit in physical memory.
+
+    ``h`` bounds the final h and |S| <= 2^(h/2), so an entry is an int of at
+    most h/2 + 2 bits, in blocks of 16 bytes.  An H step holds three d^2 arrays
+    of references (S and the two gathered rows) and at most four ints per
+    amplitude (the old and the new S, and the two negated rows).  With the
+    fixed cost of a comparison (counted as 1 MiB), a cold n = 8 request
+    whose S went on as Python ints at h = 115 traced 6.8 MB against 11.0 MB
+    counted.
+    """
+    entry = -(-sys.getsizeof(1 << (h // 2 + 1)) // 16) * 16
+    check_memory(f"{n}-qubit integer synthesis past int64", 2**20 + 4**n * (24 + 4 * entry))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

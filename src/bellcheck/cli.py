@@ -28,7 +28,8 @@ from .circuit import (
 from .distance import circuit_distance, distance_bounds_from_v, distance_from_embedded_v
 from .sampling import ShotPlan, estimate_distance, plan_shots
 from .tensor import (
-    RngStream, check_params, check_positive, haar_orthogonal, random_real_orthogonal, sample_blocks,
+    RngStream, check_memory, check_params, check_positive, haar_orthogonal,
+    random_real_orthogonal, sample_blocks,
 )
 
 SEED_ENV_VAR = "BELLCHECK_SEED"
@@ -145,12 +146,7 @@ def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples:
         need = 2**20 + 16 * (5 * 8**n if mode == "sampled" else 2 * 4**n)
         if mode == "sampled":
             need += 2 * m * (24 * 4**n + 1024)
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > physical:
-        raise ValueError(
-            f"{task} needs about {need / 2**30:.3g} GiB, "
-            f"more than the {physical / 2**30:.3g} GiB of physical memory"
-        )
+    check_memory(task, need)
 
 
 def _load_comparison(
@@ -342,7 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compare-exact", help="exact Bell value, distance, and verdict in integer "
-                       "arithmetic (slower for Toffoli-rich circuits of thousands of gates)")
+                       "arithmetic (slower if TOFFOLI gates keep an odd entry past 2n + h = 124, "
+                       "h the number of H gates)")
     p.add_argument("circuit_a")
     p.add_argument("circuit_b")
     p.add_argument("--m", type=int, default=2, help="number of measurement settings (>= 2)")

@@ -11,6 +11,7 @@ avoids materializing d^2 x d^2 matrices.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
 
 import numpy as np
@@ -32,6 +33,16 @@ def check_positive(noun: str, count: int) -> None:
     """Reject a count of ``noun`` (a sample, a qubit, a dimension) below one."""
     if count < 1:
         raise ValueError(f"need at least one {noun}, got {count}")
+
+
+def check_memory(task: str, need: int) -> None:
+    """Refuse a task that needs more bytes than the machine's physical memory."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical:
+        raise ValueError(
+            f"{task} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {physical / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def check_pair(a: np.ndarray, b: np.ndarray) -> int:

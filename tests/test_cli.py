@@ -400,6 +400,18 @@ class TestCompareExact:
                     assert code == 1
                     assert read_value(out, "D") == pytest.approx(circuit_distance(w), abs=1e-9)
 
+    def test_python_int_size_guard_covers_the_traced_peak(self, tmp_path, capsys, monkeypatch):
+        # H on every qubit makes S dense, and each H of the three-qubit H-TOFFOLI cycle
+        # keeps an odd entry, so S goes on as Python ints for the last 6 of its 119 H:
+        # a cold request peaks above the int64 count but not above the Python-int one
+        n = 8
+        lines = [f"H {q}" for q in range(n)]
+        for _ in range(37):
+            lines += ["H 0", "TOFFOLI 0 1 2", "H 1", "TOFFOLI 1 2 0", "H 2", "TOFFOLI 2 0 1"]
+        a, b = write_pair(tmp_path, n, lines, [])
+        refused_at_traced_peak(["compare-exact", a, b, "--embedded"], 1,
+                               "8-qubit integer synthesis past int64", capsys, monkeypatch)
+
     def test_csv_row_output(self, circuits, tmp_path):
         out = tmp_path / "row.csv"
         main(["compare-exact", circuits["h"], circuits["z"], "--m", "2",
