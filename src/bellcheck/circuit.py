@@ -15,12 +15,14 @@ of the matrix before it.  Signed permutations compose with one gather of
 2d signed indices without touching the matrix, so a circuit costs O(d^2)
 per H and O(d) per other gate.
 
-Without the 1/sqrt(2) of each H the sums stay integers: ``integer_unitary``
-gives W = S 2^(-h/2) with S an integer matrix, so the Bell value and distance
-read from S are exact rationals.  S is int64 while 2n + h <= 124, and past
-that while halving keeps it there (every entry even: always for Clifford
-circuits); a circuit whose TOFFOLI gates leave an odd entry past it, so with
-at least 125 - 2n H gates, goes on as Python ints, several times slower.
+There is one synthesis.  Without the 1/sqrt(2) of each H the sums stay
+integers: ``integer_unitary`` gives W = S 2^(-h/2) with S an integer matrix,
+so the Bell value and distance read from S are exact rationals, and
+``circuit_unitary`` is its float view.  S is int64
+while 2n + h <= 124, and past that while halving keeps it there (every entry
+even: always for Clifford circuits); a circuit whose TOFFOLI gates leave an
+odd entry past it, so with at least 125 - 2n H gates, goes on as Python ints,
+several times slower.
 """
 
 from __future__ import annotations
@@ -191,24 +193,23 @@ def _row_action(kind: str, targets: tuple[int, ...], n: int) -> np.ndarray:
     return act
 
 
-def _synthesize(circuit: Circuit, exact: bool) -> tuple[np.ndarray, int]:
-    """(S, h) with S = W 2^(h/2): the float W and h = 0, or, when ``exact``, an integer S.
+def integer_unitary(circuit: Circuit) -> tuple[np.ndarray, int]:
+    """(S, h) with W = S 2^(-h/2) the circuit's matrix: S int64, or Python ints past int64.
 
     Signed-permutation gates fold into one pending map ``pend`` of the 2d
     signed row indices (signed row j of the pending product is signed row
     pend[j] of ``u``), one gather ``pend[act]`` per gate.  An H gate reads
-    its two signed source rows through ``pend``, scales them by +-1/sqrt(2)
-    (exact: negates those with the sign bit and counts the 1/sqrt(2) in h),
-    writes their sum into ``u`` and resets ``pend``; the end applies it once.
-    |S| <= 2^(h/2), so a diagonal of S sums to at most 2^(n + h/2): past
-    2n + h = 124, near the int64 range, exact rows halve while every entry
-    is even, and go on as Python ints, which need no halving, once one is odd.
+    its two signed source rows through ``pend``, negates those with the sign
+    bit, writes their sum into ``u``, counts its 1/sqrt(2) in h and resets
+    ``pend``; the end applies it once.  |S| <= 2^(h/2), so a diagonal of S
+    sums to at most 2^(n + h/2): past 2n + h = 124, near the int64 range,
+    the rows halve while every entry is even, and go on as Python ints,
+    which need no halving, once one is odd.
     """
     n = circuit.n_qubits
     dim = 1 << n
-    u = np.eye(dim, dtype=np.int64 if exact else np.float64)
+    u = np.eye(dim, dtype=np.int64)
     identity = np.arange(2 * dim)
-    h_scale = _S * np.repeat([1.0, -1.0], dim)  # an H gate's factor on each signed row index
     pend, h = identity, 0
     for i, gate in enumerate(circuit.gates):
         act = _row_action(gate.kind, gate.targets, n)
@@ -217,14 +218,12 @@ def _synthesize(circuit: Circuit, exact: bool) -> tuple[np.ndarray, int]:
         else:
             src = pend[act][:, :dim]  # indexing by the strided half of act is slower
             rows = np.take(u, src, axis=0, mode="wrap")  # signed row j is row j mod d
-            if exact:  # Python ints: new ints only for the negated rows
-                np.negative(rows, out=rows, where=src[:, :, None] >= dim)
-            else:
-                rows *= h_scale[src][:, :, None]
+            # Python ints: new ints only for the negated rows
+            np.negative(rows, out=rows, where=src[:, :, None] >= dim)
             np.add(rows[0], rows[1], out=u)  # an H row sums two rows
             del rows  # free the 2 d^2 gather now: the peak stays at 3 d^2
             pend = identity
-            h += exact
+            h += 1
             while 2 * n + h > 124 and u.dtype != object:  # int64 near its range
                 if (u & 1).any():
                     _check_python_ints(n, h + sum(g.kind == "H" for g in circuit.gates[i + 1:]))
@@ -253,13 +252,12 @@ def _check_python_ints(n: int, h: int) -> None:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full matrix W of the circuit, gates composed in application order."""
-    return _synthesize(circuit, exact=False)[0]
-
-
-def integer_unitary(circuit: Circuit) -> tuple[np.ndarray, int]:
-    """(S, h) with W = S 2^(-h/2) the circuit's matrix: S int64, or Python ints past int64."""
-    return _synthesize(circuit, exact=True)
+    """Full matrix W of the circuit, gates composed in application order: the float
+    view S 2^(-h/2) of ``integer_unitary``.  S / 2^floor(h/2) divides int by int, so
+    each entry is rounded once, also for Python-int S past the float range; an odd h
+    then divides by sqrt(2)."""
+    s, h = integer_unitary(circuit)
+    return (s / (1 << h // 2)).astype(float) / np.sqrt(2.0) ** (h % 2)
 
 
 def _cz_signs(n: int) -> np.ndarray:

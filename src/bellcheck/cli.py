@@ -112,16 +112,16 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
 
 
-def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples: int = 0) -> None:
-    """Refuse a request whose largest arrays cannot fit in physical memory.
+def _refuse_oversized(mode: str, n: int, m: int) -> None:
+    """Refuse a comparison of n-qubit circuits (mode raw, embedded or sampled) whose
+    largest arrays cannot fit in physical memory.
 
     Every gate is real, so W = U1 U2^T and the states built from it stay real
     arrays.  Each factor below is a traced peak (tracemalloc, one cold request
     in a fresh process) and the larger factor the guard counts.
 
-    A comparison of n-qubit circuits (mode raw, embedded or sampled) has a
-    fixed cost (the parser, the gate actions, numpy's first calls), traced at
-    0.39 MB at n = 6 (counted as 1 MiB), and then:
+    A comparison has a fixed cost (the parser, the gate actions, numpy's first
+    calls), traced at 0.39 MB at n = 6 (counted as 1 MiB), and then:
     - raw and embedded hold the integer matrix S and the synthesis temporaries,
       and read V from the diagonal sums of S, traced at 1.8 complex values per
       amplitude at n = 8 and 1.5 at n = 10 (counted as 2);
@@ -133,20 +133,11 @@ def _refuse_oversized(mode: str, *, n: int = 0, m: int = 0, d: int = 0, samples:
       as 24 d + 1024).  Its rounds add nothing that grows with s: their cell
       counts are drawn directly, and ``ShotPlan`` refuses a shot count
       int64 cannot hold.
-
-    lemma2 holds one real d^2-amplitude state and its working copies, traced
-    at 1.6 complex values per amplitude at d = 1024 (counted as 4; a block of
-    smaller states holds at most 2^13 amplitudes), and 8 bytes of ``values``
-    per sample.
     """
-    if mode == "lemma2":
-        task, need = f"lemma2 at d={d} with {samples} samples", 64 * d * d + 8 * samples
-    else:
-        task = f"{n}-qubit {mode} comparison"
-        need = 2**20 + 16 * (5 * 8**n if mode == "sampled" else 2 * 4**n)
-        if mode == "sampled":
-            need += 2 * m * (24 * 4**n + 1024)
-    check_memory(task, need)
+    need = 2**20 + 16 * (5 * 8**n if mode == "sampled" else 2 * 4**n)
+    if mode == "sampled":
+        need += 2 * m * (24 * 4**n + 1024)
+    check_memory(f"{n}-qubit {mode} comparison", need)
 
 
 def _load_comparison(
@@ -176,7 +167,7 @@ def _load_comparison(
         else:
             plan = plan_shots(args.epsilon, args.delta)
         seed = _resolve_seed(args)
-    _refuse_oversized(mode, n=n, m=args.m)
+    _refuse_oversized(mode, n, args.m)
     return n, pair_circuit(c1, c2), plan, seed
 
 
@@ -296,7 +287,12 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
 def cmd_lemma2(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    _refuse_oversized("lemma2", d=args.d, samples=args.samples)
+    # one real d^2-amplitude state and its working copies, traced (tracemalloc, one cold
+    # request in a fresh process) at 1.6 complex values per amplitude at d = 1024 (counted
+    # as 4; a block of smaller states holds at most 2^13 amplitudes), and 8 bytes of
+    # ``values`` per sample
+    check_memory(f"lemma2 at d={args.d} with {args.samples} samples",
+                 64 * args.d**2 + 8 * args.samples)
     rng = RngStream(seed)
     bound, fraction, values = lemma2_exceedance(args.d, args.m, args.delta, args.samples, rng)
     _write_csv(args.out, LEMMA2_HEADER, enumerate(values))
@@ -351,7 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional CSV row output path")
     p.set_defaults(embedded=False, func=cmd_compare_exact)
 
-    p = sub.add_parser("compare-sampled", help="finite-shot distance estimate (embedded)")
+    p = sub.add_parser("compare-sampled", help="finite-shot distance estimate (embedded; slower "
+                       "if TOFFOLI gates keep an odd entry past 2n + h = 124, h the number of H "
+                       "gates)")
     p.add_argument("circuit_a")
     p.add_argument("circuit_b")
     p.add_argument("--m", type=int, default=2)

@@ -28,7 +28,9 @@ class DistanceBounds:
 def circuit_distance(w: np.ndarray) -> float | np.ndarray:
     """sqrt(1 - |Tr W / d|^2) of W = U1 U2^T, in O(d).
 
-    Zero iff U1 = U2 up to a phase in exact arithmetic; an equal pair reads
+    Zero iff U1 = U2 up to a phase in exact arithmetic.  The W of a joined
+    equal pair (``circuit_unitary(pair_circuit(c, c))``) is +-I exactly and
+    reads 0; a product of separately synthesized unitaries, U1 @ U2.T, reads
     rounding residue instead (D of 2.6e-8 to 4.7e-8 for 40-gate circuits at
     n = 3..6).  A stack of W, shape (..., d, d), gives an array of shape (...).
     """

@@ -212,8 +212,8 @@ class TestAgainstOracle:
 
     The old loop's 2 x 2 products run through BLAS, which may fuse the
     multiply-add, so circuits with H agree to rounding; signed permutations
-    are exact on both sides.  The integer synthesis S 2^(-h/2) agrees with
-    the float one to rounding.
+    are exact on both sides.  ``circuit_unitary`` is the float view of the
+    integer synthesis S 2^(-h/2), each entry rounded once, bit for bit.
     """
 
     @staticmethod
@@ -223,7 +223,19 @@ class TestAgainstOracle:
             assert_allclose(got, want, rtol=0, atol=1e-12)
         else:
             assert_array_equal(got, want)
-        assert_allclose(scaled_integer_unitary(*integer_unitary(circuit)), got, rtol=0, atol=1e-12)
+        assert_array_equal(scaled_integer_unitary(*integer_unitary(circuit)), got)
+
+    def test_float_view_past_the_float_range(self):
+        # 30,000 gates drawn uniformly over the seven kinds: S goes on as Python ints and
+        # reaches h > 2,046, where 2^(h/2) and most entries of S are past the float range
+        rng = RngStream(9)
+        circuit = Circuit(3, random_gates(rng, 3, 30000))
+        s, h = integer_unitary(circuit)
+        assert s.dtype == object and h > 2046
+        got = circuit_unitary(circuit)
+        assert_allclose(got, oracle_circuit_unitary(circuit), rtol=0, atol=1e-12)
+        assert np.isrealobj(got)
+        assert_allclose(got.T @ got, np.eye(8), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_random_circuits(self, n):
@@ -285,6 +297,18 @@ class TestPairCircuit:
             c2 = Circuit(n, random_gates(rng, n, int(rng.gen.integers(0, 40))))
             w = circuit_unitary(pair_circuit(c1, c2))
             assert_allclose(w, circuit_unitary(c1) @ circuit_unitary(c2).T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equal_pairs_read_zero_from_w(self, n):
+        # c against itself with an H H pair inserted: the joined W is +-I exactly, so D is 0
+        rng = RngStream(75, n)
+        for _ in range(40):
+            gates = random_gates(rng, n, 40)
+            cut = int(rng.gen.integers(41))
+            pair = (Gate("H", (int(rng.gen.integers(n)),)),) * 2
+            w = circuit_unitary(pair_circuit(Circuit(n, gates),
+                                             Circuit(n, gates[:cut] + pair + gates[cut:])))
+            assert circuit_distance(w) == 0.0
 
     def test_gates_are_not_checked_again(self, monkeypatch):
         c1 = parse_circuit("qubits 3\nH 0\nCX 0 1\nTOFFOLI 2 0 1\n")

@@ -23,7 +23,7 @@ from bellcheck.distance import circuit_distance, distance_bounds_from_v
 from bellcheck.tensor import (
     RngStream, apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector,
 )
-from oracles import _fig3_point, per_pair_fig3, scaled_integer_unitary
+from oracles import _fig3_point, oracle_circuit_unitary, per_pair_fig3, scaled_integer_unitary
 
 DATA = Path(__file__).parent / "data"
 HADAMARD = "qubits 1\nH 0\n"
@@ -373,7 +373,7 @@ class TestCompareExact:
         for mode in ("--raw", "--embedded"):
             assert main(["compare-exact", a, b, mode]) == 0
             assert "D = 0\n" in capsys.readouterr().out
-        w = circuit_unitary(joined_circuit(a, b))
+        w = oracle_circuit_unitary(joined_circuit(a, b))
         for s, h in syntheses:
             assert s.dtype == np.int64 and 2 * n + h <= 124
             assert np.abs(scaled_integer_unitary(s, h) - w).max() < 1e-12
@@ -387,7 +387,7 @@ class TestCompareExact:
         syntheses = recorded_syntheses(monkeypatch)
         for lines_b in (lines + ["X 0", "X 0"], lines[:-10]):
             a, b = write_pair(tmp_path, n, lines, lines_b)
-            w = circuit_unitary(joined_circuit(a, b))
+            w = oracle_circuit_unitary(joined_circuit(a, b))
             for mode in ("--raw", "--embedded"):
                 code = main(["compare-exact", a, b, mode])
                 out = capsys.readouterr().out

@@ -11,10 +11,12 @@ gone, and so is the sampler class: ``estimate_distance`` passes the
 time.  The observable powers and the dense outcome grids are test oracles
 in ``tests/oracles.py``: no Bell route calls them.  A comparison parses
 each of its two circuits once and synthesizes one matrix, W = U1 U2^T, from
-their joined circuit.  An exact comparison, raw or embedded, reads V from
-the diagonal sums of one integer synthesis (``integer_unitary``, which
-``LAYERS`` does not name), so it makes no ``circuit_unitary`` or
-``bell_value_gamma`` call and builds no embedded pair.  The figures read
+their joined circuit, with one ``integer_unitary`` call (which ``LAYERS`` does
+not name).  An exact comparison, raw or embedded, reads V from the diagonal
+sums of that integer S, so it makes no ``circuit_unitary`` or
+``bell_value_gamma`` call and builds no embedded pair.  A sampled comparison
+makes one ``circuit_unitary`` call, the float view of that S, whose self time
+in the trace includes the integer synthesis.  The figures read
 each pair through W as well, so ``fig1`` makes no ``apply_bilocal`` call.
 """
 
@@ -86,27 +88,10 @@ def traced_call(spans, argv):
     return tracer.layers
 
 
-def test_traced_sampled_comparison(spans, tmp_path, capsys):
-    a, b = tmp_path / "h.qc", tmp_path / "z.qc"
-    a.write_text("qubits 1\nH 0\n")
-    b.write_text("qubits 1\nZ 0\n")
-    layers = traced_call(spans, ["compare-sampled", str(a), str(b), "--shots", "5000",
-                                 "--seed", "5"])
-    assert layers["circuit.circuit_unitary"].calls == 1
-    assert layers["sampling.estimate_distance"].calls == 1
-    assert layers["sampling.RoundSampler.init"].calls == 0
-    assert layers["sampling.draw_table"].calls == 0
-    assert layers["sampling.RoundSampler.evaluate"].calls == 0
-    tallies = capsys.readouterr().out.split("setting_tallies: ")[1].split(", ")
-    assert sum(int(tally.split("=")[1]) for tally in tallies) == 5000
-
-
-def test_exact_comparison_builds_each_circuit_once(spans, tmp_path, capsys, monkeypatch):
-    a, b = tmp_path / "a.qc", tmp_path / "b.qc"
-    a.write_text("qubits 4\nH 0\nCX 0 1\nTOFFOLI 1 2 3\nH 3\nSWAP 0 2\nCZ 3 1\n")
-    b.write_text("qubits 4\nH 0\nCX 0 1\nTOFFOLI 1 2 3\nH 3\nSWAP 2 0\nCZ 1 3\nX 2\nX 2\n")
-    # count each call wherever the function is imported
-    calls = {"embedded_pair_state": [], "integer_unitary": []}
+def counted_calls(monkeypatch, *targets):
+    """{target: [args of each call]} for ``bellcheck.circuit`` functions, counted wherever
+    they are imported, the circuit module's own calls included."""
+    calls = {target: [] for target in targets}
     for target, seen in calls.items():
         original = getattr(bellcheck.circuit, target)
 
@@ -119,6 +104,31 @@ def test_exact_comparison_builds_each_circuit_once(spans, tmp_path, capsys, monk
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_traced_sampled_comparison(spans, tmp_path, capsys, monkeypatch):
+    a, b = tmp_path / "h.qc", tmp_path / "z.qc"
+    a.write_text("qubits 1\nH 0\n")
+    b.write_text("qubits 1\nZ 0\n")
+    calls = counted_calls(monkeypatch, "integer_unitary")
+    layers = traced_call(spans, ["compare-sampled", str(a), str(b), "--shots", "5000",
+                                 "--seed", "5"])
+    assert layers["circuit.circuit_unitary"].calls == 1
+    assert len(calls["integer_unitary"]) == 1
+    assert layers["sampling.estimate_distance"].calls == 1
+    assert layers["sampling.RoundSampler.init"].calls == 0
+    assert layers["sampling.draw_table"].calls == 0
+    assert layers["sampling.RoundSampler.evaluate"].calls == 0
+    tallies = capsys.readouterr().out.split("setting_tallies: ")[1].split(", ")
+    assert sum(int(tally.split("=")[1]) for tally in tallies) == 5000
+
+
+def test_exact_comparison_builds_each_circuit_once(spans, tmp_path, capsys, monkeypatch):
+    a, b = tmp_path / "a.qc", tmp_path / "b.qc"
+    a.write_text("qubits 4\nH 0\nCX 0 1\nTOFFOLI 1 2 3\nH 3\nSWAP 0 2\nCZ 3 1\n")
+    b.write_text("qubits 4\nH 0\nCX 0 1\nTOFFOLI 1 2 3\nH 3\nSWAP 2 0\nCZ 1 3\nX 2\nX 2\n")
+    calls = counted_calls(monkeypatch, "embedded_pair_state", "integer_unitary")
     for mode in ("--embedded", "--raw"):
         layers = traced_call(spans, ["compare-exact", str(a), str(b), mode])
         assert layers["circuit.parse_circuit"].calls == 2
