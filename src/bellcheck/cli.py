@@ -89,7 +89,7 @@ def _load_circuit(path: str) -> Circuit:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read circuit file {path}: {exc}") from None
     try:
         return parse_circuit(text)
@@ -112,42 +112,8 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
 
 
-def _refuse_oversized(mode: str, n: int, m: int) -> None:
-    """Refuse a comparison of n-qubit circuits (mode raw, embedded or sampled) whose
-    largest arrays cannot fit in physical memory.
-
-    Every gate is real, so W = U1 U2^T and the states built from it stay real
-    arrays.  Each factor below is a traced peak (tracemalloc, one cold request
-    in a fresh process) and the larger factor the guard counts.
-
-    A comparison has a fixed cost (the parser, the gate actions, numpy's first
-    calls), traced at 0.39 MB at n = 6 (counted as 1 MiB), and then:
-    - raw and embedded hold the integer matrix S and the synthesis temporaries,
-      and read V from the diagonal sums of S, traced at 1.8 complex values per
-      amplitude at n = 8 and 1.5 at n = 10 (counted as 2);
-    - sampled holds the 8^n-entry layout of the embedded pair and its working
-      copies, traced at 3.6 complex values per entry at n = 7, m = 3 (counted
-      as 5), and per each of its 2m branches at d = 4^n, the rows of
-      the (2m, d) class-law, cell-law and count tables and the branch's
-      label and tally, traced at 24 d + 82 bytes at n = 1, m = 4,000 (counted
-      as 24 d + 1024).  Its rounds add nothing that grows with s: their cell
-      counts are drawn directly, and ``ShotPlan`` refuses a shot count
-      int64 cannot hold.
-    """
-    need = 2**20 + 16 * (5 * 8**n if mode == "sampled" else 2 * 4**n)
-    if mode == "sampled":
-        need += 2 * m * (24 * 4**n + 1024)
-    check_memory(f"{n}-qubit {mode} comparison", need)
-
-
-def _load_comparison(
-    args: argparse.Namespace, mode: str
-) -> tuple[int, Circuit, ShotPlan | None, int | None]:
-    """(n, pair, plan, seed): ``pair`` is the circuit of W = U1 U2^T; plan, seed only if sampled.
-
-    Both circuits are parsed, and the widths, m, the shot plan, the seed and the
-    size guard checked, before the caller's one synthesis: a refused request builds nothing.
-    """
+def _load_pair(args: argparse.Namespace) -> tuple[int, Circuit]:
+    """(n, pair): both circuit files parsed, their widths matched; ``pair`` is W = U1 U2^T's."""
     c1, c2 = _load_circuit(args.circuit_a), _load_circuit(args.circuit_b)
     n = c1.n_qubits
     if c2.n_qubits != n:
@@ -155,20 +121,7 @@ def _load_comparison(
             f"circuit widths differ: {args.circuit_a} has {n} qubits, "
             f"{args.circuit_b} has {c2.n_qubits}"
         )
-    check_params(2**n if mode == "raw" else 4**n, args.m)
-    plan = seed = None
-    if mode == "sampled":
-        if args.shots is not None:
-            if args.epsilon is not None or args.delta is not None:
-                raise ValueError("give either --shots or --epsilon/--delta, not both")
-            plan = ShotPlan(s=args.shots)
-        elif args.epsilon is None or args.delta is None:
-            raise ValueError("need --shots, or both --epsilon and --delta")
-        else:
-            plan = plan_shots(args.epsilon, args.delta)
-        seed = _resolve_seed(args)
-    _refuse_oversized(mode, n, args.m)
-    return n, pair_circuit(c1, c2), plan, seed
+    return n, pair_circuit(c1, c2)
 
 
 def _show_comparison(args: argparse.Namespace, n: int, mode: str, d: int, record: dict,
@@ -191,9 +144,15 @@ def _show_comparison(args: argparse.Namespace, n: int, mode: str, d: int, record
 def cmd_compare_exact(args: argparse.Namespace) -> int:
     m = args.m
     mode = "embedded" if args.embedded else "raw"
-    n, pair, _, _ = _load_comparison(args, mode)
-    s, h = integer_unitary(pair)  # W = S 2^(-h/2): Tr(W, o)^2 / 4^n = Tr(S, o)^2 / scale
+    n, pair = _load_pair(args)
     d = 4**n if args.embedded else 2**n
+    check_params(d, m)
+    # Peaks traced with tracemalloc, one cold request in a fresh process: a fixed cost (the
+    # parser, the gate actions, numpy's first calls) of 0.39 MB at n = 6 (counted as 1 MiB),
+    # then the integer matrix S and the synthesis temporaries, from whose diagonal sums V is
+    # read, at 1.8 complex values per amplitude at n = 8 and 1.5 at n = 10 (counted as 2)
+    check_memory(f"{n}-qubit {mode} comparison", 2**20 + 16 * 2 * 4**n)
+    s, h = integer_unitary(pair)  # W = S 2^(-h/2): Tr(W, o)^2 / 4^n = Tr(S, o)^2 / scale
     scale, trace = 2**h * 4**n, int(np.trace(s))
     # I' = sum over diagonals o of Tr(W, o)^2 / 4^n: the embedded CZ signs cancel every
     # layout row but the trace's, and the raw grid W / sqrt(d) puts diagonal o on row o mod d
@@ -210,14 +169,36 @@ def cmd_compare_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_sampled(args: argparse.Namespace) -> int:
-    n, pair, plan, seed = _load_comparison(args, "sampled")
+    m = args.m
+    n, pair = _load_pair(args)
+    d = 4**n
+    check_params(d, m)
+    if args.shots is not None:
+        if args.epsilon is not None or args.delta is not None:
+            raise ValueError("give either --shots or --epsilon/--delta, not both")
+        plan = ShotPlan(s=args.shots)
+    elif args.epsilon is None or args.delta is None:
+        raise ValueError("need --shots, or both --epsilon and --delta")
+    else:
+        plan = plan_shots(args.epsilon, args.delta)
+    seed = _resolve_seed(args)
+    # Every gate is real, so W = U1 U2^T and the states built from it stay real arrays.
+    # Peaks traced with tracemalloc, one cold request in a fresh process: a fixed cost of
+    # 0.39 MB at n = 6 (counted as 1 MiB); the 8^n-entry layout of the embedded pair and
+    # its working copies at 3.6 complex values per entry at n = 7, m = 3 (counted as 5);
+    # and per each of the 2m branches, the rows of the (2m, d) class-law, cell-law and
+    # count tables and the branch's label and tally at 24 d + 82 bytes at n = 1, m = 4,000
+    # (counted as 24 d + 1024).  The rounds add nothing that grows with s: their cell
+    # counts are drawn directly, and ``ShotPlan`` refuses a shot count int64 cannot hold.
+    check_memory(f"{n}-qubit sampled comparison",
+                 2**20 + 16 * 5 * 8**n + 2 * m * (24 * d + 1024))
     w = circuit_unitary(pair)
     if args.shots is None:
         print(f"planned shots: s = {plan.s} (epsilon={_fmt(args.epsilon)}, delta={_fmt(args.delta)})")
-    report = estimate_distance(w, args.m, plan, seed)
+    report = estimate_distance(w, m, plan, seed)
     tallies = ", ".join(f"{k}={v}" for k, v in report.setting_tallies.items())
     _show_comparison(
-        args, n, "embedded", 4**n,
+        args, n, "embedded", d,
         {"s": report.s, "seed": seed, "I_prime": report.x, "D": report.distance_estimate},
         labels={"I_prime": "X", "D": "distance_estimate"}, notes=[f"setting_tallies: {tallies}"],
     )
@@ -352,11 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        "gates)")
     p.add_argument("circuit_a")
     p.add_argument("circuit_b")
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=int, default=2, help="number of measurement settings (>= 2)")
     p.add_argument("--shots", type=int, help="shot count s")
     p.add_argument("--epsilon", type=float, help="target additive error (with --delta)")
     p.add_argument("--delta", type=float, help="failure probability (with --epsilon)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help=f"non-negative seed (default: ${SEED_ENV_VAR}, "
+                   "else a fresh one)")
     p.add_argument("--out", help="optional CSV row output path")
     p.set_defaults(func=cmd_compare_sampled)
 

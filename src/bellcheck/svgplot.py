@@ -19,6 +19,7 @@ _WIDTH, _HEIGHT = 640, 480
 _ML, _MR, _MT, _MB = 64, 20, 34, 48
 _POINT_COLOR = "#4477aa"
 _OVERLAY_COLORS = ("#cc3311", "#ee7733", "#009988", "#997700")
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # names and labels
 
 
 def _read_columns(
@@ -26,25 +27,29 @@ def _read_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The plotted columns as arrays of finite floats, read by ``csv.DictReader``'s
     rules: blank rows are skipped, a missing cell reads as None and a repeated
-    header name reads its last column."""
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for col in (x_col, y_col):
-            if col not in header:
-                raise ValueError(f"column {col!r} not in {csv_path} (columns: {header})")
-        ix, iy = (len(header) - 1 - header[::-1].index(col) for col in (x_col, y_col))
-        xs: list[float] = []
-        ys: list[float] = []
-        for number, row in enumerate(filter(None, reader), start=1):
-            try:
-                x, y = float(row[ix]), float(row[iy])
-            except (IndexError, ValueError):
-                x = y = math.nan
-            if not (math.isfinite(x) and math.isfinite(y)):
-                _refuse_row(row, ((x_col, ix), (y_col, iy)), number, csv_path)
-            xs.append(x)
-            ys.append(y)
+    header name reads its last column; a file that is not UTF-8 or not CSV is
+    refused by name."""
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            for col in (x_col, y_col):
+                if col not in header:
+                    raise ValueError(f"column {col!r} not in {csv_path} (columns: {header})")
+            ix, iy = (len(header) - 1 - header[::-1].index(col) for col in (x_col, y_col))
+            xs: list[float] = []
+            ys: list[float] = []
+            for number, row in enumerate(filter(None, reader), start=1):
+                try:
+                    x, y = float(row[ix]), float(row[iy])
+                except (IndexError, ValueError):
+                    x = y = math.nan
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    _refuse_row(row, ((x_col, ix), (y_col, iy)), number, csv_path)
+                xs.append(x)
+                ys.append(y)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"cannot read {csv_path}: {exc}") from None
     return np.array(xs, dtype=float), np.array(ys, dtype=float)
 
 
@@ -132,10 +137,11 @@ def emit_svg_scatter(
         ]
     parts += [
         f'<text x="{(_ML + _WIDTH - _MR) / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_col}</text>',
+        f'font-family="sans-serif" font-size="12">{x_col.translate(_TEXT_ESCAPES)}</text>',
         f'<text x="16" y="{(_MT + _HEIGHT - _MB) / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {(_MT + _HEIGHT - _MB) / 2:.1f})">{y_col}</text>',
+        f'transform="rotate(-90 16 {(_MT + _HEIGHT - _MB) / 2:.1f})">'
+        f'{y_col.translate(_TEXT_ESCAPES)}</text>',
     ]
     circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{_POINT_COLOR}" fill-opacity="0.7"/>'
     parts += [circle % point for point in zip(px(xs).tolist(), py(ys).tolist())]
@@ -145,7 +151,8 @@ def emit_svg_scatter(
         parts += [
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>',
             f'<text x="{_WIDTH - _MR - 6}" y="{_MT + 16 + 14 * k}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>',
+            f'font-family="sans-serif" font-size="11" fill="{color}">'
+            f'{label.translate(_TEXT_ESCAPES)}</text>',
         ]
     parts.append("</svg>")
     Path(out_path).write_text("\n".join(parts) + "\n", encoding="utf-8")

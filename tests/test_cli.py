@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from bellcheck.tensor import (
 from oracles import _fig3_point, oracle_circuit_unitary, per_pair_fig3, scaled_integer_unitary
 
 DATA = Path(__file__).parent / "data"
+NOT_UTF8 = str(DATA / "not_utf8.txt")  # a circuit or CSV file whose first byte is 0xff
 HADAMARD = "qubits 1\nH 0\n"
 PAULI_Z = "qubits 1\nZ 0\n"
 # trailing Z X Z X block realizes a -I factor: a pure global sign
@@ -154,6 +156,15 @@ EXIT_CODE_TABLE = [
                  "cannot read circuit file {missing}", id="unreadable-compare-sampled"),
     pytest.param(["plot", "{missing}", "--x", "V", "--y", "D", *OUT], {}, 2, "{missing}",
                  id="unreadable-plot"),
+    pytest.param(["compare-exact", NOT_UTF8, "{h}", *OUT], {}, 2,
+                 f"cannot read circuit file {NOT_UTF8}: 'utf-8' codec can't decode byte 0xff",
+                 id="non-utf8-compare-exact"),
+    pytest.param(["compare-sampled", "{h}", NOT_UTF8, *SAMPLED], {}, 2,
+                 f"cannot read circuit file {NOT_UTF8}: 'utf-8' codec can't decode byte 0xff",
+                 id="non-utf8-compare-sampled"),
+    pytest.param(["plot", NOT_UTF8, "--x", "V", "--y", "D", *OUT], {}, 2,
+                 f"cannot read {NOT_UTF8}: 'utf-8' codec can't decode byte 0xff",
+                 id="non-utf8-plot"),
     pytest.param(["plot", "{nan_csv}", "--x", "V", "--y", "D", *OUT], {}, 2,
                  "{nan_csv}: row 1, column 'D': 'nan' is not a finite number",
                  id="non-finite-plot"),
@@ -895,6 +906,30 @@ class TestPlot:
         assert not out.exists()
 
 
+    def test_names_and_labels_are_escaped(self, tmp_path, capsys):
+        # column names and overlay labels holding &, < or > stay well-formed SVG text
+        csv_path, svg_path = tmp_path / "odd.csv", tmp_path / "odd.svg"
+        csv_path.write_text("a<b&c,D\n1,0.5\n2,0.25\n", encoding="utf-8")
+        assert main(["plot", str(csv_path), "--x", "a<b&c", "--y", "D", "--out", str(svg_path),
+                     "--overlay", "bounds", "--d", "4", "--m", "2"]) == 0
+        svgplot.emit_svg_scatter(csv_path, "D", "a<b&c", tmp_path / "labelled.svg",
+                                 overlays=[("p < q & r > s", [0.0, 1.0], [0.0, 1.0])])
+        for path, texts in [(svg_path, {"a<b&c", "D", "lower bound", "upper bound"}),
+                            (tmp_path / "labelled.svg", {"a<b&c", "D", "p < q & r > s"})]:
+            nodes = ET.parse(path).iter("{http://www.w3.org/2000/svg}text")
+            assert texts <= {node.text for node in nodes}
+
+    def test_oversized_field_names_its_file(self, tmp_path, capsys):
+        # csv's field limit is a refusal that names the file, not a bare csv.Error
+        csv_path, out = tmp_path / "big.csv", tmp_path / "big.svg"
+        csv_path.write_text("V,D\n1," + "9" * 200_000 + "\n", encoding="utf-8")
+        assert main(["plot", str(csv_path), "--x", "V", "--y", "D", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {csv_path}: field larger than field limit (131072)\n"
+        )
+        assert not out.exists()
+
+
 class TestEntryPoints:
     @pytest.mark.parametrize("argv,env,code,fragment", EXIT_CODE_TABLE)
     def test_exit_code_table(self, argv, env, code, fragment, circuits, tmp_path, capsys,
@@ -928,6 +963,45 @@ class TestEntryPoints:
         assert fragment.format(**files) in error_lines[0]
         if not captured.err.startswith("usage:"):  # argparse prints its usage lines first
             assert captured.err == error_lines[0] + "\n" and captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not Path(files["out"]).exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["compare-exact", "{bad}", "{two}"], "{bad}: line 2: unknown gate 'Y'"),
+        (["compare-sampled", "{two}", "{h}", "--m", "1", "--shots", "10", "--seed", "1"],
+         "circuit widths differ: {two} has 2 qubits, {h} has 1"),
+        (["compare-sampled", *H_Z, "--m", "1", "--shots", "0", "--seed", "1"],
+         "need d >= 2 and m >= 2, got d=4, m=1"),
+        (["compare-sampled", *H_Z, "--shots", "0", "--seed", "-1"],
+         "shot count must be in 1..2^63-1, got 0"),
+        (["compare-sampled", *H_Z, "--m", "1000000000000", "--shots", "10", "--seed", "-1"],
+         "--seed must be a non-negative integer, got -1"),
+        (["compare-exact", "{wide24}", "{wide24}", "--m", "1"],
+         "need d >= 2 and m >= 2, got d=16777216, m=1"),
+        (["compare-sampled", "{wide24}", "{wide24}", "--shots", "10", "--epsilon", "0.1",
+          "--seed", "-1"], "give either --shots or --epsilon/--delta, not both"),
+    ], ids=["parse-before-width", "width-before-m", "m-before-shots", "shots-before-seed",
+            "seed-before-memory", "m-before-memory", "shot-rule-before-seed-and-memory"])
+    def test_first_fault_is_reported(self, argv, message, circuits, tmp_path, capsys,
+                                     monkeypatch):
+        # a request with several faults reports the first one its command checks, and
+        # synthesizes nothing
+        files = {**circuits, "out": str(tmp_path / "out")}
+        for name, text in [("two", "qubits 2\nH 0\n"), ("bad", "qubits 1\nY 0\n"),
+                           ("wide24", "qubits 24\nH 0\nCX 0 23\n")]:
+            files[name] = str(tmp_path / name)
+            Path(files[name]).write_text(text)
+        monkeypatch.delenv("BELLCHECK_SEED", raising=False)
+
+        def must_not_run(circuit):
+            pytest.fail("a synthesis ran for a refused request")
+
+        monkeypatch.setattr("bellcheck.cli.circuit_unitary", must_not_run)
+        monkeypatch.setattr("bellcheck.cli.integer_unitary", must_not_run)
+        rc = main([arg.format(**files) for arg in [*argv, *OUT]])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {message.format(**files)}\n"
         assert captured.out == ""
         assert not Path(files["out"]).exists()
 
