@@ -25,7 +25,8 @@ from .measurement import (
     ALICE, BOB, WrapDiagonals, _phase_params, basis, chsh_observables, wrap_diagonals,
 )
 from .tensor import (
-    RngStream, check_params, check_positive, check_state, random_real_unit_vector, sample_blocks,
+    RngStream, check_fraction, check_params, check_positive, check_state, random_real_unit_vector,
+    sample_blocks,
 )
 
 
@@ -200,8 +201,7 @@ def lemma1_envelope(d: int, m: int) -> tuple[float, float]:
 def lemma2_bound(d: int, m: int, delta: float) -> float:
     """High-probability ceiling m*sqrt(4/(3*d*delta)) for uniformly random real states."""
     check_params(d, m)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_fraction("delta", delta)
     return float(m * np.sqrt(4.0 / (3.0 * d * delta)))
 
 

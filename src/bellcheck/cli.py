@@ -28,7 +28,7 @@ from .circuit import (
 from .distance import circuit_distance, distance_bounds_from_v, distance_from_embedded_v
 from .sampling import ShotPlan, estimate_distance, plan_shots
 from .tensor import (
-    RngStream, check_memory, check_params, check_positive, haar_orthogonal,
+    RngStream, check_memory, check_params, check_positive, check_width, haar_orthogonal,
     random_real_orthogonal, sample_blocks,
 )
 
@@ -87,7 +87,7 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) ->
 
 def _load_circuit(path: str) -> Circuit:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read circuit file {path}: {exc}") from None
@@ -145,6 +145,7 @@ def cmd_compare_exact(args: argparse.Namespace) -> int:
     m = args.m
     mode = "embedded" if args.embedded else "raw"
     n, pair = _load_pair(args)
+    check_width(f"{n}-qubit {mode} comparison", n)
     d = 4**n if args.embedded else 2**n
     check_params(d, m)
     # Peaks traced with tracemalloc, one cold request in a fresh process: a fixed cost (the
@@ -171,6 +172,7 @@ def cmd_compare_exact(args: argparse.Namespace) -> int:
 def cmd_compare_sampled(args: argparse.Namespace) -> int:
     m = args.m
     n, pair = _load_pair(args)
+    check_width(f"{n}-qubit sampled comparison", n)
     d = 4**n
     check_params(d, m)
     if args.shots is not None:
@@ -192,11 +194,10 @@ def cmd_compare_sampled(args: argparse.Namespace) -> int:
     # counts are drawn directly, and ``ShotPlan`` refuses a shot count int64 cannot hold.
     check_memory(f"{n}-qubit sampled comparison",
                  2**20 + 16 * 5 * 8**n + 2 * m * (24 * d + 1024))
-    w = circuit_unitary(pair)
+    report = estimate_distance(circuit_unitary(pair), m, plan, seed)
+    tallies = ", ".join(f"{k}={v}" for k, v in report.setting_tallies.items())
     if args.shots is None:
         print(f"planned shots: s = {plan.s} (epsilon={_fmt(args.epsilon)}, delta={_fmt(args.delta)})")
-    report = estimate_distance(w, m, plan, seed)
-    tallies = ", ".join(f"{k}={v}" for k, v in report.setting_tallies.items())
     _show_comparison(
         args, n, "embedded", d,
         {"s": report.s, "seed": seed, "I_prime": report.x, "D": report.distance_estimate},
@@ -314,57 +315,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compare-exact", help="exact Bell value, distance, and verdict in integer "
-                       "arithmetic (slower if TOFFOLI gates keep an odd entry past 2n + h = 124, "
-                       "h the number of H gates)")
-    p.add_argument("circuit_a")
-    p.add_argument("circuit_b")
-    p.add_argument("--m", type=int, default=2, help="number of measurement settings (>= 2)")
+    seed = argparse.ArgumentParser(add_help=False)  # shared options, one parent parser each
+    seed.add_argument("--seed", type=int, help=f"non-negative seed (default: ${SEED_ENV_VAR}, "
+                      "else a fresh one)")
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--m", type=int, default=2, help="number of measurement settings (>= 2)")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("circuit_a")
+    pair.add_argument("circuit_b")
+    pair.add_argument("--out", help="optional CSV row output path")
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--samples", type=int, required=True)
+    dataset.add_argument("--out", required=True)
+    slow = "slower if TOFFOLI gates keep an odd entry past 2n + h = 124, h the number of H gates"
+
+    p = sub.add_parser("compare-exact", parents=[pair, settings], help="exact Bell value, "
+                       f"distance, and verdict in integer arithmetic ({slow})")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--raw", dest="embedded", action="store_false",
                       help="compare as-is and report sandwich bounds (default)")
     mode.add_argument("--embedded", dest="embedded", action="store_true",
                       help="apply the ancilla-doubling embedding for exact readout")
-    p.add_argument("--out", help="optional CSV row output path")
     p.set_defaults(embedded=False, func=cmd_compare_exact)
 
-    p = sub.add_parser("compare-sampled", help="finite-shot distance estimate (embedded; slower "
-                       "if TOFFOLI gates keep an odd entry past 2n + h = 124, h the number of H "
-                       "gates)")
-    p.add_argument("circuit_a")
-    p.add_argument("circuit_b")
-    p.add_argument("--m", type=int, default=2, help="number of measurement settings (>= 2)")
+    p = sub.add_parser("compare-sampled", parents=[pair, settings, seed],
+                       help=f"finite-shot distance estimate (embedded; {slow})")
     p.add_argument("--shots", type=int, help="shot count s")
     p.add_argument("--epsilon", type=float, help="target additive error (with --delta)")
     p.add_argument("--delta", type=float, help="failure probability (with --epsilon)")
-    p.add_argument("--seed", type=int, help=f"non-negative seed (default: ${SEED_ENV_VAR}, "
-                   "else a fresh one)")
-    p.add_argument("--out", help="optional CSV row output path")
     p.set_defaults(func=cmd_compare_sampled)
 
-    p = sub.add_parser("fig1", help="bound scatter for random pairs at d=4, m=2")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("fig1", parents=[dataset, seed],
+                       help="bound scatter for random pairs at d=4, m=2")
     p.add_argument("--include-equal-pair", action="store_true",
                    help="plant one identical pair to cover the maximal-violation corner")
     p.set_defaults(func=cmd_fig1)
 
-    p = sub.add_parser("fig3", help="estimator convergence scatter (embedded protocol)")
+    p = sub.add_parser("fig3", parents=[dataset, seed],
+                       help="estimator convergence scatter (embedded protocol)")
     p.add_argument("--n", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--shots", type=int, choices=(100, 1000, 10000), required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fig3)
 
-    p = sub.add_parser("lemma2", help="random-state concentration experiment")
+    p = sub.add_parser("lemma2", parents=[settings, dataset, seed],
+                       help="random-state concentration experiment")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, default=2)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lemma2)
 
     p = sub.add_parser("plot", help="render a CSV to a standalone SVG scatter")

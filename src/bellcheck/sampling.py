@@ -38,7 +38,7 @@ from .bell import alpha_table, branch_labels, branch_laws
 from .circuit import embedded_pair_state
 from .distance import normalized_to_distance
 from .measurement import WrapDiagonals
-from .tensor import RngStream
+from .tensor import RngStream, check_fraction
 
 
 # The counts of a run are numpy int64 values.
@@ -70,10 +70,8 @@ def plan_shots(epsilon: float, delta: float) -> ShotPlan:
     P(|X - I'| >= epsilon) <= 2*delta.  This is the paper's budget; a
     two-sided guarantee at level delta would need 8*ln(2/delta)/epsilon^2.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_fraction("epsilon", epsilon)
+    check_fraction("delta", delta)
     try:
         s = math.floor(8.0 * math.log(1.0 / delta) / epsilon**2) + 1
     except (ZeroDivisionError, OverflowError):  # epsilon**2 underflows, or a quotient overflows

@@ -30,7 +30,7 @@ def _read_columns(
     header name reads its last column; a file that is not UTF-8 or not CSV is
     refused by name."""
     try:
-        with open(csv_path, newline="", encoding="utf-8") as fh:
+        with open(csv_path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             for col in (x_col, y_col):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Iterator
 
 import numpy as np
@@ -35,13 +36,41 @@ def check_positive(noun: str, count: int) -> None:
         raise ValueError(f"need at least one {noun}, got {count}")
 
 
+def check_fraction(noun: str, value: float) -> None:
+    """Reject a ``noun`` outside the open interval (0, 1); a NaN fails (NaN compares False)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{noun} must be in (0, 1), got {value}")
+
+
+def _gib(count: int) -> str:
+    """``count`` bytes in GiB to three significant digits, as ``%.3g`` prints them."""
+    try:
+        return f"{count / 2**30:.3g}"
+    except OverflowError:  # past the float range: the exact quotient, rounded once
+        from decimal import Context
+        return f"{Context(prec=3).divide(count, 2**30).normalize():g}"
+
+
 def check_memory(task: str, need: int) -> None:
     """Refuse a task that needs more bytes than the machine's physical memory."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
         raise ValueError(
-            f"{task} needs about {need / 2**30:.3g} GiB, "
-            f"more than the {physical / 2**30:.3g} GiB of physical memory"
+            f"{task} needs about {_gib(need)} GiB, "
+            f"more than the {_gib(physical)} GiB of physical memory"
+        )
+
+
+def check_width(task: str, n: int) -> None:
+    """Refuse an n-qubit task before any power of n is formed once 2^n bytes, one per
+    basis state, pass the float range (n >= 1024): ``check_memory`` names every smaller
+    width's need, and past it forming 4^n or 8^n would itself take time and memory
+    that grow with n."""
+    if n >= sys.float_info.max_exp:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        raise ValueError(
+            f"{task} needs more than 2^{n} bytes, "
+            f"more than the {_gib(physical)} GiB of physical memory"
         )
 
 

@@ -133,6 +133,9 @@ def circuits(tmp_path):
 H_Z = ["{h}", "{z}"]
 OUT = ["--out", "{out}"]
 SAMPLED = ["--shots", "10", "--seed", "1", *OUT]
+HELP_COMMANDS = ["compare-exact", "compare-sampled", "fig1", "fig3", "lemma2", "plot"]
+PYTHON_INT_CLAUSE = ("slower if TOFFOLI gates keep an odd entry past 2n + h = 124, h the number "
+                     "of H gates")
 
 # One row per outcome of every command: argv (with file placeholders), the
 # environment, the exit code, and a fragment of the one error: line (exit 2)
@@ -536,6 +539,19 @@ class TestCompareSampled:
                    "--epsilon", "0.1"])
         assert rc == 2
 
+    def test_failed_estimate_leaves_stdout_empty(self, circuits, capsys, monkeypatch):
+        # "planned shots:" is printed with the rest of the result, after the estimate
+        def failing(*args):
+            raise RuntimeError("estimate failed")
+
+        monkeypatch.setattr(cli, "estimate_distance", failing)
+        rc = main(["compare-sampled", circuits["h"], circuits["z"],
+                   "--epsilon", "0.1", "--delta", "0.05", "--seed", "4"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: estimate failed\n"
+
     def test_env_var_seed(self, circuits, capsys, monkeypatch):
         monkeypatch.setenv("BELLCHECK_SEED", "77")
         rc = main(["compare-sampled", circuits["h"], circuits["z"], "--m", "2",
@@ -629,6 +645,24 @@ class TestLemma2Command:
         assert captured.err.startswith("error: lemma2 at d=256 with 4 samples needs about ")
         assert captured.out == "" and not out.exists()
         assert main(["lemma2", "--d", "16", "--samples", "4", *argv]) == 0
+
+    def test_need_past_the_float_range_is_named(self, tmp_path, capsys, monkeypatch):
+        # 64 d^2 bytes at d = 10^200 overflow a float; the sentence is the usual one
+        def must_not_run(*args):
+            pytest.fail("lemma2 ran for a request that cannot fit")
+
+        monkeypatch.setattr(cli, "lemma2_exceedance", must_not_run)
+        pages = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        out = tmp_path / "l2.csv"
+        d = 10**200
+        rc = main(["lemma2", "--d", str(d), "--delta", "0.1", "--samples", "2", "--seed", "1",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (f"error: lemma2 at d={d} with 2 samples needs about 5.96e+392 "
+                                "GiB, more than the 8 GiB of physical memory\n")
+        assert captured.out == "" and not out.exists()
 
 
 def per_sample_fig1(path, samples, seed, include_equal_pair):
@@ -825,6 +859,16 @@ class TestPlot:
                    "--out", str(tmp_path / "x.svg")])
         assert rc == 2
         assert "nope" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("V,D\n1,0.5\n-1,0.25\n", encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for csv_path in (plain, marked):
+            rc = main(["plot", str(csv_path), "--x", "V", "--y", "D",
+                       "--out", str(csv_path.with_suffix(".svg"))])
+            assert rc == 0
+        assert marked.with_suffix(".svg").read_bytes() == plain.with_suffix(".svg").read_bytes()
 
     def test_overlay_requires_protocol_params(self, tmp_path, capsys):
         csv_path = tmp_path / "empty.csv"
@@ -1054,6 +1098,63 @@ class TestEntryPoints:
         assert rc == 2
         assert err.startswith("error: 24-qubit ") and err.count("\n") == 1
         assert _row_action.cache_info() == actions  # no gate action was built
+
+    @pytest.mark.parametrize("argv,n,message", [
+        (["compare-exact"], 525, "525-qubit raw comparison needs about 3.6e+308 GiB"),
+        (["compare-sampled", "--shots", "10", "--seed", "1"], 350,
+         "350-qubit sampled comparison needs about 8.99e+308 GiB"),
+        (["compare-exact"], 10**9,
+         f"{10**9}-qubit raw comparison needs more than 2^{10**9} bytes"),
+        (["compare-sampled", "--shots", "10", "--seed", "1"], 10**14,
+         f"{10**14}-qubit sampled comparison needs more than 2^{10**14} bytes"),
+        (["compare-exact", "--embedded", "--m", "1"], 1024,
+         "1024-qubit embedded comparison needs more than 2^1024 bytes"),
+    ], ids=["exact-525", "sampled-350", "exact-1e9", "sampled-1e14", "width-before-m"])
+    def test_impossible_width_refused_at_once(self, argv, n, message, tmp_path, capsys,
+                                              monkeypatch):
+        # a need past the float range is named in the usual sentence, and a width of
+        # 1,024 qubits or more is refused before any power of it is formed
+        def must_not_run(circuit):
+            pytest.fail("a synthesis ran for a width that cannot fit")
+
+        monkeypatch.setattr("bellcheck.cli.circuit_unitary", must_not_run)
+        monkeypatch.setattr("bellcheck.cli.integer_unitary", must_not_run)
+        pages = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        wide = tmp_path / "wide.qc"
+        wide.write_text(f"qubits {n}\nH 0\nCX 0 1\n")
+        out = tmp_path / "out.csv"
+        rc = main([argv[0], str(wide), str(wide), *argv[1:], "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {message}, more than the 8 GiB of physical memory\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compare-exact", "--raw"],
+        ["compare-sampled", "--shots", "10", "--seed", "1"],
+    ])
+    def test_byte_order_mark_is_read_past(self, argv, circuits, tmp_path, capsys):
+        marked = tmp_path / "marked.qc"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(circuits["h"]).read_bytes())
+        code = main([argv[0], circuits["h"], circuits["z"], *argv[1:]])
+        plain = capsys.readouterr().out
+        assert main([argv[0], str(marked), circuits["z"], *argv[1:]]) == code
+        assert capsys.readouterr().out == plain.replace(circuits["h"], str(marked))
+
+    @pytest.mark.parametrize("command", HELP_COMMANDS)
+    def test_help_names_the_shared_options(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        own = " ".join(capsys.readouterr().out.split())
+        assert ("BELLCHECK_SEED" in own) == (command in ("compare-sampled", "fig1", "fig3",
+                                                           "lemma2"))
+        assert ("--m M number of measurement settings (>= 2)" in own) == (
+            command in ("compare-exact", "compare-sampled", "lemma2"))
+        assert main(["--help"]) == 0
+        entry = " ".join(capsys.readouterr().out.split()).split(f" {command} ", 1)[1]
+        for end in [f" {other} " for other in HELP_COMMANDS] + [" options:"]:
+            entry = entry.split(end, 1)[0]  # this command's line of the command list
+        assert (PYTHON_INT_CLAUSE in entry) == command.startswith("compare-")
 
     @pytest.mark.parametrize("argv", [
         ["fig1", "--samples", "-3"],

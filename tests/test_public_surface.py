@@ -105,9 +105,9 @@ def test_every_module_level_import_is_read():
 
 # Phrases of the input rules that ``tensor.py`` states once for every entry point:
 # the norm, the amplitude count, square matrices of one shape, counts of at least
-# one, and (d, m).
+# one, (d, m), and fractions in (0, 1).
 SHARED_RULE_PHRASES = ("not normalized", "amplitudes", "must be square", "dimension mismatch",
-                       "at least one", "m >= 2")
+                       "at least one", "m >= 2", "must be in (0, 1)")
 
 
 def raised_phrases(src: Path) -> dict[str, list[str]]:

@@ -10,6 +10,7 @@ from bellcheck import tensor
 from bellcheck.tensor import (
     RngStream,
     apply_bilocal,
+    check_fraction,
     check_positive,
     check_state,
     max_entangled,
@@ -136,6 +137,17 @@ class TestCheckState:
             check_state(np.ones((2, 9)) / 3, 4)
         with pytest.raises(ValueError, match="16 amplitudes"):
             check_state(np.complex128(1.0), 4)
+
+
+class TestCheckFraction:
+    @pytest.mark.parametrize("value", [1e-300, 0.5, 1 - 1e-16])
+    def test_open_interval_passes(self, value):
+        check_fraction("delta", value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.1, 2.0, math.nan, math.inf])
+    def test_outside_is_refused(self, value):
+        with pytest.raises(ValueError, match=rf"^delta must be in \(0, 1\), got {value}$"):
+            check_fraction("delta", value)
 
 
 class TestSampleBlocks:
