@@ -105,12 +105,22 @@ def _check_gate(kind: str, targets: tuple[int, ...], n_qubits: int, line: int | 
         )
 
 
+def _decimals(tokens: list[str]) -> tuple[int, ...]:
+    """The tokens as ASCII decimal integers, ``-?[0-9]+``; ValueError for any other token
+    (``int`` alone would also read ``+1``, ``0_1`` and non-ASCII digits)."""
+    digits = "".join(tokens)
+    if not digits.isascii() or (digits and not digits.replace("-", "").isdigit()):
+        raise ValueError
+    return tuple(map(int, tokens))  # int refuses a misplaced or repeated '-'
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse line-oriented circuit source.
 
     Grammar: optional ``#`` comments anywhere; first meaningful line is
     ``qubits <n>``; each following line is a mnemonic plus 0-based qubit
-    indices, controls before targets (``CX c t``; ``TOFFOLI c1 c2 t``).
+    indices, controls before targets (``CX c t``; ``TOFFOLI c1 c2 t``).  The
+    count and the indices are ASCII decimals (``_decimals``).
     """
     n_qubits: int | None = None
     gates: list[Gate] = []
@@ -123,7 +133,7 @@ def parse_circuit(text: str) -> Circuit:
             if tokens[0] != "qubits" or len(tokens) != 2:
                 raise CircuitParseError("expected 'qubits <n>' header", line_no)
             try:
-                declared = int(tokens[1])
+                (declared,) = _decimals(tokens[1:])
             except ValueError:
                 raise CircuitParseError(f"invalid qubit count {tokens[1]!r}", line_no) from None
             if declared < 1:
@@ -132,7 +142,7 @@ def parse_circuit(text: str) -> Circuit:
             continue
         kind = tokens[0]
         try:
-            targets = tuple(map(int, tokens[1:]))
+            targets = _decimals(tokens[1:])
         except ValueError:
             raise CircuitParseError("qubit indices must be integers", line_no) from None
         _check_gate(kind, targets, n_qubits, line_no)

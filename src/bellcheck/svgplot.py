@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,49 +40,47 @@ def _read_columns(
             xs: list[float] = []
             ys: list[float] = []
             for number, row in enumerate(filter(None, reader), start=1):
-                try:
-                    x, y = float(row[ix]), float(row[iy])
-                except (IndexError, ValueError):
-                    x = y = math.nan
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    _refuse_row(row, ((x_col, ix), (y_col, iy)), number, csv_path)
-                xs.append(x)
-                ys.append(y)
+                xs.append(_cell(row, ix, x_col, number, csv_path))
+                ys.append(_cell(row, iy, y_col, number, csv_path))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"cannot read {csv_path}: {exc}") from None
     return np.array(xs, dtype=float), np.array(ys, dtype=float)
 
 
-def _refuse_row(
-    row: list[str], columns: Iterable[tuple[str, int]], number: int, csv_path: str | Path
-) -> None:
-    """ValueError naming the first of ``columns`` (name, index) whose cell is not
-    a finite number, with its data row (from 1)."""
-    for col, index in columns:
-        cell = row[index] if index < len(row) else None
-        try:
-            value = float(cell)
-        except (TypeError, ValueError):
-            value = math.nan
-        if not math.isfinite(value):
-            raise ValueError(
-                f"{csv_path}: row {number}, column {col!r}: {cell!r} is not a finite number"
-            )
+def _cell(row: list[str], index: int, col: str, number: int, csv_path: str | Path) -> float:
+    """The finite float in ``row[index]``, else ValueError naming its data row (from 1)."""
+    cell = row[index] if index < len(row) else None
+    try:
+        if math.isfinite(value := float(cell)):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{csv_path}: row {number}, column {col!r}: {cell!r} is not a finite number")
 
 
 def _padded_range(values: np.ndarray) -> tuple[float, float]:
+    """The values' span padded by 4% each side, taken of halved operands so it cannot
+    overflow; a constant column's is ±0.5, or about ±1 ulp where 0.5 is absorbed."""
     if not values.size:
         return 0.0, 1.0
     lo, hi = float(values.min()), float(values.max())
-    if hi <= lo:
-        return lo - 0.5, hi + 0.5
-    pad = 0.04 * (hi - lo)
+    pad = max(0.5, abs(lo) * 2.0**-53) if hi / 2 <= lo / 2 else 0.08 * (hi / 2 - lo / 2)
     return lo - pad, hi + pad
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    step = (hi - lo) / (count - 1)
-    return [lo + k * step for k in range(count)]
+def _axis(
+    values: np.ndarray, col: str, start: float, span: float
+) -> tuple[list[float], Callable]:
+    """Five ticks over the padded range of ``values``, and the map of a float, or of a
+    float array by the same operations, to its pixel: ``start`` + ``span`` * its share
+    of the range.  Each difference and tick is taken of halved operands, exactly for
+    normal floats, so every tick and pixel of a range inside the float range is finite."""
+    lo, hi = _padded_range(values)
+    half_lo, half_width = lo / 2, hi / 2 - lo / 2
+    ticks = [2 * (half_lo + k * (half_width / 4)) for k in range(5)]
+    if not math.isfinite(ticks[-1]):  # inf or NaN whenever lo or hi is infinite
+        raise ValueError(f"column {col!r}: its padded plot range passes the float range")
+    return ticks, lambda v: start + (v / 2 - half_lo) / half_width * span
 
 
 def emit_svg_scatter(
@@ -101,17 +99,10 @@ def emit_svg_scatter(
     xs, ys = _read_columns(csv_path, x_col, y_col)
     overlays = [(label, np.asarray(ox, dtype=float), np.asarray(oy, dtype=float))
                 for label, ox, oy in overlays]
-    x_lo, x_hi = _padded_range(np.concatenate([xs, *(ox for _, ox, _ in overlays)]))
-    y_lo, y_hi = _padded_range(np.concatenate([ys, *(oy for _, _, oy in overlays)]))
-
-    # pixel coordinates of a float or, with the same operations in the same order,
-    # of a float array
-    def px(v):
-        return _ML + (v - x_lo) / (x_hi - x_lo) * (_WIDTH - _ML - _MR)
-
-    def py(v):
-        return _HEIGHT - _MB - (v - y_lo) / (y_hi - y_lo) * (_HEIGHT - _MT - _MB)
-
+    x_ticks, px = _axis(np.concatenate([xs, *(ox for _, ox, _ in overlays)]), x_col,
+                        _ML, _WIDTH - _ML - _MR)
+    y_ticks, py = _axis(np.concatenate([ys, *(oy for _, _, oy in overlays)]), y_col,
+                        _HEIGHT - _MB, -(_HEIGHT - _MT - _MB))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -119,7 +110,7 @@ def emit_svg_scatter(
         f'<rect x="{_ML}" y="{_MT}" width="{_WIDTH - _ML - _MR}" height="{_HEIGHT - _MT - _MB}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
-    for tick in _ticks(x_lo, x_hi):
+    for tick in x_ticks:
         x = px(tick)
         parts += [
             f'<line x1="{x:.2f}" y1="{_HEIGHT - _MB}" x2="{x:.2f}" y2="{_HEIGHT - _MB + 5}" '
@@ -127,7 +118,7 @@ def emit_svg_scatter(
             f'<text x="{x:.2f}" y="{_HEIGHT - _MB + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{tick:.3g}</text>',
         ]
-    for tick in _ticks(y_lo, y_hi):
+    for tick in y_ticks:
         y = py(tick)
         parts += [
             f'<line x1="{_ML - 5}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" '

@@ -91,6 +91,16 @@ class TestParse:
         with pytest.raises(CircuitParseError):
             parse_circuit("qubits 2\nX a")
 
+    @pytest.mark.parametrize("token", ["0_1", "+1", "\u0662", "\uff11"])  # ٢ and １
+    def test_count_and_indices_are_ascii_decimals(self, token):
+        # int() reads each of these; the grammar takes only -?[0-9]+
+        with pytest.raises(CircuitParseError) as count:
+            parse_circuit(f"qubits {token}\nH 0")
+        assert str(count.value) == f"line 1: invalid qubit count {token!r}"
+        with pytest.raises(CircuitParseError) as index:
+            parse_circuit(f"qubits 3\nH 0\nCX 0 {token}")
+        assert str(index.value) == "line 3: qubit indices must be integers"
+
     def test_each_gate_checked_once(self, monkeypatch):
         lines = []
         check_gate = circuit_module._check_gate

@@ -28,6 +28,7 @@ from oracles import _fig3_point, oracle_circuit_unitary, per_pair_fig3, scaled_i
 
 DATA = Path(__file__).parent / "data"
 NOT_UTF8 = str(DATA / "not_utf8.txt")  # a circuit or CSV file whose first byte is 0xff
+SVG = "http://www.w3.org/2000/svg"
 HADAMARD = "qubits 1\nH 0\n"
 PAULI_Z = "qubits 1\nZ 0\n"
 # trailing Z X Z X block realizes a -I factor: a pure global sign
@@ -610,6 +611,25 @@ class TestFig3:
                    "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_oversized_samples_refused_by_the_memory_sentence(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 8 bytes of RMS error per sample are counted before the array is made
+        def must_not_run(*args, **kwargs):
+            pytest.fail("a fig3 kernel ran for a request that cannot fit")
+
+        for kernel in ("haar_orthogonal", "circuit_distance", "estimate_distance"):
+            monkeypatch.setattr(cli, kernel, must_not_run)
+        pages = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        out = tmp_path / "fig3.csv"
+        rc = main(["fig3", "--n", "1", "--shots", "100", "--samples", "1000000000000",
+                   "--seed", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == ("error: fig3 at n=1 with 1000000000000 samples needs about "
+                                "7.45e+03 GiB, more than the 8 GiB of physical memory\n")
+        assert captured.out == "" and not out.exists()
+
 
 class TestLemma2Command:
     def test_summary_and_csv(self, tmp_path, capsys):
@@ -962,6 +982,43 @@ class TestPlot:
                             (tmp_path / "labelled.svg", {"a<b&c", "D", "p < q & r > s"})]:
             nodes = ET.parse(path).iter("{http://www.w3.org/2000/svg}text")
             assert texts <= {node.text for node in nodes}
+
+    def test_extreme_finite_column_plots(self, tmp_path):
+        # the span of +-1e308 passes the float range; halved operands keep it finite
+        csv_path, svg_path = tmp_path / "wide.csv", tmp_path / "wide.svg"
+        csv_path.write_text("V,D\n1e308,0.5\n-1e308,0.25\n", encoding="utf-8")
+        assert main(["plot", str(csv_path), "--x", "V", "--y", "D", "--out", str(svg_path)]) == 0
+        text = svg_path.read_text(encoding="utf-8")
+        assert "nan" not in text and "inf" not in text
+        labels = [node.text for node in ET.fromstring(text).iter(f"{{{SVG}}}text")]
+        assert labels[:5] == ["-1.08e+308", "-5.4e+307", "0", "5.4e+307", "1.08e+308"]
+
+    def test_constant_huge_column_plots(self, tmp_path):
+        # +-0.5 is absorbed at 1e20; the pad of about one ulp keeps the range open
+        csv_path, svg_path = tmp_path / "flat.csv", tmp_path / "flat.svg"
+        csv_path.write_text("V,D\n1e20,0.5\n1e20,0.25\n", encoding="utf-8")
+        assert main(["plot", str(csv_path), "--x", "V", "--y", "D", "--out", str(svg_path)]) == 0
+        circles = ET.parse(svg_path).iter(f"{{{SVG}}}circle")
+        assert {circle.get("cx") for circle in circles} == {"342.00"}  # the axis centre
+
+    @pytest.mark.parametrize("x,y", [("V", "D"), ("D", "V")])
+    def test_range_past_the_float_range_is_refused(self, x, y, tmp_path, capsys):
+        csv_path, out = tmp_path / "past.csv", tmp_path / "past.svg"
+        csv_path.write_text("V,D\n1.79e308,0.5\n-1.79e308,0.25\n", encoding="utf-8")
+        assert main(["plot", str(csv_path), "--x", x, "--y", y, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: column 'V': its padded plot range passes the float range\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overlay", ["bounds", "exact"])
+    def test_overlay_of_a_huge_m_plots(self, overlay, tmp_path, capsys):
+        # an m past int64 spans the overlay in floats, not in numpy object arrays
+        csv_path, svg_path = tmp_path / "small.csv", tmp_path / "huge_m.svg"
+        csv_path.write_text("V,D\n1,0.5\n2,0.25\n", encoding="utf-8")
+        assert main(["plot", str(csv_path), "--x", "V", "--y", "D", "--out", str(svg_path),
+                     "--overlay", overlay, "--d", "4", "--m", str(10**300)]) == 0
+        ET.parse(svg_path)
 
     def test_oversized_field_names_its_file(self, tmp_path, capsys):
         # csv's field limit is a refusal that names the file, not a bare csv.Error
