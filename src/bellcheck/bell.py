@@ -25,7 +25,7 @@ from .measurement import (
     ALICE, BOB, WrapDiagonals, _phase_params, basis, chsh_observables, wrap_diagonals,
 )
 from .tensor import (
-    RngStream, check_fraction, check_params, check_positive, check_state, random_real_unit_vector,
+    check_fraction, check_params, check_positive, check_state, random_real_unit_vector,
     sample_blocks,
 )
 
@@ -206,7 +206,7 @@ def lemma2_bound(d: int, m: int, delta: float) -> float:
 
 
 def lemma2_exceedance(
-    d: int, m: int, delta: float, samples: int, rng: RngStream
+    d: int, m: int, delta: float, samples: int, rng: np.random.Generator
 ) -> tuple[float, float, np.ndarray]:
     """Empirical check of the random-state ceiling.
 

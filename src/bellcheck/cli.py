@@ -28,8 +28,8 @@ from .circuit import (
 from .distance import circuit_distance, distance_bounds_from_v, distance_from_embedded_v
 from .sampling import ShotPlan, estimate_distance, plan_shots
 from .tensor import (
-    RngStream, check_memory, check_params, check_positive, check_width, haar_orthogonal,
-    random_real_orthogonal, sample_blocks,
+    check_memory, check_params, check_positive, check_width, haar_orthogonal, integer,
+    random_real_orthogonal, rng_stream, sample_blocks,
 )
 
 SEED_ENV_VAR = "BELLCHECK_SEED"
@@ -98,15 +98,16 @@ def _load_circuit(path: str) -> Circuit:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    """--seed, else BELLCHECK_SEED, else a fresh seed; a given seed is a non-negative integer."""
+    """--seed, else BELLCHECK_SEED, else a fresh seed; a given seed is a non-negative
+    integer, the variable's text read by ``integer`` as --seed's is."""
     source, value = "--seed", args.seed
     if value is None:
         source, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR)
     if value is None:
         return int.from_bytes(os.urandom(4), "big")
     try:
-        if int(value) >= 0:
-            return int(value)
+        if (seed := integer(str(value))) >= 0:
+            return seed
     except ValueError:
         pass
     raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
@@ -209,7 +210,7 @@ def cmd_compare_sampled(args: argparse.Namespace) -> int:
 def cmd_fig1(args: argparse.Namespace) -> int:
     check_positive("sample", args.samples)
     seed = _resolve_seed(args)
-    rng = RngStream(seed)
+    rng = rng_stream(seed)
     d, m = 4, 2
 
     def rows():
@@ -248,9 +249,9 @@ def cmd_fig3(args: argparse.Namespace) -> int:
             gauss = np.empty((stop - start, 2, dim, dim))
             seeds = np.empty(stop - start, dtype=np.int64)
             for j in range(start, stop):
-                rng = RngStream(seed, stream_id=j + 1)
-                rng.gen.standard_normal(out=gauss[j - start])
-                seeds[j - start] = rng.gen.integers(1 << 63)
+                rng = rng_stream(seed, stream_id=j + 1)
+                rng.standard_normal(out=gauss[j - start])
+                seeds[j - start] = rng.integers(1 << 63)
             pairs = haar_orthogonal(gauss)
             w = pairs[:, 0] @ pairs[:, 1].mT
             d_true = circuit_distance(w)
@@ -278,7 +279,7 @@ def cmd_lemma2(args: argparse.Namespace) -> int:
     # ``values`` per sample
     check_memory(f"lemma2 at d={args.d} with {args.samples} samples",
                  64 * args.d**2 + 8 * args.samples)
-    rng = RngStream(seed)
+    rng = rng_stream(seed)
     bound, fraction, values = lemma2_exceedance(args.d, args.m, args.delta, args.samples, rng)
     _write_csv(args.out, LEMMA2_HEADER, enumerate(values))
     print(
@@ -297,7 +298,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
             raise ValueError(f"--overlay {args.overlay} requires --d and --m")
         d, m = args.d, args.m
         # spanned in floats: an m or d past int64 would give numpy an object array
-        vs = np.linspace(-float(m), float(m * (d - 1)), 200)
+        try:
+            span = -float(m), float(m * (d - 1))
+        except OverflowError:
+            raise ValueError("--m and --d give a Bell-value range [-m, m(d - 1)] "
+                             "past the float range") from None
+        vs = np.linspace(*span, 200)
         if args.overlay == "bounds":
             bounds = distance_bounds_from_v(vs, d, m)
             overlays = [("lower bound", vs, bounds.lower), ("upper bound", vs, bounds.upper)]
@@ -320,16 +326,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     seed = argparse.ArgumentParser(add_help=False)  # shared options, one parent parser each
-    seed.add_argument("--seed", type=int, help=f"non-negative seed (default: ${SEED_ENV_VAR}, "
-                      "else a fresh one)")
+    seed.add_argument("--seed", type=integer,
+                      help=f"non-negative seed (default: ${SEED_ENV_VAR}, else a fresh one)")
     settings = argparse.ArgumentParser(add_help=False)
-    settings.add_argument("--m", type=int, default=2, help="number of measurement settings (>= 2)")
+    settings.add_argument("--m", type=integer, default=2,
+                          help="number of measurement settings (>= 2)")
     pair = argparse.ArgumentParser(add_help=False)
     pair.add_argument("circuit_a")
     pair.add_argument("circuit_b")
     pair.add_argument("--out", help="optional CSV row output path")
     dataset = argparse.ArgumentParser(add_help=False)
-    dataset.add_argument("--samples", type=int, required=True)
+    dataset.add_argument("--samples", type=integer, required=True)
     dataset.add_argument("--out", required=True)
     slow = "slower if TOFFOLI gates keep an odd entry past 2n + h = 124, h the number of H gates"
 
@@ -344,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-sampled", parents=[pair, settings, seed],
                        help=f"finite-shot distance estimate (embedded; {slow})")
-    p.add_argument("--shots", type=int, help="shot count s")
+    p.add_argument("--shots", type=integer, help="shot count s")
     p.add_argument("--epsilon", type=float, help="target additive error (with --delta)")
     p.add_argument("--delta", type=float, help="failure probability (with --epsilon)")
     p.set_defaults(func=cmd_compare_sampled)
@@ -357,13 +364,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig3", parents=[dataset, seed],
                        help="estimator convergence scatter (embedded protocol)")
-    p.add_argument("--n", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--shots", type=int, choices=(100, 1000, 10000), required=True)
+    p.add_argument("--n", type=integer, choices=(1, 2, 3), required=True)
+    p.add_argument("--shots", type=integer, choices=(100, 1000, 10000), required=True)
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("lemma2", parents=[settings, dataset, seed],
                        help="random-state concentration experiment")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=integer, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.set_defaults(func=cmd_lemma2)
 
@@ -373,8 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="y column name")
     p.add_argument("--out", required=True, help="output .svg path")
     p.add_argument("--overlay", choices=("none", "bounds", "exact"), default="none")
-    p.add_argument("--d", type=int, help="protocol dimension for overlay curves")
-    p.add_argument("--m", type=int, help="settings count for overlay curves")
+    p.add_argument("--d", type=integer, help="protocol dimension for overlay curves")
+    p.add_argument("--m", type=integer, help="settings count for overlay curves")
     p.set_defaults(func=cmd_plot)
 
     return parser

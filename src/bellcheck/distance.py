@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import check_pair, check_params
-
-_RANGE_PAD = 1e-9
+from .tensor import TOL, check_pair, check_params
 
 
 @dataclass(frozen=True)
@@ -40,12 +38,18 @@ def circuit_distance(w: np.ndarray) -> float | np.ndarray:
     return _clamped_sqrt(1.0 - abs(overlap) ** 2)
 
 
-def _check_v_range(v: np.ndarray, d: int, m: int) -> None:
-    inside = (v >= -m - _RANGE_PAD) & (v <= m * (d - 1) + _RANGE_PAD)
+def _normalized(v, d: int, m: int) -> np.ndarray:
+    """I' = (V + m)/(m d) of Bell values V, or ValueError for any I' outside
+    [1 - (1 + TOL)^2, (1 + TOL)^2]: every state within TOL of unit norm
+    (``check_norms``) gives a V inside it, as its V scales with the squared norm."""
+    v = np.asarray(v, dtype=float)
+    i_prime = (v + m) / (m * d)
+    inside = (i_prime >= 1.0 - (1.0 + TOL) ** 2) & (i_prime <= (1.0 + TOL) ** 2)
     if not inside.all():
         raise ValueError(
             f"Bell value {v[~inside][0]} outside the physical range [{-m}, {m * (d - 1)}]"
         )
+    return i_prime
 
 
 def _clamped_sqrt(radicand):
@@ -64,8 +68,7 @@ def distance_bounds_from_v(v, d: int, m: int) -> DistanceBounds:
     """
     check_params(d, m)
     v = np.asarray(v, dtype=float)
-    _check_v_range(v, d, m)
-    lower = _clamped_sqrt(1.0 - (v + m) / (m * d))
+    lower = _clamped_sqrt(1.0 - _normalized(v, d, m))
     upper = _clamped_sqrt(1.0 - (v - m * (d - 2)) / m)
     return DistanceBounds(lower=lower, upper=upper)
 
@@ -80,9 +83,7 @@ def distance_from_embedded_v(v, d: int, m: int) -> float | np.ndarray:
     n2 = d.bit_length() - 1
     if (1 << n2) != d or n2 % 2 != 0:
         raise ValueError(f"embedded protocol dimension must be a power of 4, got {d}")
-    v = np.asarray(v, dtype=float)
-    _check_v_range(v, d, m)
-    return _clamped_sqrt(1.0 - (v + m) / (m * d))
+    return _clamped_sqrt(1.0 - _normalized(v, d, m))
 
 
 def normalized_to_distance(i_prime) -> float | np.ndarray:

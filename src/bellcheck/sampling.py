@@ -16,7 +16,7 @@ counts are drawn directly by ``draw_counts``, not round by round: cell
 come in dyadic blocks.
 Block 0 covers rounds [0, DRAW_BLOCK) and block b >= 1 covers
 [DRAW_BLOCK * 2^(b-1), DRAW_BLOCK * 2^b).  Block b draws one multinomial
-over the cells from RngStream(seed, stream_id=b): of the block's size when
+over the cells from rng_stream(seed, stream_id=b): of the block's size when
 the run covers the block, else of the run's rounds that fall in it.  The
 counts therefore have the law of s i.i.d. rounds at O(m d log s) cost, the
 counts of rounds [0, s) are a function of (seed, s), and every complete
@@ -38,7 +38,7 @@ from .bell import alpha_table, branch_labels, branch_laws
 from .circuit import embedded_pair_state
 from .distance import normalized_to_distance
 from .measurement import WrapDiagonals
-from .tensor import RngStream, check_fraction
+from .tensor import check_fraction, rng_stream
 
 
 # The counts of a run are numpy int64 values.
@@ -108,9 +108,7 @@ def draw_counts(laws: np.ndarray, seed: int | np.ndarray, s: int) -> np.ndarray:
     for pvals, item, item_seed in zip(flat, counts, np.ravel(seed).tolist(), strict=True):
         block, start, stop = 0, 0, DRAW_BLOCK
         while start < s:
-            item += RngStream(item_seed, stream_id=block).gen.multinomial(
-                min(stop, s) - start, pvals
-            )
+            item += rng_stream(item_seed, stream_id=block).multinomial(min(stop, s) - start, pvals)
             block, start, stop = block + 1, stop, 2 * stop
     return counts.reshape(laws.shape)
 

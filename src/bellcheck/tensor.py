@@ -24,6 +24,23 @@ TOL = 1e-9
 BLOCK_AMPLITUDES = 1 << 13
 
 
+def decimals(tokens: list[str]) -> tuple[int, ...]:
+    """The tokens as ASCII decimal integers, ``-?[0-9]+``, the one integer rule of circuit
+    files, integer options and $BELLCHECK_SEED; ValueError for any other token (``int``
+    alone would also read ``+1``, ``0_1``, `` 1`` and non-ASCII digits)."""
+    digits = "".join(tokens)
+    if not digits.isascii() or (digits and not digits.replace("-", "").isdigit()):
+        raise ValueError(f"not an ASCII decimal integer: {' '.join(tokens)!r}")
+    return tuple(map(int, tokens))  # int refuses a misplaced or repeated '-', and ''
+
+
+def integer(token: str) -> int:
+    """One token by ``decimals``: the type of every integer option, which argparse
+    names in its refusal (``invalid integer value``)."""
+    (value,) = decimals([token])
+    return value
+
+
 def check_params(d: int, m: int) -> None:
     """Reject a protocol size below the paper's d >= 2, m >= 2."""
     if d < 2 or m < 2:
@@ -131,16 +148,14 @@ def sample_blocks(samples: int, amplitudes: int) -> Iterator[tuple[int, int]]:
     return ((start, min(start + step, samples)) for start in range(0, samples, step))
 
 
-class RngStream:
-    """Replayable random stream keyed by ``(seed, stream_id)``.
+def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """The replayable random stream keyed by ``(seed, stream_id)``, a numpy Generator.
 
     Equal keys reproduce the same draw sequence byte for byte; distinct
     stream ids yield statistically independent streams.  A stream is
     stateful and must stay confined to one logical task at a time.
     """
-
-    def __init__(self, seed: int, stream_id: int = 0):
-        self.gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
 
 
 def max_entangled(d: int) -> np.ndarray:
@@ -179,7 +194,8 @@ def haar_orthogonal(gauss: np.ndarray) -> np.ndarray:
     return q * signs[..., None, :]
 
 
-def random_real_orthogonal(dim: int, rng: RngStream, size: tuple[int, ...] = ()) -> np.ndarray:
+def random_real_orthogonal(dim: int, rng: np.random.Generator,
+                           size: tuple[int, ...] = ()) -> np.ndarray:
     """Haar-distributed real orthogonal matrices, shape (*size, dim, dim).
 
     ``haar_orthogonal`` of a stack drawn in C order from one Gaussian call,
@@ -187,10 +203,11 @@ def random_real_orthogonal(dim: int, rng: RngStream, size: tuple[int, ...] = ())
     another, bit for bit.
     """
     check_positive("dimension", dim)
-    return haar_orthogonal(rng.gen.standard_normal((*size, dim, dim)))
+    return haar_orthogonal(rng.standard_normal((*size, dim, dim)))
 
 
-def random_real_unit_vector(dim: int, rng: RngStream, size: tuple[int, ...] = ()) -> np.ndarray:
+def random_real_unit_vector(dim: int, rng: np.random.Generator,
+                            size: tuple[int, ...] = ()) -> np.ndarray:
     """Uniform points on the unit sphere of R^dim (normalized Gaussian draws),
     shape (*size, dim).
 
@@ -200,10 +217,10 @@ def random_real_unit_vector(dim: int, rng: RngStream, size: tuple[int, ...] = ()
     """
     check_positive("dimension", dim)
     count = math.prod(size)
-    v = rng.gen.standard_normal((count, dim))
+    v = rng.standard_normal((count, dim))
     norms = np.sqrt(np.vecdot(v, v))
     while not norms.all():
         keep = norms > 0.0
-        v = np.concatenate([v[keep], rng.gen.standard_normal((count - keep.sum(), dim))])
+        v = np.concatenate([v[keep], rng.standard_normal((count - keep.sum(), dim))])
         norms = np.sqrt(np.vecdot(v, v))
     return (v / norms[:, None]).reshape(*size, dim)

@@ -16,7 +16,7 @@ from bellcheck.distance import circuit_distance
 from bellcheck.measurement import ALICE, BOB, basis
 from bellcheck.sampling import ShotPlan, estimate_distance
 from bellcheck.tensor import (
-    RngStream, check_pair, check_params, check_state, random_real_orthogonal,
+    check_pair, check_params, check_state, random_real_orthogonal, rng_stream,
 )
 
 
@@ -150,11 +150,11 @@ def protocol_branches(d: int, m: int) -> tuple[Branch, ...]:
 
 def _fig3_point(seed: int, n: int, pair_id: int) -> tuple[np.ndarray, np.ndarray, int]:
     """One scatter point's Haar orthogonal pair, then its estimation seed, from one stream."""
-    rng = RngStream(seed, stream_id=pair_id + 1)
+    rng = rng_stream(seed, stream_id=pair_id + 1)
     dim = 2**n
     u1 = random_real_orthogonal(dim, rng)
     u2 = random_real_orthogonal(dim, rng)
-    return u1, u2, int(rng.gen.integers(1 << 63))
+    return u1, u2, int(rng.integers(1 << 63))
 
 
 def per_pair_fig3(path, n: int, shots: int, samples: int, seed: int) -> float:

@@ -27,10 +27,10 @@ from bellcheck.distance import (
 from bellcheck.measurement import sequential_distribution
 from bellcheck.sampling import ShotPlan, estimate_distance, estimate_normalized_bell, plan_shots
 from bellcheck.tensor import (
-    RngStream,
     apply_bilocal,
     max_entangled,
     random_real_orthogonal,
+    rng_stream,
 )
 from oracles import outcome_distribution
 
@@ -45,14 +45,14 @@ def _report(number: int, name: str, passed: bool, detail: str = "") -> None:
 
 
 def random_state(dim2, rng):
-    z = rng.gen.standard_normal(dim2) + 1j * rng.gen.standard_normal(dim2)
+    z = rng.standard_normal(dim2) + 1j * rng.standard_normal(dim2)
     return z / np.linalg.norm(z)
 
 
 def test_criterion_01_tsirelson_point():
     worst = 0.0
     for d in (2, 4, 8, 16):
-        rng = RngStream(201, d)
+        rng = rng_stream(201, d)
         phi = max_entangled(d)
         for _ in range(100):
             u = random_real_orthogonal(d, rng)
@@ -64,7 +64,7 @@ def test_criterion_01_tsirelson_point():
 
 def test_criterion_02_strict_gap_converse():
     d, m = 4, 2
-    rng = RngStream(202)
+    rng = rng_stream(202)
     phi = max_entangled(d)
     checked = 0
     min_gap = np.inf
@@ -87,7 +87,7 @@ def test_criterion_02_strict_gap_converse():
 
 def test_criterion_03_sandwich_and_tightness():
     d, m = 4, 2
-    rng = RngStream(203)
+    rng = rng_stream(203)
     phi = max_entangled(d)
     violations = 0
     tight = 0
@@ -111,7 +111,7 @@ def test_criterion_04_embedded_exactness():
     m = 2
     worst = 0.0
     for n in (1, 2):
-        rng = RngStream(204, n)
+        rng = rng_stream(204, n)
         dim = 2**n
         d = dim * dim
         phi = max_entangled(d)
@@ -133,7 +133,7 @@ def test_criterion_05_three_way_agreement():
     worst = 0.0
     for d in (2, 4, 8):
         for m in (2, 3):
-            rng = RngStream(205, 10 * d + m)
+            rng = rng_stream(205, 10 * d + m)
             for _ in range(200):
                 psi = random_state(d * d, rng)
                 v_op = bell_value_operator(psi, d, m)
@@ -150,7 +150,7 @@ def test_criterion_06_orthogonal_envelope():
     ok = True
     worst_excess = -np.inf
     for d in (2, 4, 8):
-        rng = RngStream(206, d)
+        rng = rng_stream(206, d)
         phi = max_entangled(d)
         lo, hi = lemma1_envelope(d, m)
         for _ in range(1000):
@@ -165,7 +165,7 @@ def test_criterion_06_orthogonal_envelope():
 
 def test_criterion_07_random_state_concentration():
     d, m, delta = 16, 2, 0.1
-    bound, fraction, _ = lemma2_exceedance(d, m, delta, 10_000, RngStream(207))
+    bound, fraction, _ = lemma2_exceedance(d, m, delta, 10_000, rng_stream(207))
     _report(7, "random-state concentration bound", fraction <= delta + 0.01,
             f"bound = {bound:.4f}, exceedance = {fraction:.4f}")
 
@@ -188,7 +188,7 @@ def test_criterion_08_sampler_coverage_and_unbiasedness():
 
 def test_criterion_09_estimator_convergence():
     n, m = 1, 2
-    rng = RngStream(209)
+    rng = rng_stream(209)
     dim = 2**n
     pairs = [
         (random_real_orthogonal(dim, rng), random_real_orthogonal(dim, rng))
@@ -224,7 +224,7 @@ def test_criterion_11_product_measurement_equivalence():
     worst = 0.0
     for n, m_values in [(1, (2, 3)), (2, (2, 3)), (3, (2,))]:
         d = 2**n
-        rng = RngStream(211, n)
+        rng = rng_stream(211, n)
         for m in m_values:
             psi = random_state(d * d, rng)
             for x in range(1, m + 1):

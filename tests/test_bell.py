@@ -27,11 +27,11 @@ from bellcheck.circuit import (
 )
 from bellcheck import tensor
 from bellcheck.tensor import (
-    RngStream,
     apply_bilocal,
     max_entangled,
     random_real_orthogonal,
     random_real_unit_vector,
+    rng_stream,
 )
 from oracles import (
     bell_value_embedded, observable_power, oracle_operator_sum, outcome_distribution,
@@ -43,7 +43,7 @@ SIGMA_Z = np.diag([1.0, -1.0])
 
 
 def random_state(dim2, rng):
-    z = rng.gen.standard_normal(dim2) + 1j * rng.gen.standard_normal(dim2)
+    z = rng.standard_normal(dim2) + 1j * rng.standard_normal(dim2)
     return z / np.linalg.norm(z)
 
 
@@ -62,13 +62,13 @@ class TestBellValueOperator:
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     @pytest.mark.parametrize("m", [2, 3])
     def test_agrees_with_literal_sum(self, d, m):
-        rng = RngStream(106, d * 10 + m)
+        rng = rng_stream(106, d * 10 + m)
         for _ in range(3):
             psi = random_state(d * d, rng)
             assert abs(bell_value_operator(psi, d, m) - oracle_operator_sum(psi, d, m)) < 1e-12
 
     def test_agrees_with_gamma_on_embedded_n4_pair(self):
-        rng = RngStream(107)
+        rng = rng_stream(107)
         d, m = 256, 2
         u1 = random_real_orthogonal(16, rng)
         u2 = random_real_orthogonal(16, rng)
@@ -82,7 +82,7 @@ class TestBellValueOperator:
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_equal_rotations_keep_ceiling(self, d):
-        rng = RngStream(101, d)
+        rng = rng_stream(101, d)
         m = 2
         for _ in range(5):
             u = random_real_orthogonal(d, rng)
@@ -110,13 +110,13 @@ class TestBellValueGamma:
     @pytest.mark.parametrize("d", [2, 4, 8])
     @pytest.mark.parametrize("m", [2, 3])
     def test_agrees_with_operator_form(self, d, m):
-        rng = RngStream(102, d * 10 + m)
+        rng = rng_stream(102, d * 10 + m)
         for _ in range(20):
             psi = random_state(d * d, rng)
             assert abs(bell_value_gamma(psi, d, m) - bell_value_operator(psi, d, m)) < ATOL
 
     def test_agrees_with_loop_oracle(self):
-        rng = RngStream(103)
+        rng = rng_stream(103)
         for d in (2, 4, 8):
             for _ in range(5):
                 psi = random_state(d * d, rng)
@@ -124,7 +124,7 @@ class TestBellValueGamma:
 
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_stack_equals_per_item(self, d):
-        rng = RngStream(105, d)
+        rng = rng_stream(105, d)
         stack = np.array([random_state(d * d, rng) for _ in range(12)]).reshape(3, 4, d * d)
         values = bell_value_gamma(stack, d, 3)
         assert values.shape == (3, 4)
@@ -140,7 +140,7 @@ class TestBellValueGamma:
             bell_value_gamma(stack, 4, 2)
 
     def test_random_real_state_within_global_range(self):
-        rng = RngStream(104)
+        rng = rng_stream(104)
         d, m = 4, 2
         for _ in range(50):
             psi = random_real_unit_vector(d * d, rng).astype(complex)
@@ -153,10 +153,10 @@ def rewrite_pair(rng, n, count=40):
     kinds = [kind for kind, arity in GATE_ARITY.items() if arity <= n]
     lines = []
     for _ in range(count):
-        kind = kinds[int(rng.gen.integers(len(kinds)))]
-        targets = rng.gen.choice(n, size=GATE_ARITY[kind], replace=False)
+        kind = kinds[int(rng.integers(len(kinds)))]
+        targets = rng.choice(n, size=GATE_ARITY[kind], replace=False)
         lines.append(" ".join([kind, *map(str, targets)]))
-    cut = int(rng.gen.integers(count + 1))
+    cut = int(rng.integers(count + 1))
     rewritten = lines[:cut] + [f"{kinds[cut % 2]} 0"] * 2 + lines[cut:]
     c1, c2 = (parse_circuit("\n".join([f"qubits {n}", *body])) for body in (lines, rewritten))
     return circuit_unitary(pair_circuit(c1, c2))
@@ -181,7 +181,7 @@ class TestBellValueEmbedded:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_random_orthogonal_w(self, n):
         # compare-exact's default m = 2 prints the same V by either route
-        rng = RngStream(106, n)
+        rng = rng_stream(106, n)
         for w in random_real_orthogonal(2**n, rng, (30,)):
             self.assert_agrees(w, 2)
 
@@ -190,7 +190,7 @@ class TestBellValueEmbedded:
         # V = m (Tr W)^2 - m cancels digits when V is small, so the two routes,
         # a few ulps apart, can straddle a 12-digit rounding boundary: at
         # m = 5, n = 1 this seed prints 0.0120553552391 against 0.012055355239
-        rng = RngStream(106, 10 * n + 5)
+        rng = rng_stream(106, 10 * n + 5)
         for w in random_real_orthogonal(2**n, rng, (15,)):
             self.assert_agrees(w, 5, printed=False)
 
@@ -204,14 +204,14 @@ class TestBellValueEmbedded:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_rewrite_style_equal_pairs(self, n):
-        rng = RngStream(107, n)
+        rng = rng_stream(107, n)
         for _ in range(5):
             w = rewrite_pair(rng, n)
             self.assert_agrees(w, 2)
             assert 2 * (4**n - 1) - bell_value_embedded(w, 2) < 1e-6
 
     def test_stack_equals_per_item(self):
-        stack = random_real_orthogonal(8, RngStream(108), (3, 4))
+        stack = random_real_orthogonal(8, rng_stream(108), (3, 4))
         values = bell_value_embedded(stack, 2)
         assert values.shape == (3, 4)
         for idx in np.ndindex(3, 4):
@@ -240,7 +240,7 @@ class TestWrapDiagonalLayout:
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     @pytest.mark.parametrize("m", [2, 3, 64])
     def test_dense_state_layout(self, d, m):
-        psi = random_state(d * d, RngStream(108, d * 10 + m))
+        psi = random_state(d * d, rng_stream(108, d * 10 + m))
         layout, _ = wrap_diagonals(psi, d)
         v = bell_value_gamma(layout, d, m)
         assert abs(v - oracle_wrap_sum_value(psi, d, m)) < 1e-12
@@ -252,7 +252,7 @@ class TestWrapDiagonalLayout:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [2, 3, 64])
     def test_embedded_pair_layout(self, n, m):
-        rng = RngStream(109, n * 10 + m)
+        rng = rng_stream(109, n * 10 + m)
         dim = 2**n
         d = dim * dim
         u1 = random_real_orthogonal(dim, rng)
@@ -269,7 +269,7 @@ class TestWrapDiagonalLayout:
         # wrap diagonal cleared
         d = 8
         offsets = np.array([5, 0, 3])
-        full, _ = wrap_diagonals(random_state(d * d, RngStream(110, m)), d)
+        full, _ = wrap_diagonals(random_state(d * d, rng_stream(110, m)), d)
         rows = full.rows[offsets] / np.linalg.norm(full.rows[offsets])
         k = np.arange(d)
         grid = np.zeros((d, d), dtype=complex)
@@ -288,7 +288,7 @@ class TestRealStates:
     @pytest.mark.parametrize("d", [2, 4, 16])
     @pytest.mark.parametrize("m", [2, 3])
     def test_dense_states(self, d, m):
-        psi = random_real_unit_vector(d * d, RngStream(116, d), (3,))
+        psi = random_real_unit_vector(d * d, rng_stream(116, d), (3,))
         for state in (psi, psi[0]):
             cast = state.astype(complex)
             assert np.max(np.abs(bell_value_gamma(state, d, m)
@@ -299,7 +299,7 @@ class TestRealStates:
     @pytest.mark.parametrize("m", [2, 3])
     def test_embedded_layouts(self, n, m):
         dim = 2**n
-        pairs = random_real_orthogonal(dim, RngStream(117, n), (3, 2))
+        pairs = random_real_orthogonal(dim, rng_stream(117, n), (3, 2))
         layout = embedded_pair_state(pairs[:, 0] @ pairs[:, 1].mT)
         assert layout.rows.dtype == np.float64
         cast = WrapDiagonals(layout.offsets, layout.rows.astype(complex))
@@ -311,7 +311,7 @@ class TestRealStates:
     def test_gamma_peak_on_an_embedded_layout(self):
         # n = 6 (8^6 entries): the real layout and one real temporary, about 1.1 complex
         # values per entry; a complex copy of the rows made it 2.6
-        pair = random_real_orthogonal(64, RngStream(118), (2,))
+        pair = random_real_orthogonal(64, rng_stream(118), (2,))
         w = pair[0] @ pair[1].T
         tracemalloc.start()
         try:
@@ -347,7 +347,7 @@ class TestProtocolBranches:
     @pytest.mark.parametrize("d,m", [(2, 2), (4, 3), (16, 2)])
     def test_class_distribution_is_the_class_histogram(self, d, m):
         # row n of the law table is the histogram of branch n's score class over the outcome grid
-        psi = random_state(d * d, RngStream(121, d))
+        psi = random_state(d * d, rng_stream(121, d))
         outcomes = np.arange(d)
         laws = branch_laws(psi, d, m)
         assert laws.shape == (2 * m, d)
@@ -372,7 +372,7 @@ class TestProtocolBranches:
 
     @pytest.mark.parametrize("d", [2, 4, 16])
     def test_dense_stack_equals_per_item(self, d):
-        rng = RngStream(123, d)
+        rng = rng_stream(123, d)
         stack = np.array([random_state(d * d, rng) for _ in range(12)]).reshape(3, 4, d * d)
         laws = branch_laws(stack, d, 3)
         assert laws.shape == (3, 4, 6, d)
@@ -382,7 +382,7 @@ class TestProtocolBranches:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_layout_stack_equals_per_item(self, n):
         dim = 2**n
-        pairs = random_real_orthogonal(dim, RngStream(124, n), (3, 4, 2))
+        pairs = random_real_orthogonal(dim, rng_stream(124, n), (3, 4, 2))
         w = pairs[..., 0, :, :] @ pairs[..., 1, :, :].mT
         laws = branch_laws(embedded_pair_state(w), dim * dim, 2)
         assert laws.shape == (3, 4, 4, dim * dim)
@@ -391,7 +391,7 @@ class TestProtocolBranches:
             assert laws[idx].tobytes() == single.tobytes()
 
     def test_one_unnormalized_layout_rejects_the_stack(self):
-        pairs = random_real_orthogonal(2, RngStream(125), (3, 4, 2))
+        pairs = random_real_orthogonal(2, rng_stream(125), (3, 4, 2))
         stack = embedded_pair_state(pairs[..., 0, :, :] @ pairs[..., 1, :, :].mT)
         stack.rows[2, 1] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match="not normalized"):
@@ -414,7 +414,7 @@ class TestProtocolBranches:
             monkeypatch.setattr(
                 np.fft, name, lambda *a, t=transform, **k: calls.append(1) or t(*a, **k)
             )
-        laws = branch_laws(random_state(64, RngStream(122, m)), 8, m)
+        laws = branch_laws(random_state(64, rng_stream(122, m)), 8, m)
         assert len(calls) == 4 and laws.shape == (2 * m, 8)
 
 
@@ -432,7 +432,7 @@ class TestNormalizedBell:
 
     @pytest.mark.parametrize("d,m", [(4, 2), (8, 3)])
     def test_rescaling_identity(self, d, m):
-        rng = RngStream(105, d)
+        rng = rng_stream(105, d)
         for _ in range(10):
             u1 = random_real_orthogonal(d, rng)
             u2 = random_real_orthogonal(d, rng)
@@ -485,7 +485,7 @@ class TestChsh:
         assert abs(chsh_value(max_entangled(2)) - 2 * np.sqrt(2)) < ATOL
 
     def test_equal_rotations_stay_maximal(self):
-        rng = RngStream(106)
+        rng = rng_stream(106)
         for _ in range(10):
             u = random_real_orthogonal(2, rng)
             psi = apply_bilocal(u, u, max_entangled(2))
@@ -504,7 +504,7 @@ class TestChsh:
         assert rp < ATOL and rm < ATOL
 
     def test_residuals_vanish_iff_maximal(self):
-        rng = RngStream(107)
+        rng = rng_stream(107)
         states = [random_state(4, rng) for _ in range(50)]
         states.append(max_entangled(2))
         u = random_real_orthogonal(2, rng)
@@ -524,7 +524,7 @@ class TestLemma1:
     def test_orthogonal_states_within_envelope(self, d):
         m = 2
         lo, hi = lemma1_envelope(d, m)
-        rng = RngStream(108, d)
+        rng = rng_stream(108, d)
         phi = max_entangled(d)
         for _ in range(50):
             psi = random_state(d * d, rng)
@@ -555,13 +555,13 @@ class TestLemma2:
 
     def test_exceedance_within_tolerance(self):
         d, m, delta, samples = 16, 2, 0.1, 1000
-        bound, fraction, values = lemma2_exceedance(d, m, delta, samples, RngStream(109))
+        bound, fraction, values = lemma2_exceedance(d, m, delta, samples, rng_stream(109))
         assert values.shape == (samples,)
         assert fraction <= delta + 3 * np.sqrt(delta * (1 - delta) / samples)
 
     def test_looser_delta_still_holds(self):
         d, m, delta, samples = 16, 2, 0.5, 1000
-        bound, fraction, _ = lemma2_exceedance(d, m, delta, samples, RngStream(113))
+        bound, fraction, _ = lemma2_exceedance(d, m, delta, samples, rng_stream(113))
         assert bound == pytest.approx(2 * np.sqrt(4 / (3 * 16 * 0.5)), abs=1e-12)
         assert fraction <= delta + 3 * np.sqrt(delta * (1 - delta) / samples)
 
@@ -569,13 +569,13 @@ class TestLemma2:
     def test_equals_per_sample_loop(self, d):
         # three blocks and one state more, so the last block is partial
         samples = 3 * (tensor.BLOCK_AMPLITUDES // (d * d)) + 1
-        _, _, values = lemma2_exceedance(d, 3, 0.1, samples, RngStream(114, d))
-        assert np.array_equal(values, per_sample_lemma2_values(d, 3, samples, RngStream(114, d)))
+        _, _, values = lemma2_exceedance(d, 3, 0.1, samples, rng_stream(114, d))
+        assert np.array_equal(values, per_sample_lemma2_values(d, 3, samples, rng_stream(114, d)))
 
     def test_peak_memory_does_not_grow_with_samples(self):
         # one block's states and their gamma temporaries, plus the 160 KB of values;
         # drawing all 20,000 states at once would hold about 80 MiB
-        rng = RngStream(115)
+        rng = rng_stream(115)
         tracemalloc.start()
         try:
             lemma2_exceedance(16, 2, 0.1, 20_000, rng)
@@ -586,7 +586,7 @@ class TestLemma2:
 
     def test_non_positive_sample_count_rejected(self):
         with pytest.raises(ValueError, match="need at least one sample, got 0"):
-            lemma2_exceedance(16, 2, 0.1, 0, RngStream(1))
+            lemma2_exceedance(16, 2, 0.1, 0, rng_stream(1))
 
 
 def per_sample_lemma2_values(d, m, samples, rng):
@@ -600,7 +600,7 @@ def per_sample_lemma2_values(d, m, samples, rng):
 
 class TestGlobalInvariants:
     def test_global_phase_invariance(self):
-        rng = RngStream(110)
+        rng = rng_stream(110)
         d, m = 4, 2
         for _ in range(10):
             psi = random_state(d * d, rng)
@@ -608,7 +608,7 @@ class TestGlobalInvariants:
             assert abs(bell_value_gamma(np.exp(1.3j) * psi, d, m) - v) < 1e-12
 
     def test_sign_flip_invariance(self):
-        rng = RngStream(111)
+        rng = rng_stream(111)
         d, m = 4, 2
         phi = max_entangled(d)
         for _ in range(10):
@@ -629,7 +629,7 @@ class TestGlobalInvariants:
         assert np.max(np.abs(total - total.conj().T)) < ATOL
 
     def test_tsirelson_ceiling_over_random_pairs(self):
-        rng = RngStream(112)
+        rng = rng_stream(112)
         d, m = 4, 2
         phi = max_entangled(d)
         for _ in range(200):

@@ -24,7 +24,7 @@ from bellcheck.circuit import (
 )
 from bellcheck.distance import circuit_distance
 from bellcheck.measurement import wrap_diagonals
-from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
+from bellcheck.tensor import apply_bilocal, max_entangled, random_real_orthogonal, rng_stream
 from oracles import cz_layer, oracle_circuit_unitary, scaled_integer_unitary
 
 PAIRS_PATH = Path(__file__).resolve().parents[1] / "bench" / "pairs.py"
@@ -184,11 +184,11 @@ class TestCircuitUnitary:
         # without H the synthesis is the signed-row map alone: entries in {-1, 0, 1},
         # bit for bit the dense oracle's, also through runs of sign flips that take
         # a row's sign bit across d and back
-        rng = RngStream(74, n)
+        rng = rng_stream(74, n)
         no_h = [kind for kind in GATE_MATRICES if kind != "H"]
         flips = tuple(Gate(kind, (q,)) for q in {0, n - 1} for kind in ("Z", "X", "Z", "Z", "X"))
         for _ in range(20):
-            gates = random_gates(rng, n, int(rng.gen.integers(0, 30)), no_h)
+            gates = random_gates(rng, n, int(rng.integers(0, 30)), no_h)
             circuit = Circuit(n, gates + flips + random_gates(rng, n, 10, no_h) + flips)
             u = circuit_unitary(circuit)
             assert_array_equal(u, oracle_circuit_unitary(circuit))
@@ -198,10 +198,10 @@ class TestCircuitUnitary:
             assert_array_equal(s, u)
 
     def test_random_circuits_are_real_orthogonal(self):
-        rng = RngStream(51)
+        rng = rng_stream(51)
         for _ in range(20):
-            n = int(rng.gen.integers(1, 4))
-            u = circuit_unitary(Circuit(n, random_gates(rng, n, int(rng.gen.integers(0, 12)))))
+            n = int(rng.integers(1, 4))
+            u = circuit_unitary(Circuit(n, random_gates(rng, n, int(rng.integers(0, 12)))))
             assert np.isrealobj(u)
             assert np.max(np.abs(u.T @ u - np.eye(2**n))) < ATOL
 
@@ -211,8 +211,8 @@ def random_gates(rng, n, count, kinds=tuple(GATE_MATRICES)):
     gates = []
     usable = [kind for kind in kinds if GATE_ARITY[kind] <= n]
     for _ in range(count):
-        kind = usable[int(rng.gen.integers(len(usable)))]
-        targets = rng.gen.choice(n, size=GATE_ARITY[kind], replace=False)
+        kind = usable[int(rng.integers(len(usable)))]
+        targets = rng.choice(n, size=GATE_ARITY[kind], replace=False)
         gates.append(Gate(kind, tuple(int(t) for t in targets)))
     return tuple(gates)
 
@@ -238,7 +238,7 @@ class TestAgainstOracle:
     def test_float_view_past_the_float_range(self):
         # 30,000 gates drawn uniformly over the seven kinds: S goes on as Python ints and
         # reaches h > 2,046, where 2^(h/2) and most entries of S are past the float range
-        rng = RngStream(9)
+        rng = rng_stream(9)
         circuit = Circuit(3, random_gates(rng, 3, 30000))
         s, h = integer_unitary(circuit)
         assert s.dtype == object and h > 2046
@@ -249,9 +249,9 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_random_circuits(self, n):
-        rng = RngStream(71, n)
+        rng = rng_stream(71, n)
         for _ in range(100):
-            self.check(Circuit(n, random_gates(rng, n, int(rng.gen.integers(0, 40)))))
+            self.check(Circuit(n, random_gates(rng, n, int(rng.integers(0, 40)))))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_every_gate_and_target_order(self, n):
@@ -264,12 +264,12 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_empty_h_only_and_no_h(self, n):
-        rng = RngStream(72, n)
+        rng = rng_stream(72, n)
         no_h = [kind for kind in GATE_MATRICES if kind != "H"]
         self.check(Circuit(n))
         for _ in range(10):
-            self.check(Circuit(n, random_gates(rng, n, int(rng.gen.integers(1, 30)), ("H",))))
-            self.check(Circuit(n, random_gates(rng, n, int(rng.gen.integers(1, 60)), no_h)))
+            self.check(Circuit(n, random_gates(rng, n, int(rng.integers(1, 30)), ("H",))))
+            self.check(Circuit(n, random_gates(rng, n, int(rng.integers(1, 60)), no_h)))
 
     def test_action_cache_is_bounded(self):
         action = circuit_module._row_action
@@ -301,21 +301,21 @@ class TestPairCircuit:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_one_synthesis_equals_the_product(self, n):
-        rng = RngStream(73, n)
+        rng = rng_stream(73, n)
         for _ in range(20):
-            c1 = Circuit(n, random_gates(rng, n, int(rng.gen.integers(0, 40))))
-            c2 = Circuit(n, random_gates(rng, n, int(rng.gen.integers(0, 40))))
+            c1 = Circuit(n, random_gates(rng, n, int(rng.integers(0, 40))))
+            c2 = Circuit(n, random_gates(rng, n, int(rng.integers(0, 40))))
             w = circuit_unitary(pair_circuit(c1, c2))
             assert_allclose(w, circuit_unitary(c1) @ circuit_unitary(c2).T, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_equal_pairs_read_zero_from_w(self, n):
         # c against itself with an H H pair inserted: the joined W is +-I exactly, so D is 0
-        rng = RngStream(75, n)
+        rng = rng_stream(75, n)
         for _ in range(40):
             gates = random_gates(rng, n, 40)
-            cut = int(rng.gen.integers(41))
-            pair = (Gate("H", (int(rng.gen.integers(n)),)),) * 2
+            cut = int(rng.integers(41))
+            pair = (Gate("H", (int(rng.integers(n)),)),) * 2
             w = circuit_unitary(pair_circuit(Circuit(n, gates),
                                              Circuit(n, gates[:cut] + pair + gates[cut:])))
             assert circuit_distance(w) == 0.0
@@ -410,7 +410,7 @@ class TestEmbedDouble:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_unitary(self, n):
-        rng = RngStream(61, n)
+        rng = rng_stream(61, n)
         u = random_real_orthogonal(2**n, rng)
         e = embed_double(u)
         assert np.max(np.abs(e.T @ e - np.eye(4**n))) < ATOL
@@ -419,7 +419,7 @@ class TestEmbedDouble:
     def test_preserves_distance(self, n):
         from bellcheck.distance import circuit_distance
 
-        rng = RngStream(62, n)
+        rng = rng_stream(62, n)
         for _ in range(10):
             u1 = random_real_orthogonal(2**n, rng)
             u2 = random_real_orthogonal(2**n, rng)
@@ -439,7 +439,7 @@ class TestEmbedDouble:
 
 def random_unitary(dim, rng):
     """Haar complex unitary: QR of a complex Gaussian with R's diagonal phases absorbed."""
-    g = rng.gen.standard_normal((dim, dim)) + 1j * rng.gen.standard_normal((dim, dim))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -449,7 +449,7 @@ class TestEmbeddedPairState:
     @pytest.mark.parametrize("draw", [random_real_orthogonal, random_unitary])
     def test_matches_embed_then_apply(self, n, draw):
         # the layout holds the dense oracle's diagonals at offsets t * 2^n; the rest are zero
-        rng = RngStream(64, n)
+        rng = rng_stream(64, n)
         dim = 2**n
         d = dim * dim
         for _ in range(3):
@@ -466,7 +466,7 @@ class TestEmbeddedPairState:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("draw", [random_real_orthogonal, random_unitary])
     def test_stack_equals_per_item(self, n, draw):
-        rng = RngStream(65, n)
+        rng = rng_stream(65, n)
         dim = 2**n
         pairs = np.array([[draw(dim, rng) for _ in range(2)] for _ in range(12)])
         pairs = pairs.reshape(3, 4, 2, dim, dim)
@@ -500,7 +500,7 @@ def test_embedded_coefficient_grid_structure(n):
         negates the entry.  Together these cancel every wrap-diagonal sum
         with r != 0.
     """
-    rng = RngStream(63, n)
+    rng = rng_stream(63, n)
     dim = 2**n
     d = dim * dim
     for _ in range(8):

@@ -22,7 +22,7 @@ from bellcheck.circuit import (
 )
 from bellcheck.distance import circuit_distance, distance_bounds_from_v
 from bellcheck.tensor import (
-    RngStream, apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector,
+    apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector, rng_stream,
 )
 from oracles import _fig3_point, oracle_circuit_unitary, per_pair_fig3, scaled_integer_unitary
 
@@ -175,6 +175,10 @@ EXIT_CODE_TABLE = [
     pytest.param(["plot", "{inf_csv}", "--x", "V", "--y", "D", *OUT], {}, 2,
                  "{inf_csv}: row 2, column 'V': '-inf' is not a finite number",
                  id="infinite-plot"),
+    pytest.param(["plot", "{csv}", "--x", "V", "--y", "D", *OUT, "--overlay", "bounds",
+                  "--d", str(10**300), "--m", str(10**300)], {}, 2,
+                 "--m and --d give a Bell-value range [-m, m(d - 1)] past the float range",
+                 id="overlay-past-the-float-range"),
     pytest.param(["compare-exact", "{bad}", "{h}", *OUT], {}, 2,
                  "{bad}: line 2: unknown gate 'Y'", id="parse-error-compare-exact"),
     pytest.param(["compare-sampled", "{h}", "{bad}", *SAMPLED], {}, 2,
@@ -687,7 +691,7 @@ class TestLemma2Command:
 
 def per_sample_fig1(path, samples, seed, include_equal_pair):
     """Reference for ``fig1``: one pair drawn and evaluated at a time."""
-    rng = RngStream(seed)
+    rng = rng_stream(seed)
     d, m = 4, 2
     phi = max_entangled(d)
     rows = []
@@ -704,7 +708,7 @@ def per_sample_fig1(path, samples, seed, include_equal_pair):
 
 def per_sample_lemma2(path, d, m, samples, seed):
     """Reference for ``lemma2``'s CSV: one state drawn and evaluated at a time."""
-    rng = RngStream(seed)
+    rng = rng_stream(seed)
     rows = []
     for idx in range(samples):
         psi = random_real_unit_vector(d * d, rng)
@@ -1247,3 +1251,106 @@ class TestEntryPoints:
         proc = run_python("-c", code)
         assert proc.returncode == 0
         assert proc.stdout == "False\n"
+
+
+# Each integer option of each command, in a request that runs with the plain value:
+# (argv with the option's value as {value}, the option, the plain value, its exit code).
+INTEGER_OPTIONS = [
+    (["compare-exact", *H_Z, "--embedded", "--m", "{value}", *OUT], "--m", "3", 1),
+    (["compare-sampled", *H_Z, "--m", "{value}", *SAMPLED], "--m", "3", 0),
+    (["compare-sampled", *H_Z, "--shots", "{value}", "--seed", "1", *OUT], "--shots", "10", 0),
+    (["compare-sampled", *H_Z, "--shots", "10", "--seed", "{value}", *OUT], "--seed", "7", 0),
+    (["fig1", "--samples", "{value}", "--seed", "1", *OUT], "--samples", "2", 0),
+    (["fig1", "--samples", "2", "--seed", "{value}", *OUT], "--seed", "7", 0),
+    (["fig3", "--n", "{value}", "--shots", "100", "--samples", "2", "--seed", "1", *OUT],
+     "--n", "1", 0),
+    (["fig3", "--n", "1", "--shots", "{value}", "--samples", "2", "--seed", "1", *OUT],
+     "--shots", "100", 0),
+    (["fig3", "--n", "1", "--shots", "100", "--samples", "{value}", "--seed", "1", *OUT],
+     "--samples", "2", 0),
+    (["fig3", "--n", "1", "--shots", "100", "--samples", "2", "--seed", "{value}", *OUT],
+     "--seed", "7", 0),
+    (["lemma2", "--d", "{value}", "--delta", "0.1", "--samples", "2", "--seed", "1", *OUT],
+     "--d", "4", 0),
+    (["lemma2", "--d", "4", "--m", "{value}", "--delta", "0.1", "--samples", "2", "--seed", "1",
+      *OUT], "--m", "3", 0),
+    (["lemma2", "--d", "4", "--delta", "0.1", "--samples", "{value}", "--seed", "1", *OUT],
+     "--samples", "2", 0),
+    (["lemma2", "--d", "4", "--delta", "0.1", "--samples", "2", "--seed", "{value}", *OUT],
+     "--seed", "7", 0),
+    (["plot", "{csv}", "--x", "V", "--y", "D", *OUT, "--overlay", "bounds", "--d", "{value}",
+      "--m", "2"], "--d", "4", 0),
+    (["plot", "{csv}", "--x", "V", "--y", "D", *OUT, "--overlay", "exact", "--d", "4",
+      "--m", "{value}"], "--m", "2", 0),
+]
+# Spellings that ``int`` reads and the ASCII-decimal rule of circuit files refuses.
+OTHER_SPELLINGS = ["+1", "1_000", "٣", "１"]  # an Arabic-Indic and a fullwidth digit
+SEEDED_COMMANDS = [
+    ["compare-sampled", *H_Z, "--shots", "10", *OUT],
+    ["fig1", "--samples", "2", *OUT],
+    ["fig3", "--n", "1", "--shots", "100", "--samples", "2", *OUT],
+    ["lemma2", "--d", "4", "--delta", "0.1", "--samples", "2", *OUT],
+]
+
+
+class TestIntegerInputs:
+    """Every integer option and $BELLCHECK_SEED read ASCII decimals (``tensor.integer``),
+    as circuit files do; any other spelling exits 2 before anything is computed."""
+
+    @pytest.fixture
+    def files(self, circuits, tmp_path):
+        csv_path = tmp_path / "f.csv"
+        csv_path.write_text("V,D\n1,0.5\n2,0.25\n", encoding="utf-8")
+        return {**circuits, "csv": str(csv_path), "out": str(tmp_path / "out")}
+
+    @staticmethod
+    def forbid_work(monkeypatch):
+        def must_not_run(*args, **kwargs):
+            pytest.fail("a refused request computed something")
+
+        for kernel in ("circuit_unitary", "integer_unitary", "estimate_distance",
+                       "random_real_orthogonal", "haar_orthogonal", "lemma2_exceedance",
+                       "distance_bounds_from_v", "distance_from_embedded_v"):
+            monkeypatch.setattr(cli, kernel, must_not_run)
+
+    @pytest.mark.parametrize("spelling", OTHER_SPELLINGS)
+    @pytest.mark.parametrize("argv,option,plain,code", INTEGER_OPTIONS)
+    def test_other_spellings_are_refused(self, argv, option, plain, code, spelling, files,
+                                         capsys, monkeypatch):
+        self.forbid_work(monkeypatch)
+        rc = main([arg.format(value=spelling, **files) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"bellcheck {argv[0]}: error: argument {option}: invalid integer value: {spelling!r}"
+        ]
+        assert captured.out == "" and not Path(files["out"]).exists()
+
+    @pytest.mark.parametrize("argv,option,plain,code", INTEGER_OPTIONS)
+    def test_plain_value_runs(self, argv, option, plain, code, files, capsys):
+        assert main([arg.format(value=plain, **files) for arg in argv]) == code
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("spelling", [*OTHER_SPELLINGS, "0_7"])
+    @pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
+    def test_seed_variable_refuses_other_spellings(self, argv, spelling, files, capsys,
+                                                   monkeypatch):
+        self.forbid_work(monkeypatch)
+        monkeypatch.setenv("BELLCHECK_SEED", spelling)
+        rc = main([arg.format(**files) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            f"error: BELLCHECK_SEED must be a non-negative integer, got {spelling!r}\n"
+        )
+        assert captured.out == "" and not Path(files["out"]).exists()
+
+    @pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
+    def test_seed_variable_replays_its_seed(self, argv, files, capsys, monkeypatch):
+        # the README's promise: BELLCHECK_SEED=7 gives the bytes of --seed 7
+        argv = [arg.format(**files) for arg in argv]
+        assert main([*argv, "--seed", "7"]) == 0
+        given = capsys.readouterr().out, Path(files["out"]).read_bytes()
+        monkeypatch.setenv("BELLCHECK_SEED", "7")
+        assert main(argv) == 0
+        assert (capsys.readouterr().out, Path(files["out"]).read_bytes()) == given

@@ -2,9 +2,11 @@
 
 A seeded stdlib ``random`` generator mutates valid circuit files, plot CSVs
 and argvs (token edits; extreme and non-finite numbers; empty and repeated
-columns; a byte-order mark and non-UTF-8 bytes), and every size option is
-also tried at 0, 1, 2^63 and 10^300.  Each case runs ``cli.main`` in-process
-with 32 MiB of physical memory, and must keep the README's promises:
+columns; a byte-order mark and non-UTF-8 bytes), every size option is
+also tried at 0, 1, 2^63 and 10^300, and every integer option at ``+1``,
+``1_000``, ``٣`` and ``１``, which argparse must refuse by the option's
+name.  Each case runs ``cli.main`` in-process with 32 MiB of physical
+memory, and must keep the README's promises:
 
 - the exit code is 0, 1 or 2;
 - on exit code 2, stderr is one ``error:`` line (after argparse's usage
@@ -26,6 +28,7 @@ request to refuse.
 
 from __future__ import annotations
 
+import argparse
 import os
 import random
 import re
@@ -35,7 +38,7 @@ from pathlib import Path
 
 import pytest
 
-from bellcheck import cli
+from bellcheck import cli, tensor
 
 SEED = 25
 RANDOM_CASES = 240
@@ -217,7 +220,42 @@ def random_cases() -> list[tuple[list[str], dict[str, bytes], bool]]:
     return cases
 
 
-CASES = size_cases() + random_cases()
+INTEGER_SPELLINGS = ["+1", "1_000", "٣", "１"]  # int reads each; the ASCII-decimal rule none
+
+
+def integer_options() -> set[tuple[str, str]]:
+    """Every (command, option) whose value the parser reads with ``tensor.integer``."""
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {(name, action.option_strings[0]) for name, sub in commands.choices.items()
+            for action in sub._actions if action.type is tensor.integer}
+
+
+def spelling_cases() -> list[tuple[list[str], dict[str, bytes], str, str]]:
+    """Each integer option of each command, the rest of its request valid, at each of
+    ``INTEGER_SPELLINGS``: (argv, files, the option, the spelling it must refuse)."""
+    pair = {"a": CIRCUITS[1].encode(), "b": CIRCUITS[1].encode()}
+    csv = {"csv": b"pair_id,V,D\n0,1,0.5\n1,2,0.25\n"}
+    requests = [
+        (["compare-exact", "{a}", "{b}", "--m", "2"], pair),
+        (["compare-sampled", "{a}", "{b}", "--m", "2", "--shots", "10", "--seed", "1"], pair),
+        (["fig1", "--samples", "1", "--seed", "1", "--out", "{out}.csv"], {}),
+        (["fig3", "--n", "1", "--shots", "100", "--samples", "1", "--seed", "1",
+          "--out", "{out}.csv"], {}),
+        (["lemma2", "--d", "4", "--m", "2", "--delta", "0.1", "--samples", "1", "--seed", "1",
+          "--out", "{out}.csv"], {}),
+        (["plot", "{csv}", "--x", "V", "--y", "D", "--out", "{out}.svg", "--overlay", "bounds",
+          "--d", "4", "--m", "2"], csv),
+    ]
+    options = integer_options()
+    return [(argv[:at + 1] + [spelling] + argv[at + 2:], files, option, spelling)
+            for argv, files in requests for at, option in enumerate(argv)
+            if (argv[0], option) in options for spelling in INTEGER_SPELLINGS]
+
+
+SPELLING_CASES = spelling_cases()
+CASES = size_cases() + random_cases() + [(argv, files, False)
+                                         for argv, files, _, _ in SPELLING_CASES]
 SIZE_SENTENCE = re.compile(r"error: .+ needs (about \S+ GiB|more than 2\^\d+ bytes), "
                            r"more than the \S+ GiB of physical memory\n")
 
@@ -252,3 +290,22 @@ def test_cli_keeps_its_contract(argv, files, sized, tmp_path, monkeypatch, capsy
         text = svg.read_text(encoding="utf-8")
         ET.fromstring(text)
         assert "nan" not in text.lower() and "inf" not in text.lower()
+
+
+def test_every_integer_option_is_spelled():
+    assert {(argv[0], option) for argv, _, option, _ in SPELLING_CASES} == integer_options()
+    assert len(integer_options()) == 16
+
+
+@pytest.mark.parametrize("argv,files,option,spelling", SPELLING_CASES,
+                         ids=[f"{argv[0]}{option}-{k}" for k, (argv, _, option, _)
+                              in enumerate(SPELLING_CASES)])
+def test_integer_spellings_are_refused(argv, files, option, spelling, tmp_path, capsys):
+    paths = {"out": str(tmp_path / "out")}
+    for name, data in files.items():
+        paths[name] = str(tmp_path / name)
+        Path(paths[name]).write_bytes(data)
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {option}: invalid integer value: {spelling!r}\n"), err
+    assert not list(tmp_path.glob("out*"))

@@ -10,7 +10,7 @@ from bellcheck.distance import (
     distance_from_embedded_v,
     normalized_to_distance,
 )
-from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
+from bellcheck.tensor import TOL, apply_bilocal, max_entangled, random_real_orthogonal, rng_stream
 
 ATOL = 1e-9
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -22,7 +22,7 @@ class TestCircuitDistance:
 
     def test_global_sign_is_zero(self):
         # sqrt amplifies the ~1e-16 radicand error to ~1e-8 near zero
-        rng = RngStream(121)
+        rng = rng_stream(121)
         u = random_real_orthogonal(4, rng)
         assert circuit_distance(u @ -u.T) < 1e-7
 
@@ -39,7 +39,7 @@ class TestCircuitDistance:
         assert d == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_range(self):
-        rng = RngStream(122)
+        rng = rng_stream(122)
         for _ in range(50):
             u1 = random_real_orthogonal(4, rng)
             u2 = random_real_orthogonal(4, rng)
@@ -52,7 +52,7 @@ class TestCircuitDistance:
 
     @pytest.mark.parametrize("dim", [2, 4, 16])
     def test_stack_equals_per_item(self, dim):
-        rng = RngStream(125, dim)
+        rng = rng_stream(125, dim)
         pairs = random_real_orthogonal(dim, rng, (20, 2))
         pairs[3, 1] = -pairs[3, 0]  # one pair at distance zero
         w = pairs[:, 0] @ pairs[:, 1].mT
@@ -94,7 +94,7 @@ class TestDistanceBounds:
         assert np.all(np.diff(uppers) <= 1e-12)
 
     def test_sandwich_on_random_pairs(self):
-        rng = RngStream(123)
+        rng = rng_stream(123)
         d, m = 4, 2
         phi = max_entangled(d)
         for _ in range(100):
@@ -148,7 +148,7 @@ class TestEmbeddedDistance:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_exact_inversion_matches_trace(self, n):
-        rng = RngStream(124, n)
+        rng = rng_stream(124, n)
         dim = 2**n
         d = dim * dim
         m = 2
@@ -184,6 +184,36 @@ class TestEmbeddedDistance:
             distance_from_embedded_v(0.0, 6, 2)
 
 
+class TestNormTolerance:
+    """Both distance functions accept the V of every state within TOL of unit norm, the
+    tolerance of ``check_norms``, and refuse an I' past it; every d here is a power of 4."""
+
+    SIZES = [(4, 2), (16, 3), (256, 7), (1024, 50)]
+
+    @pytest.mark.parametrize("scale", [1 - 0.9 * TOL, 1 + 0.9 * TOL])
+    @pytest.mark.parametrize("d,m", SIZES)
+    def test_scaled_extreme_states_are_accepted(self, d, m, scale):
+        minimal = np.zeros(d * d)
+        minimal[[0, d + 1]] = np.sqrt(0.5), -np.sqrt(0.5)  # (|00> - |11>)/sqrt2 reads V = -m
+        for psi, extreme in [(max_entangled(d), m * (d - 1)), (minimal, -m)]:
+            v = bell_value_gamma(psi * scale, d, m)
+            assert v == pytest.approx(extreme, rel=1e-8)
+            bounds = distance_bounds_from_v(v, d, m)
+            assert 0.0 <= bounds.lower <= bounds.upper <= 1.0
+            assert distance_from_embedded_v(v, d, m) == bounds.lower
+            if extreme > 0 and scale > 1:  # a value past the maximum reads distance 0
+                assert bounds.lower == bounds.upper == 0.0
+
+    @pytest.mark.parametrize("d,m", SIZES)
+    def test_i_prime_past_the_tolerance_is_refused(self, d, m):
+        for i_prime in [(1 + TOL) ** 2 + 1e-6, 1 - (1 + TOL) ** 2 - 1e-6]:
+            v = m * d * i_prime - m
+            with pytest.raises(ValueError, match="outside the physical range"):
+                distance_bounds_from_v(v, d, m)
+            with pytest.raises(ValueError, match="outside the physical range"):
+                distance_from_embedded_v(v, d, m)
+
+
 class TestNormalizedToDistance:
     def test_endpoints_and_midpoint(self):
         assert normalized_to_distance(1.0) == 0.0
@@ -197,7 +227,7 @@ class TestNormalizedToDistance:
 
 class TestEquivalenceWitness:
     def test_strict_gap_for_distinct_pairs(self):
-        rng = RngStream(125)
+        rng = rng_stream(125)
         d, m = 4, 2
         phi = max_entangled(d)
         checked = 0

@@ -17,7 +17,7 @@ from bellcheck.distance import circuit_distance
 from bellcheck.measurement import ALICE, WrapDiagonals, basis, product_factors, sequential_distribution
 from bellcheck.sampling import ShotPlan, estimate_distance
 from bellcheck.tensor import (
-    RngStream, apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector,
+    apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector, rng_stream,
 )
 
 NOT_SQUARE = "matrix must be square, got shape (2, 3)"
@@ -75,13 +75,13 @@ def _rows():
     yield pytest.param(lambda: product_factors(2, 1, 1, 0, ALICE), M_ONE, id="m1-factors")
     yield pytest.param(lambda: sequential_distribution(max_entangled(4), 1, 1, 2, 1), M_ONE,
                        id="m1-sequential")
-    yield pytest.param(lambda: lemma2_exceedance(4, 2, 0.1, 0, RngStream(1)),
+    yield pytest.param(lambda: lemma2_exceedance(4, 2, 0.1, 0, rng_stream(1)),
                        "need at least one sample, got 0", id="zero-samples")
     yield pytest.param(lambda: max_entangled(0), "need at least one dimension, got 0",
                        id="zero-dim-entangled")
-    yield pytest.param(lambda: random_real_orthogonal(0, RngStream(1)),
+    yield pytest.param(lambda: random_real_orthogonal(0, rng_stream(1)),
                        "need at least one dimension, got 0", id="zero-dim-orthogonal")
-    yield pytest.param(lambda: random_real_unit_vector(0, RngStream(1)),
+    yield pytest.param(lambda: random_real_unit_vector(0, rng_stream(1)),
                        "need at least one dimension, got 0", id="zero-dim-vector")
     yield pytest.param(lambda: Circuit(0), "need at least one qubit, got 0", id="zero-qubits")
     yield pytest.param(lambda: product_factors(0, 2, 1, 0, ALICE),

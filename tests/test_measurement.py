@@ -19,7 +19,7 @@ from bellcheck.measurement import (
     wrap_diagonals,
 )
 from bellcheck.tensor import (
-    RngStream, apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector,
+    apply_bilocal, max_entangled, random_real_orthogonal, random_real_unit_vector, rng_stream,
 )
 from oracles import observable_power, outcome_distribution
 
@@ -27,7 +27,7 @@ ATOL = 1e-9
 
 
 def random_state(dim2, rng):
-    z = rng.gen.standard_normal(dim2) + 1j * rng.gen.standard_normal(dim2)
+    z = rng.standard_normal(dim2) + 1j * rng.standard_normal(dim2)
     return z / np.linalg.norm(z)
 
 
@@ -125,7 +125,7 @@ class TestObservablePower:
 class TestOutcomeDistribution:
     @pytest.mark.parametrize("d,m", [(2, 2), (4, 2), (8, 3)])
     def test_sums_to_one(self, d, m):
-        rng = RngStream(71, d)
+        rng = rng_stream(71, d)
         psi = random_state(d * d, rng)
         for x in range(1, m + 1):
             for y in range(1, m + 1):
@@ -177,7 +177,7 @@ class TestOutcomeDistribution:
 class TestWrapDiagonals:
     @pytest.mark.parametrize("d", [2, 5, 16])
     def test_dense_state_index_map(self, d):
-        psi = random_state(d * d, RngStream(152, d))
+        psi = random_state(d * d, rng_stream(152, d))
         grid = psi.reshape(d, d)
         layout, wrapped = wrap_diagonals(psi, d)
         assert_array_equal(layout.offsets, np.arange(d))
@@ -206,7 +206,7 @@ class TestWrapDiagonals:
         # real rows stay float64 and are not copied; complex rows are complex128
         d = 4
         # amplitudes of +-1/4: normalized in single precision too
-        real = np.where(random_real_unit_vector(d * d, RngStream(154)) < 0, -0.25, 0.25)
+        real = np.where(random_real_unit_vector(d * d, rng_stream(154)) < 0, -0.25, 0.25)
         for state, dtype in [(real, np.float64), (real.astype(np.float32), np.float64),
                              (real * 1j, np.complex128),
                              ((real * 1j).astype(np.complex64), np.complex128)]:
@@ -221,7 +221,7 @@ class TestWrapDiagonals:
         # n = 6 embedded layout (d = 4096, 64 real rows): the real rows pass through
         # uncopied, so the peak is the bool mask; a copy of the rows or an (R, d) int64
         # offset sum would each add eight times the mask's size
-        rng = RngStream(153)
+        rng = rng_stream(153)
         u1, u2 = random_real_orthogonal(64, rng), random_real_orthogonal(64, rng)
         state = embedded_pair_state(u1 @ u2.T)
         tracemalloc.start()
@@ -280,12 +280,12 @@ class TestProductFactors:
     @pytest.mark.parametrize("n", [2, 3])
     def test_kron_assembly_reproduces_basis_vector(self, n):
         d = 2**n
-        rng = RngStream(81, n)
+        rng = rng_stream(81, n)
         for party in (ALICE, BOB):
             for _ in range(6):
-                m = int(rng.gen.integers(2, 5))
-                setting = int(rng.gen.integers(1, m + 1))
-                outcome = int(rng.gen.integers(d))
+                m = int(rng.integers(2, 5))
+                setting = int(rng.integers(1, m + 1))
+                outcome = int(rng.integers(d))
                 factors = product_factors(n, m, setting, outcome, party)
                 vec = factors[-1]
                 for f in reversed(factors[:-1]):
@@ -312,7 +312,7 @@ class TestSequentialDistribution:
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_projective_distribution(self, n):
         d = 2**n
-        rng = RngStream(91, n)
+        rng = rng_stream(91, n)
         for m in (2, 3):
             psi = random_state(d * d, rng)
             for x in range(1, m + 1):
@@ -323,7 +323,7 @@ class TestSequentialDistribution:
 
     def test_matches_on_circuit_output_state(self):
         n, d, m = 2, 4, 2
-        rng = RngStream(92)
+        rng = rng_stream(92)
         u1 = random_real_orthogonal(d, rng)
         u2 = random_real_orthogonal(d, rng)
         psi = apply_bilocal(u1, u2, max_entangled(d))

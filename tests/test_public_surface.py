@@ -105,9 +105,10 @@ def test_every_module_level_import_is_read():
 
 # Phrases of the input rules that ``tensor.py`` states once for every entry point:
 # the norm, the amplitude count, square matrices of one shape, counts of at least
-# one, (d, m), and fractions in (0, 1).
+# one, (d, m), fractions in (0, 1), and ASCII decimal integers.
 SHARED_RULE_PHRASES = ("not normalized", "amplitudes", "must be square", "dimension mismatch",
-                       "at least one", "m >= 2", "must be in (0, 1)")
+                       "at least one", "m >= 2", "must be in (0, 1)",
+                       "not an ASCII decimal integer")
 
 
 def raised_phrases(src: Path) -> dict[str, list[str]]:
@@ -130,3 +131,35 @@ def test_each_shared_input_rule_is_raised_once_from_tensor():
     strays = {phrase: places for phrase, places in found.items()
               if len(places) != 1 or not places[0].startswith("tensor:")}
     assert not strays, f"state these rules once, in tensor.py, and call them: {strays}"
+
+
+def test_no_integer_option_is_read_by_int():
+    # argparse's ``int`` reads +1, 1_000 and non-ASCII digits; ``tensor.integer`` reads
+    # each integer option as circuit files read theirs
+    strays = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"):
+                strays += [f"{path.stem}:{node.lineno}" for k in node.keywords
+                           if k.arg == "type" and isinstance(k.value, ast.Name)
+                           and k.value.id == "int"]
+    assert not strays, f"read these options with tensor.integer: {strays}"
+
+
+def test_one_seeded_generator_and_one_tolerance():
+    # a seeded stream is the numpy Generator ``tensor.rng_stream`` returns, with no
+    # wrapper to reach through, and the one small float of src/ is ``tensor.TOL``
+    # (``distance`` scales it to its V range rather than padding V by its own)
+    strays = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (node.id if isinstance(node, ast.Name)
+                     else node.name if isinstance(node, ast.ClassDef) else None)
+            if (named == "RngStream" or "PAD" in (named or "")
+                    or isinstance(node, ast.Attribute) and node.attr == "gen"):
+                strays.append(f"{path.stem}:{node.lineno}")
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0.0 < abs(node.value) < 1e-3 and path.stem != "tensor"):
+                strays.append(f"{path.stem}:{node.lineno}")
+    assert not strays, f"use tensor.rng_stream and tensor.TOL: {strays}"

@@ -22,14 +22,14 @@ from bellcheck.sampling import (
     estimate_normalized_bell,
     plan_shots,
 )
-from bellcheck.tensor import RngStream, apply_bilocal, max_entangled, random_real_orthogonal
+from bellcheck.tensor import apply_bilocal, max_entangled, random_real_orthogonal, rng_stream
 from oracles import outcome_distribution, protocol_branches
 
 SIGMA_Z = np.diag([1.0, -1.0])
 
 
 def random_state(d, rng):
-    z = rng.gen.standard_normal(d * d) + 1j * rng.gen.standard_normal(d * d)
+    z = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     return z / np.linalg.norm(z)
 
 
@@ -97,9 +97,9 @@ class TestPlanShots:
 
 class TestSampleRound:
     def test_values_bounded_by_two(self):
-        rng_state = RngStream(131)
+        rng_state = rng_stream(131)
         for d in (2, 4):
-            z = rng_state.gen.standard_normal(d * d) + 1j * rng_state.gen.standard_normal(d * d)
+            z = rng_state.standard_normal(d * d) + 1j * rng_state.standard_normal(d * d)
             psi = z / np.linalg.norm(z)
             counts = draw_counts(branch_laws(psi, d, 2), 132, 500)
             # counts land only in the 2m x d cells, whose scores lie in [-2, 2]
@@ -122,7 +122,7 @@ class TestSampleRound:
 
     def test_mean_matches_probability_form(self):
         # grand mean over seeds approaches the exact normalized value
-        rng = RngStream(136)
+        rng = rng_stream(136)
         d, m = 4, 2
         u1 = random_real_orthogonal(d, rng)
         u2 = random_real_orthogonal(d, rng)
@@ -169,11 +169,11 @@ class TestEstimateNormalizedBell:
     def test_schedule_independence(self):
         # the counts of rounds [0, s) are one multinomial per dyadic block, block b
         # from stream b: [0, B), [B, 2B), [2B, 4B), then the 2B + 7 rounds of [4B, 8B)
-        psi = random_state(4, RngStream(139))
+        psi = random_state(4, rng_stream(139))
         m, s, seed = 2, 6 * DRAW_BLOCK + 7, 23
         scores = 2.0 * alpha_table(4, m)
         sizes = [DRAW_BLOCK, DRAW_BLOCK, 2 * DRAW_BLOCK, 2 * DRAW_BLOCK + 7]
-        blocks = [RngStream(seed, stream_id=b).gen.multinomial(size, cell_law(psi, 4, m).ravel())
+        blocks = [rng_stream(seed, stream_id=b).multinomial(size, cell_law(psi, 4, m).ravel())
                   for b, size in enumerate(sizes)]
         counts = draw_counts(branch_laws(psi, 4, m), seed, s)
         assert np.array_equal(counts.ravel(), np.sum(blocks, axis=0))
@@ -189,7 +189,7 @@ class TestEstimateNormalizedBell:
 
 class TestEstimateDistance:
     def test_equal_circuits_read_near_zero(self):
-        rng = RngStream(141)
+        rng = rng_stream(141)
         u = random_real_orthogonal(2, rng)
         report = estimate_distance(u @ u.T, 2, ShotPlan(s=10_000), seed=9)
         assert report.distance_estimate <= 0.1
@@ -201,7 +201,7 @@ class TestEstimateDistance:
     def test_error_shrinks_with_shots(self):
         from bellcheck.distance import circuit_distance
 
-        rng = RngStream(142)
+        rng = rng_stream(142)
         errors = {100: [], 10_000: []}
         for pair in range(30):
             u1 = random_real_orthogonal(2, rng)
@@ -224,7 +224,7 @@ class TestStacks:
 
     @pytest.fixture
     def w(self):
-        pairs = random_real_orthogonal(4, RngStream(143), (3, 4, 2))
+        pairs = random_real_orthogonal(4, rng_stream(143), (3, 4, 2))
         return pairs[..., 0, :, :] @ pairs[..., 1, :, :].mT
 
     def test_cell_law_equals_per_item(self, w):
@@ -274,7 +274,7 @@ class TestDrawTable:
         # a run's complete blocks are the first blocks of every longer run: past the
         # last block boundary, a run only adds counts, in every one of the 96 cells
         m, s, seed = 3, 200_000, 29
-        laws = branch_laws(random_state(16, RngStream(151)), 16, m)
+        laws = branch_laws(random_state(16, rng_stream(151)), 16, m)
         boundary = DRAW_BLOCK if k >= DRAW_BLOCK else 0
         shared = draw_counts(laws, seed, boundary)
         assert shared.sum() == boundary
@@ -296,7 +296,7 @@ class TestDrawTable:
     def test_block_counts_follow_the_cell_law(self, s):
         # chi-square goodness of fit of one run's counts against s times the cell law
         d, m = 4, 3
-        psi = random_state(d, RngStream(152))
+        psi = random_state(d, rng_stream(152))
         law = cell_law(psi, d, m).ravel()
         assert law.min() > 1e-3  # every expected count is far above 5
         counts = draw_counts(branch_laws(psi, d, m), 157, s).ravel()
@@ -345,7 +345,7 @@ class TestAliasTables:
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_each_branch_reproduces_its_class_law(self, d):
         m = 3
-        rng = RngStream(153, d)
+        rng = rng_stream(153, d)
         eigen = wrapped_eigenstate(d, m)
         branches = protocol_branches(d, m)
         for psi in (random_state(d, rng), max_entangled(d), eigen):
@@ -361,7 +361,7 @@ class TestAliasTables:
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_expected_round_value_is_exact(self, d, m):
         # a round lands in cell (n, c) with probability cell_law[n, c] and scores 2*alpha[c]
-        rng = RngStream(156, 10 * d + m)
+        rng = rng_stream(156, 10 * d + m)
         for psi in (random_state(d, rng), max_entangled(d), wrapped_eigenstate(d, m)):
             expected = float(np.sum(cell_law(psi, d, m) @ (2.0 * alpha_table(d, m))))
             from_laws = normalized_bell_from_probabilities(branch_laws(psi, d, m), d, m)
@@ -375,7 +375,7 @@ class TestAliasTables:
 ], ids=["gamma", "sampler"])
 def test_embedded_n4_peak_memory_below_one_dense_grid(run):
     # the 16^4-amplitude grid would take 1 MiB; the embedded pair never forms it
-    rng = RngStream(156)
+    rng = rng_stream(156)
     u1 = random_real_orthogonal(16, rng)
     u2 = random_real_orthogonal(16, rng)
     run(embedded_pair_state(u1 @ u2.T))  # warm the caches of the first call
@@ -392,7 +392,7 @@ class TestInequivalentCoverage:
     def test_embedded_pair_at_d16(self):
         # criterion 8's check on an inequivalent embedded pair: the planned budget
         # misses by epsilon or more in at most delta of the runs
-        rng = RngStream(155)
+        rng = rng_stream(155)
         u1 = random_real_orthogonal(4, rng)
         u2 = random_real_orthogonal(4, rng)
         psi = embedded_pair_state(u1 @ u2.T)

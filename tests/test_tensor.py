@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from bellcheck import tensor
+from bellcheck.bell import lemma2_bound, lemma2_exceedance
 from bellcheck.tensor import (
-    RngStream,
     apply_bilocal,
     check_fraction,
     check_positive,
@@ -16,6 +16,7 @@ from bellcheck.tensor import (
     max_entangled,
     random_real_orthogonal,
     random_real_unit_vector,
+    rng_stream,
     sample_blocks,
 )
 
@@ -23,7 +24,7 @@ ATOL = 1e-9
 
 
 def random_complex_matrix(dim, rng):
-    return rng.gen.standard_normal((dim, dim)) + 1j * rng.gen.standard_normal((dim, dim))
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
 class TestMaxEntangled:
@@ -61,7 +62,7 @@ class TestApplyBilocal:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_matches_kron_oracle(self, d):
-        rng = RngStream(11, d)
+        rng = rng_stream(11, d)
         for _ in range(5):
             m = random_complex_matrix(d, rng)
             n = random_complex_matrix(d, rng)
@@ -71,7 +72,7 @@ class TestApplyBilocal:
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     def test_ricochet_identity(self, d):
         # (M x N) Phi_d == (I x N M^T) Phi_d for arbitrary matrices
-        rng = RngStream(12, d)
+        rng = rng_stream(12, d)
         phi = max_entangled(d)
         eye = np.eye(d)
         for _ in range(20):
@@ -83,7 +84,7 @@ class TestApplyBilocal:
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_unitaries_preserve_norm(self, d):
-        rng = RngStream(13, d)
+        rng = rng_stream(13, d)
         phi = max_entangled(d)
         for _ in range(10):
             u = random_real_orthogonal(d, rng)
@@ -93,7 +94,7 @@ class TestApplyBilocal:
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_trace_identity(self, d):
         # <Phi| (I x M) |Phi> == Tr(M)/d
-        rng = RngStream(42, d)
+        rng = rng_stream(42, d)
         phi = max_entangled(d)
         for _ in range(10):
             m = random_complex_matrix(d, rng)
@@ -108,10 +109,10 @@ class TestApplyBilocal:
 
     @pytest.mark.parametrize("d", [2, 4, 16])
     def test_stack_equals_per_item(self, d):
-        rng = RngStream(14, d)
+        rng = rng_stream(14, d)
         ms = random_real_orthogonal(d, rng, (7,))
         ns = random_real_orthogonal(d, rng, (7,))
-        psis = rng.gen.standard_normal((7, d * d)) + 1j * rng.gen.standard_normal((7, d * d))
+        psis = rng.standard_normal((7, d * d)) + 1j * rng.standard_normal((7, d * d))
         phi = max_entangled(d)
         on_phi = apply_bilocal(ms, ns, phi)
         on_stack = apply_bilocal(ms, ns, psis)
@@ -181,32 +182,32 @@ class TestSampleBlocks:
 class TestRandomOrthogonal:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
     def test_orthogonality(self, dim):
-        rng = RngStream(21)
+        rng = rng_stream(21)
         for _ in range(5):
             q = random_real_orthogonal(dim, rng)
             assert np.max(np.abs(q.T @ q - np.eye(dim))) < ATOL
             assert q.dtype == np.float64
 
     def test_dim1_gives_plus_minus_one(self):
-        rng = RngStream(22)
+        rng = rng_stream(22)
         values = {float(random_real_orthogonal(1, rng)[0, 0]) for _ in range(50)}
         assert values <= {1.0, -1.0}
         assert len(values) == 2
 
     def test_deterministic_replay(self):
-        a = random_real_orthogonal(4, RngStream(7, 3))
-        b = random_real_orthogonal(4, RngStream(7, 3))
+        a = random_real_orthogonal(4, rng_stream(7, 3))
+        b = random_real_orthogonal(4, rng_stream(7, 3))
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = random_real_orthogonal(4, RngStream(7, 0))
-        b = random_real_orthogonal(4, RngStream(7, 1))
+        a = random_real_orthogonal(4, rng_stream(7, 0))
+        b = random_real_orthogonal(4, rng_stream(7, 1))
         assert not np.allclose(a, b)
 
     def test_first_column_sphere_marginal(self):
         # one coordinate x of a Haar column satisfies (x+1)/2 ~ Beta((n-1)/2, (n-1)/2)
         dim = 4
-        rng = RngStream(23)
+        rng = rng_stream(23)
         samples = np.array(
             [random_real_orthogonal(dim, rng)[0, 0] for _ in range(10_000)]
         )
@@ -215,20 +216,20 @@ class TestRandomOrthogonal:
 
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
-            random_real_orthogonal(0, RngStream(0))
+            random_real_orthogonal(0, rng_stream(0))
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 16])
     def test_stack_equals_sequential_draws(self, dim):
-        rng_stack, rng_single = RngStream(24, dim), RngStream(24, dim)
+        rng_stack, rng_single = rng_stream(24, dim), rng_stream(24, dim)
         stack = random_real_orthogonal(dim, rng_stack, (50,))
         assert stack.shape == (50, dim, dim)
         for q in stack:
             assert np.array_equal(q, random_real_orthogonal(dim, rng_single))
         # both streams are left at the same place
-        assert np.array_equal(rng_stack.gen.random(4), rng_single.gen.random(4))
+        assert np.array_equal(rng_stack.random(4), rng_single.random(4))
 
     def test_pair_stack_interleaves_in_c_order(self):
-        rng_stack, rng_single = RngStream(25), RngStream(25)
+        rng_stack, rng_single = rng_stream(25), rng_stream(25)
         pairs = random_real_orthogonal(4, rng_stack, (10, 2))
         for u1, u2 in pairs:
             assert np.array_equal(u1, random_real_orthogonal(4, rng_single))
@@ -237,19 +238,19 @@ class TestRandomOrthogonal:
 
 class TestRandomUnitVector:
     def test_unit_norm(self):
-        rng = RngStream(31)
+        rng = rng_stream(31)
         for dim in (1, 2, 5, 16):
             for _ in range(20):
                 assert abs(np.linalg.norm(random_real_unit_vector(dim, rng)) - 1.0) < 1e-12
 
     def test_dim1_is_sign(self):
-        rng = RngStream(32)
+        rng = rng_stream(32)
         values = {float(random_real_unit_vector(1, rng)[0]) for _ in range(20)}
         assert values <= {1.0, -1.0}
 
     def test_coordinate_mean_is_centered(self):
         dim, n = 3, 100_000
-        rng = RngStream(33)
+        rng = rng_stream(33)
         total = np.zeros(dim)
         for _ in range(n):
             total += random_real_unit_vector(dim, rng)
@@ -259,11 +260,10 @@ class TestRandomUnitVector:
 
 
 class _ScriptedStream:
-    """A stand-in for ``RngStream`` whose Gaussian draws are a fixed list, in order."""
+    """A stand-in for a ``rng_stream`` Generator whose Gaussian draws are a fixed list, in order."""
 
     def __init__(self, values):
         self.values = list(values)
-        self.gen = self
 
     def standard_normal(self, shape):
         count = math.prod(shape)
@@ -274,12 +274,12 @@ class _ScriptedStream:
 class TestRandomUnitVectorStack:
     @pytest.mark.parametrize("dim", [1, 2, 16, 256])
     def test_stack_equals_sequential_draws(self, dim):
-        rng_stack, rng_single = RngStream(34, dim), RngStream(34, dim)
+        rng_stack, rng_single = rng_stream(34, dim), rng_stream(34, dim)
         stack = random_real_unit_vector(dim, rng_stack, (300,))
         assert stack.shape == (300, dim)
         for v in stack:
             assert np.array_equal(v, random_real_unit_vector(dim, rng_single))
-        assert np.array_equal(rng_stack.gen.random(4), rng_single.gen.random(4))
+        assert np.array_equal(rng_stack.random(4), rng_single.random(4))
 
     def test_zero_draw_is_replaced_by_the_next(self):
         # rows [0, 0] are redrawn, never divided by; the stack consumes the
@@ -295,9 +295,27 @@ class TestRandomUnitVectorStack:
 
 class TestRngStream:
     def test_sequences_replay(self):
-        s1, s2 = RngStream(99, 5), RngStream(99, 5)
-        assert np.array_equal(s1.gen.random(100), s2.gen.random(100))
+        s1, s2 = rng_stream(99, 5), rng_stream(99, 5)
+        assert np.array_equal(s1.random(100), s2.random(100))
 
     def test_stream_ids_independent(self):
-        s1, s2 = RngStream(99, 0), RngStream(99, 1)
-        assert not np.array_equal(s1.gen.random(100), s2.gen.random(100))
+        s1, s2 = rng_stream(99, 0), rng_stream(99, 1)
+        assert not np.array_equal(s1.random(100), s2.random(100))
+
+
+class TestGeneratorStreams:
+    def test_rng_stream_is_the_seed_sequence_generator(self):
+        for seed, stream_id in [(0, 0), (7, 3), (99, 5), (2**63, 1)]:
+            stream = rng_stream(seed, stream_id)
+            seeded = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
+            assert type(stream) is np.random.Generator
+            assert stream.bytes(256) == seeded.bytes(256)
+
+    def test_kernels_take_any_generator(self):
+        q = random_real_orthogonal(4, np.random.default_rng(0), (2,))
+        assert_allclose(q @ q.mT, np.broadcast_to(np.eye(4), (2, 4, 4)), atol=1e-12)
+        v = random_real_unit_vector(5, np.random.default_rng(0), (3,))
+        assert_allclose(np.linalg.norm(v, axis=-1), 1.0, atol=1e-12)
+        bound, fraction, values = lemma2_exceedance(4, 2, 0.1, 20, np.random.default_rng(0))
+        assert values.shape == (20,) and 0.0 <= fraction <= 1.0
+        assert bound == lemma2_bound(4, 2, 0.1)
