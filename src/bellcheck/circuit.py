@@ -1,5 +1,6 @@
 """Gate-list circuits over a real gate set, a line-oriented text format,
-unitary synthesis, the ancilla-doubling embedding and the embedded pair.
+the joined word of a pair with its equal gates cancelled, unitary synthesis,
+the ancilla-doubling embedding and the embedded pair.
 
 Bit convention: qubit 0 is the most significant bit of the basis-state
 index, so an n-qubit basis index reads b(0) b(1) ... b(n-1) left to right.
@@ -53,7 +54,8 @@ GATE_MATRICES: dict[str, np.ndarray] = {
 for _mat in GATE_MATRICES.values():
     _mat.setflags(write=False)
 # Every gate is a real symmetric involution (G^T = G = G^-1), so a circuit's unitary
-# transposes by reversing its gates: ``pair_circuit`` builds W = U1 U2^T as one circuit.
+# transposes by reversing its gates: ``pair_circuit`` builds W = U1 U2^T as one circuit,
+# and cancels the adjacent equal gates of its word (G G = I).
 
 GATE_ARITY = {name: mat.shape[0].bit_length() - 1 for name, mat in GATE_MATRICES.items()}
 
@@ -105,18 +107,27 @@ def _check_gate(kind: str, targets: tuple[int, ...], n_qubits: int, line: int | 
         )
 
 
-def parse_circuit(text: str) -> Circuit:
+def parse_circuit(text: str, table: dict[int, dict[str, Gate]] | None = None) -> Circuit:
     """Parse line-oriented circuit source.
 
     Grammar: optional ``#`` comments anywhere; first meaningful line is
     ``qubits <n>``; each following line is a mnemonic plus 0-based qubit
     indices, controls before targets (``CX c t``; ``TOFFOLI c1 c2 t``).  The
     count and the indices are ASCII decimals (``tensor.decimals``).
+
+    Each distinct gate line is checked and built once, into ``table``: per
+    qubit count, the gate of each line text.  The files of one request share a
+    table, so a line they both hold is read once; a line read in a 3-qubit file
+    is read again, and refused, in a 2-qubit one.
     """
     n_qubits: int | None = None
+    known: dict[str, Gate] = {}  # the header's count picks its table
     gates: list[Gate] = []
     lines = text.splitlines()
     for line_no, raw in enumerate(lines, start=1):
+        if (gate := known.get(raw)) is not None:
+            gates.append(gate)
+            continue
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -130,6 +141,8 @@ def parse_circuit(text: str) -> Circuit:
             if declared < 1:
                 raise CircuitParseError(f"qubit count must be >= 1, got {declared}", line_no)
             n_qubits = declared
+            if table is not None:
+                known = table.setdefault(n_qubits, {})
             continue
         kind = tokens[0]
         try:
@@ -137,7 +150,8 @@ def parse_circuit(text: str) -> Circuit:
         except ValueError:
             raise CircuitParseError("qubit indices must be integers", line_no) from None
         _check_gate(kind, targets, n_qubits, line_no)
-        gates.append(Gate(kind, targets))
+        gate = known[raw] = Gate(kind, targets)
+        gates.append(gate)
     if n_qubits is None:
         raise CircuitParseError("missing 'qubits <n>' header", max(len(lines), 1))
     return _checked_circuit(n_qubits, tuple(gates))
@@ -152,10 +166,41 @@ def _checked_circuit(n_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
 
 
 def pair_circuit(c1: Circuit, c2: Circuit) -> Circuit:
-    """The circuit whose unitary is W = U1 U2^T: circuit 2 reversed, then circuit 1."""
+    """The circuit whose unitary is W = U1 U2^T: circuit 2 reversed, then circuit 1,
+    with adjacent equal gates cancelled.
+
+    Every gate is an involution, G G = I, so the cancelled word has the same W,
+    exactly.  One stack pass leaves no two adjacent gates equal.  The prefix both
+    circuits share meets in the middle and cancels, as does every inserted G G;
+    an equal pair gives the empty circuit, W = I.
+    """
     if c1.n_qubits != c2.n_qubits:
         raise CircuitWidthError(f"circuit widths differ: {c1.n_qubits} vs {c2.n_qubits} qubits")
-    return _checked_circuit(c1.n_qubits, c2.gates[::-1] + c1.gates)
+    word: list[Gate] = []
+    for gate in c2.gates[::-1] + c1.gates:
+        # parsed gates of one line are one object; equal gates built apart are not
+        if word and ((top := word[-1]) is gate
+                     or (top.targets == gate.targets and top.kind == gate.kind)):
+            word.pop()
+        else:
+            word.append(gate)
+    return _checked_circuit(c1.n_qubits, tuple(word))
+
+
+def cyclic_trim(circuit: Circuit) -> Circuit:
+    """A circuit with the trace of the given one: while its first and last gates are
+    equal, both are dropped, as Tr(G X G) = Tr(X G G) = Tr(X).
+
+    On a ``pair_circuit``, whose adjacent gates differ, this is the whole cyclic
+    reduction (what is left has no two adjacent gates equal either): the suffix
+    both circuits share is gone.  Its unitary is W conjugated, so only a readout
+    of Tr W, not of its other entries, may read it.
+    """
+    gates = circuit.gates
+    start, stop = 0, len(gates)
+    while stop - start > 1 and gates[start] == gates[stop - 1]:
+        start, stop = start + 1, stop - 1
+    return _checked_circuit(circuit.n_qubits, gates[start:stop])
 
 
 @functools.lru_cache(maxsize=128)

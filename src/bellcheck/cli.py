@@ -23,7 +23,8 @@ import numpy as np
 
 from .bell import bell_value_gamma, lemma2_exceedance
 from .circuit import (
-    Circuit, CircuitParseError, circuit_unitary, integer_unitary, pair_circuit, parse_circuit,
+    Circuit, CircuitParseError, circuit_unitary, cyclic_trim, integer_unitary, pair_circuit,
+    parse_circuit,
 )
 from .distance import circuit_distance, distance_bounds_from_v, distance_from_embedded_v
 from .sampling import ShotPlan, estimate_distance, plan_shots
@@ -85,14 +86,14 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) ->
         out.writelines(template % tuple(row) for row in rows)
 
 
-def _load_circuit(path: str) -> Circuit:
+def _load_circuit(path: str, table: dict) -> Circuit:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read circuit file {path}: {exc}") from None
     try:
-        return parse_circuit(text)
+        return parse_circuit(text, table)
     except CircuitParseError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -114,8 +115,11 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _load_pair(args: argparse.Namespace) -> tuple[int, Circuit]:
-    """(n, pair): both circuit files parsed, their widths matched; ``pair`` is W = U1 U2^T's."""
-    c1, c2 = _load_circuit(args.circuit_a), _load_circuit(args.circuit_b)
+    """(n, pair): both circuit files parsed, their widths matched; ``pair`` is W = U1 U2^T's,
+    adjacent equal gates cancelled.  The files share one gate-line table for this request,
+    so a line both hold is read once."""
+    table: dict = {}
+    c1, c2 = _load_circuit(args.circuit_a, table), _load_circuit(args.circuit_b, table)
     n = c1.n_qubits
     if c2.n_qubits != n:
         raise ValueError(
@@ -154,7 +158,9 @@ def cmd_compare_exact(args: argparse.Namespace) -> int:
     # then the integer matrix S and the synthesis temporaries, from whose diagonal sums V is
     # read, at 1.8 complex values per amplitude at n = 8 and 1.5 at n = 10 (counted as 2)
     check_memory(f"{n}-qubit {mode} comparison", 2**20 + 16 * 2 * 4**n)
-    s, h = integer_unitary(pair)  # W = S 2^(-h/2): Tr(W, o)^2 / 4^n = Tr(S, o)^2 / scale
+    # W = S 2^(-h/2): Tr(W, o)^2 / 4^n = Tr(S, o)^2 / scale.  Embedded mode reads only Tr W,
+    # which the cyclic trim keeps; raw mode reads every diagonal of W, which it does not
+    s, h = integer_unitary(cyclic_trim(pair) if args.embedded else pair)
     scale, trace = 2**h * 4**n, int(np.trace(s))
     # I' = sum over diagonals o of Tr(W, o)^2 / 4^n: the embedded CZ signs cancel every
     # layout row but the trace's, and the raw grid W / sqrt(d) puts diagonal o on row o mod d
@@ -338,7 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dataset = argparse.ArgumentParser(add_help=False)
     dataset.add_argument("--samples", type=integer, required=True)
     dataset.add_argument("--out", required=True)
-    slow = "slower if TOFFOLI gates keep an odd entry past 2n + h = 124, h the number of H gates"
+    slow = ("slower if TOFFOLI gates keep an odd entry past 2n + h = 124, h the number of H gates"
+            " left after cancellation")
 
     p = sub.add_parser("compare-exact", parents=[pair, settings], help="exact Bell value, "
                        f"distance, and verdict in integer arithmetic ({slow})")

@@ -16,6 +16,7 @@ from bellcheck.circuit import (
     CircuitWidthError,
     Gate,
     circuit_unitary,
+    cyclic_trim,
     embed_double,
     embedded_pair_state,
     integer_unitary,
@@ -113,6 +114,49 @@ class TestParse:
         parsed = parse_circuit("qubits 3\nH 0\n# note\nCX 0 1\nTOFFOLI 2 0 1\nZ 2\n")
         assert lines == [2, 4, 5, 6]
         assert parsed == Circuit(3, parsed.gates)
+
+
+class TestGateLineTable:
+    """One table per request: each distinct gate line of its files is checked and built once."""
+
+    def test_repeated_lines_give_equal_gates(self, monkeypatch):
+        checked = []
+        check_gate = circuit_module._check_gate
+
+        def counting_check(kind, targets, n_qubits, line=None):
+            checked.append(line)
+            check_gate(kind, targets, n_qubits, line)
+
+        monkeypatch.setattr(circuit_module, "_check_gate", counting_check)
+        table = {}
+        a = parse_circuit("qubits 2\nCX 0 1\nH 0\nCX 0 1\n", table)
+        b = parse_circuit("qubits 2\nH 1\nCX 0 1\nH 0  # note\n", table)
+        assert checked == [2, 3, 2, 4]  # a's lines 2 and 3, b's lines 2 and 4 (new text)
+        assert a.gates[0] == a.gates[2] == b.gates[1] == Gate("CX", (0, 1))
+        assert a.gates[0] is a.gates[2] is b.gates[1]
+        assert b.gates[2] == a.gates[1] == Gate("H", (0,))
+        assert a == parse_circuit("qubits 2\nCX 0 1\nH 0\nCX 0 1\n")
+
+    @pytest.mark.parametrize("bad,message", [
+        ("CX 1 1", "repeated qubit index in (1, 1)"),
+        ("CX 0 x", "qubit indices must be integers"),
+        ("Y 0", "unknown gate 'Y'"),
+    ])
+    def test_bad_line_after_a_shared_prefix_keeps_its_line_number(self, bad, message):
+        table = {}
+        good = "qubits 2\nH 0\n\nCX 0 1\n"
+        parse_circuit(good, table)
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit(good + bad + "\nH 0\n", table)
+        assert str(err.value) == f"line 5: {message}"
+        assert err.value.line == 5
+
+    def test_line_read_at_three_qubits_is_refused_at_two(self):
+        table = {}
+        assert parse_circuit("qubits 3\nH 0\nCX 0 2\n", table).gates[1] == Gate("CX", (0, 2))
+        with pytest.raises(CircuitWidthError) as err:
+            parse_circuit("qubits 2\nH 0\nCX 0 2\n", table)
+        assert str(err.value) == "line 3: qubit index 2 outside register of 2 qubits"
 
 
 class TestGateRule:
@@ -310,7 +354,7 @@ class TestPairCircuit:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_equal_pairs_read_zero_from_w(self, n):
-        # c against itself with an H H pair inserted: the joined W is +-I exactly, so D is 0
+        # c against itself with an H H pair inserted: the joined word cancels to W = I, so D is 0
         rng = rng_stream(75, n)
         for _ in range(40):
             gates = random_gates(rng, n, 40)
@@ -335,6 +379,118 @@ class TestPairCircuit:
     def test_widths_must_match(self):
         with pytest.raises(CircuitWidthError, match="circuit widths differ: 1 vs 2 qubits"):
             pair_circuit(Circuit(1), Circuit(2))
+
+
+def reduced_gates(rng, n, count):
+    """``count`` random gates, no two adjacent equal."""
+    gates = []
+    while len(gates) < count:
+        (gate,) = random_gates(rng, n, 1)
+        if not gates or gate != gates[-1]:
+            gates.append(gate)
+    return tuple(gates)
+
+
+def bench_style_pair(rng, n, klass):
+    """Two circuits of one class of ``bench/pairs.py``: ``rewrite`` (SWAPs as three CX and
+    three inserted G G pairs), ``edit`` (one gate replaced by an unequal one) or
+    ``unrelated``.  Equal gates drawn apart are distinct objects, so the passes must
+    compare them by value."""
+    a = random_gates(rng, n, int(rng.integers(5, 40)))
+    if klass == "unrelated":
+        return Circuit(n, a), Circuit(n, random_gates(rng, n, int(rng.integers(5, 40))))
+    if klass == "edit":
+        b = list(a)
+        at = int(rng.integers(len(b)))
+        while (gate := random_gates(rng, n, 1)[0]) == b[at]:
+            pass
+        b[at] = gate
+        return Circuit(n, a), Circuit(n, tuple(b))
+    b = []
+    for gate in a:
+        if gate.kind == "SWAP":
+            p, q = gate.targets
+            b += [Gate("CX", (p, q)), Gate("CX", (q, p)), Gate("CX", (p, q))]
+        else:
+            b.append(gate)
+    for _ in range(3):
+        at = int(rng.integers(len(b) + 1))
+        b[at:at] = random_gates(rng, n, 1) * 2
+    return Circuit(n, a), Circuit(n, tuple(b))
+
+
+class TestCancellation:
+    """``pair_circuit`` cancels adjacent equal gates, keeping W; ``cyclic_trim`` then drops
+    equal end gates, keeping Tr W."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_both_passes_are_exact(self, n):
+        # against the literal joined word, 64 pairs per n: the linear pass scales S by a
+        # power of two, and the trim keeps (Tr S)^2 2^(-h), all as exact integers
+        rng = rng_stream(76, n)
+        for j in range(64):
+            c1, c2 = bench_style_pair(rng, n, ("rewrite", "edit", "unrelated")[j % 3])
+            s_lit, h_lit = integer_unitary(Circuit(n, c2.gates[::-1] + c1.gates))
+            pair = pair_circuit(c1, c2)
+            s, h = integer_unitary(pair)
+            assert s.dtype == s_lit.dtype == np.int64
+            assert h <= h_lit and (h_lit - h) % 2 == 0
+            half = 1 << (h_lit - h) // 2
+            assert not (s_lit % half).any()
+            assert_array_equal(s_lit // half, s)
+            s_trim, h_trim = integer_unitary(cyclic_trim(pair))
+            assert (int(np.trace(s_trim)) ** 2 << h_lit) == (int(np.trace(s_lit)) ** 2 << h_trim)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_edit_pair_leaves_its_two_gates(self, n):
+        rng = rng_stream(77, n)
+        for _ in range(40):
+            c1, c2 = bench_style_pair(rng, n, "edit")
+            (at,) = [i for i, (g1, g2) in enumerate(zip(c1.gates, c2.gates)) if g1 != g2]
+            left = cyclic_trim(pair_circuit(c1, c2)).gates
+            assert len(left) == 2 and set(left) == {c1.gates[at], c2.gates[at]}
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_equal_pair_leaves_the_empty_word(self, n):
+        rng = rng_stream(78, n)
+        for count in (0, 1, 2, 40):
+            circuit = Circuit(n, random_gates(rng, n, count))
+            pair = pair_circuit(circuit, circuit)
+            assert pair == Circuit(n) and cyclic_trim(pair) == Circuit(n)
+            s, h = integer_unitary(pair)
+            assert h == 0
+            assert_array_equal(s, np.eye(2**n, dtype=np.int64))
+            assert_array_equal(circuit_unitary(pair), np.eye(2**n))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_shared_suffix_shrinks_only_under_the_trim(self, n):
+        rng = rng_stream(79, n)
+        for _ in range(30):
+            suffix = reduced_gates(rng, n, int(rng.integers(1, 12)))
+            head_a = reduced_gates(rng, n, int(rng.integers(1, 12)))
+            head_b = reduced_gates(rng, n, int(rng.integers(1, 12)))
+            if (head_a[0] == head_b[0] or head_a[-1] == head_b[-1]
+                    or suffix[0] in (head_a[-1], head_b[-1])):
+                continue
+            c1, c2 = Circuit(n, head_a + suffix), Circuit(n, head_b + suffix)
+            pair = pair_circuit(c1, c2)
+            assert pair.gates == c2.gates[::-1] + c1.gates
+            assert cyclic_trim(pair).gates == head_b[::-1] + head_a
+
+    def test_built_gates_cancel_as_parsed_ones(self):
+        rng = rng_stream(80)
+        for klass in ("rewrite", "edit", "unrelated") * 10:
+            c1, c2 = bench_style_pair(rng, 4, klass)
+            table = {}
+            parsed = [parse_circuit("\n".join(["qubits 4"] + [
+                " ".join([g.kind, *map(str, g.targets)]) for g in c.gates]), table)
+                for c in (c1, c2)]
+            built = [Circuit(4, tuple(Gate(g.kind, tuple(g.targets)) for g in c.gates))
+                     for c in (c1, c2)]
+            assert built == parsed
+            want = pair_circuit(*parsed)
+            assert pair_circuit(*built) == want
+            assert cyclic_trim(pair_circuit(*built)) == cyclic_trim(want)
 
 
 @pytest.fixture(scope="module")

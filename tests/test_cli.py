@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bellcheck
+from bellcheck import circuit as circuit_module
 from bellcheck import cli, svgplot, tensor
 from bellcheck.bell import bell_value_gamma
 from bellcheck.cli import COMPARE_HEADER, FIG1_HEADER, LEMMA2_HEADER, _fmt, _write_csv, main
@@ -97,6 +98,14 @@ def write_pair(tmp_path, n, lines_a, lines_b):
         (tmp_path / name).write_text("\n".join([f"qubits {n}", *lines]) + "\n")
         paths.append(str(tmp_path / name))
     return paths
+
+
+def respelled(lines):
+    """The gate lines with each ``Z q`` written ``H q``, ``X q``, ``H q``: the same unitary,
+    which the cancellation of ``pair_circuit`` cannot take back to the lines it came from."""
+    return [spelled for line in lines
+            for spelled in ([f"H {line[2:]}", f"X {line[2:]}", f"H {line[2:]}"]
+                            if line.startswith("Z ") else [line])]
 
 
 def joined_circuit(a, b):
@@ -387,7 +396,10 @@ class TestCompareExact:
         rng = np.random.default_rng(127)
         lines = random_lines(rng, n, 500, ("H", "X", "Z", "CX", "CZ", "SWAP"))
         assert 2 * n + 2 * sum(line.startswith("H ") for line in lines) > 124
-        a, b = write_pair(tmp_path, n, lines, lines + ["X 0", "X 0"])
+        # b respells a, and a trailing Z X Z X (-I, a global sign) keeps the ends of the
+        # joined word apart, so the embedded trim leaves W itself
+        a, b = write_pair(tmp_path, n, lines, respelled(lines) + ["Z 0", "X 0", "Z 0", "X 0"])
+        assert 2 * n + sum(gate.kind == "H" for gate in joined_circuit(a, b).gates) > 124
         syntheses = recorded_syntheses(monkeypatch)
         for mode in ("--raw", "--embedded"):
             assert main(["compare-exact", a, b, mode]) == 0
@@ -404,9 +416,13 @@ class TestCompareExact:
         rng = np.random.default_rng(128)
         lines = random_lines(rng, n, 20000)
         syntheses = recorded_syntheses(monkeypatch)
-        for lines_b in (lines + ["X 0", "X 0"], lines[:-10]):
+        # an equal b respelled, with a trailing Z X Z X (-I, a global sign) that keeps the ends
+        # of the joined word apart, so the embedded trim leaves W itself; and a shorter b
+        for lines_b in (respelled(lines) + ["Z 0", "X 0", "Z 0", "X 0"], respelled(lines[:-10])):
             a, b = write_pair(tmp_path, n, lines, lines_b)
-            w = oracle_circuit_unitary(joined_circuit(a, b))
+            joined = joined_circuit(a, b)
+            assert integer_unitary(joined)[0].dtype == object
+            w = oracle_circuit_unitary(joined)
             for mode in ("--raw", "--embedded"):
                 code = main(["compare-exact", a, b, mode])
                 out = capsys.readouterr().out
@@ -418,6 +434,49 @@ class TestCompareExact:
                 else:
                     assert code == 1
                     assert read_value(out, "D") == pytest.approx(circuit_distance(w), abs=1e-9)
+
+    def test_embedded_mode_synthesizes_only_what_the_pair_does_not_share(
+            self, tmp_path, capsys, monkeypatch):
+        # a one-gate edit (X 1 for H 1 in the middle): raw mode synthesizes the word left
+        # by the linear pass, which keeps the shared suffix; embedded mode the edit alone
+        rng = np.random.default_rng(129)
+        head, tail = random_lines(rng, 4, 20), random_lines(rng, 4, 20)
+        a, b = write_pair(tmp_path, 4, head + ["H 1"] + tail, head + ["X 1"] + tail)
+        joined = joined_circuit(a, b)
+        assert len(joined.gates) == 2 * len(tail) + 2
+        syntheses = recorded_syntheses(monkeypatch)
+        for mode in ("--raw", "--embedded"):
+            assert main(["compare-exact", a, b, mode]) == 1
+        (_, h_raw), (_, h) = syntheses
+        assert h_raw == sum(gate.kind == "H" for gate in joined.gates)
+        assert h == 1
+        # Tr(X_1 H_1) = 16 / sqrt(2): D^2 = 1 - 1/2
+        assert read_value(capsys.readouterr().out, "D") == pytest.approx(0.5**0.5, abs=1e-12)
+
+    def test_lines_both_files_hold_are_read_once(self, tmp_path, monkeypatch):
+        checked = []
+        check_gate = circuit_module._check_gate
+
+        def counting_check(kind, targets, n_qubits, line=None):
+            checked.append(line)
+            check_gate(kind, targets, n_qubits, line)
+
+        monkeypatch.setattr(circuit_module, "_check_gate", counting_check)
+        a, b = write_pair(tmp_path, 2, ["H 0", "CX 0 1", "H 0"], ["CX 0 1", "H 1", "H 0"])
+        assert main(["compare-exact", a, b]) == 1
+        assert checked == [2, 3, 3]  # H 0 and CX 0 1 of a, then H 1 of b
+
+    @pytest.mark.parametrize("text_a,lines_b,message", [
+        ("qubits 2\nH 0\nCX 0 1\n", ["H 0", "CX 0 1", "CX 1 1"],
+         "line 4: repeated qubit index in (1, 1)"),
+        ("qubits 3\nH 0\nCX 0 2\n", ["H 0", "CX 0 2"],
+         "line 3: qubit index 2 outside register of 2 qubits"),
+    ], ids=["bad-line-after-a-shared-prefix", "line-read-at-3-qubits-refused-at-2"])
+    def test_shared_lines_keep_every_refusal(self, text_a, lines_b, message, tmp_path, capsys):
+        a, b = write_pair(tmp_path, 2, [], lines_b)
+        Path(a).write_text(text_a)
+        assert main(["compare-exact", a, b]) == 2
+        assert capsys.readouterr().err == f"error: {b}: {message}\n"
 
     def test_python_int_size_guard_covers_the_traced_peak(self, tmp_path, capsys, monkeypatch):
         # H on every qubit makes S dense, and each H of the three-qubit H-TOFFOLI cycle
