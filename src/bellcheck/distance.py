@@ -28,9 +28,10 @@ def circuit_distance(w: np.ndarray) -> float | np.ndarray:
 
     Zero iff U1 = U2 up to a phase in exact arithmetic.  The W of a joined
     equal pair (``circuit_unitary(pair_circuit(c, c))``) is I exactly, its word
-    cancelled to nothing, and reads 0; a product of separately synthesized unitaries, U1 @ U2.T, reads
-    rounding residue instead (D of 2.6e-8 to 4.7e-8 for 40-gate circuits at
-    n = 3..6).  A stack of W, shape (..., d, d), gives an array of shape (...).
+    cancelled to nothing, and reads 0; a product of separately synthesized
+    unitaries, U1 @ U2.T, reads rounding residue instead (D of 2.6e-8 to 4.7e-8
+    for 40-gate circuits at n = 3..6).  A stack of W, shape (..., d, d), gives
+    an array of shape (...).
     """
     w = np.asarray(w)
     d = check_pair(w, w)
